@@ -2,7 +2,6 @@
 
 use crate::error::BayesError;
 use copydet_model::SourceId;
-use serde::{Deserialize, Serialize};
 
 /// The minimum distance an accuracy is kept away from 0 and 1.
 ///
@@ -19,7 +18,7 @@ pub const ACCURACY_EPSILON: f64 = 1e-3;
 /// Accuracies are indexed densely by [`SourceId`]. In the iterative fusion
 /// loop this table is recomputed every round; in single-round uses it can be
 /// supplied from prior knowledge (as in the paper's worked examples).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceAccuracies {
     values: Vec<f64>,
 }

@@ -5,10 +5,9 @@ use crate::contribution::{different_value_score, same_value_scores_both};
 use crate::params::{CopyParams, DecisionThresholds};
 use crate::truth::ValueProbabilities;
 use copydet_model::{Dataset, SourceId};
-use serde::{Deserialize, Serialize};
 
 /// The binary outcome of copy detection for a pair of sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CopyDecision {
     /// Copying (in at least one direction) is more likely than not.
     Copying,
@@ -56,7 +55,7 @@ pub fn posterior_independence(c_to: f64, c_from: f64, params: &CopyParams) -> f6
 /// accumulates `C←` ("second copies from first"), where *first*/*second*
 /// refer to whatever orientation the caller chose when adding evidence — the
 /// posterior of Eq. 2 is symmetric in the two directions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairEvidence {
     /// Accumulated `C→`.
     pub c_to: f64,

@@ -2,7 +2,6 @@
 //! thresholds.
 
 use crate::error::BayesError;
-use serde::{Deserialize, Serialize};
 
 /// The three prior parameters of the copying model (footnote 4 of the paper:
 /// "α, n, s are inputs and can be set/refined").
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper's running example and experiments use `α = 0.1`, `s = 0.8`,
 /// `n = 50` ([`CopyParams::paper_defaults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CopyParams {
     /// A-priori probability of copying in one direction (α).
     pub alpha: f64,
@@ -112,7 +111,7 @@ impl Default for CopyParams {
 }
 
 /// How aggressively early decisions may be made.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecisionPolicy {
     /// Decide "copying" when `Pr(S1⊥S2|Φ) ≤ 0.5` and "no copying" otherwise
     /// (the paper's default).
@@ -131,7 +130,7 @@ pub enum DecisionPolicy {
 }
 
 /// Score thresholds derived from [`CopyParams`] and a [`DecisionPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionThresholds {
     /// If `C→` or `C←` (or a lower bound on them) reaches `theta_cp`,
     /// copying can be concluded.

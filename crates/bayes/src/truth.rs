@@ -3,7 +3,6 @@
 
 use crate::error::BayesError;
 use copydet_model::{Dataset, ItemId, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// The probability of every provided value being true, indexed by
 /// `(item, value)`.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Values that were never stored fall back to the table's `default`
 /// probability (0.5 unless overridden), mirroring the "we are often not sure
 /// which value is true" stance of Section II-A.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValueProbabilities {
     /// `per_item[d]` = sorted `(value, probability)` pairs for item `d`.
     per_item: Vec<Vec<(ValueId, f64)>>,

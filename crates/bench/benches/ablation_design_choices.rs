@@ -2,11 +2,9 @@
 //!
 //! * the HYBRID switch threshold (0 = pure BOUND+, ∞ = pure INDEX, paper
 //!   default 16),
-//! * eager vs lazy bound recomputation (BOUND vs BOUND+),
-//! * the per-entry parallel index scan (1, 2 and 4 worker threads).
+//! * eager vs lazy bound recomputation (BOUND vs BOUND+).
 
 use copydet_bench::{small_workloads, BootstrapState};
-use copydet_detect::parallel::parallel_index_detection;
 use copydet_detect::{bound_detection, hybrid_detection};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -47,23 +45,5 @@ fn bench_lazy_bounds(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_parallel_scan");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for synth in small_workloads() {
-        let state = BootstrapState::new(&synth);
-        for threads in [1usize, 2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("threads_{threads}"), &synth.name),
-                &synth,
-                |b, s| b.iter(|| parallel_index_detection(&state.input(s), threads)),
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_hybrid_threshold, bench_lazy_bounds, bench_parallel_scan);
+criterion_group!(benches, bench_hybrid_threshold, bench_lazy_bounds);
 criterion_main!(benches);

@@ -16,11 +16,10 @@
 //!   1 (the paper's "2 additional computations for each pair of sources on
 //!   different values").
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Counters for the amount of arithmetic a detection run performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComputationCounter {
     /// Directional contribution-score evaluations.
     pub score_updates: u64,

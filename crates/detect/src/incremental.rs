@@ -52,7 +52,6 @@ use copydet_index::InvertedIndex;
 use copydet_model::codec::usize_to_u64;
 use copydet_model::SourcePair;
 use copydet_obs::{registry, Counter};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -72,7 +71,7 @@ fn pairs_recomputed_total() -> &'static Arc<Counter> {
 }
 
 /// Configuration of the incremental detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalConfig {
     /// Threshold on an entry's contribution-score change above which the
     /// change counts as "big" (the paper sets 1.0 for value probability).
@@ -95,7 +94,7 @@ impl Default for IncrementalConfig {
 }
 
 /// Which pass of the incremental update each pair terminated in, per round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalRoundStats {
     /// The (1-based) fusion round these statistics belong to.
     pub round: usize,

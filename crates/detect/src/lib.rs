@@ -14,7 +14,6 @@
 //! | [`IncrementalDetector`] (INCREMENTAL) | V | refines the previous round's decisions instead of recomputing |
 //! | [`SampledDetector`] + [`SamplingStrategy`] (SAMPLE1 / SAMPLE2 / SCALESAMPLE) | VI-A / VI-E | any of the above over a sampled subset of data items |
 //! | [`FaginInputDetector`] (FAGININPUT) | II-B | generates the sorted per-value score lists Fagin's NRA would need, then aggregates them |
-//! | [`parallel::parallel_index_scan`] | VIII (future work) | the per-entry parallelization the paper sketches |
 //!
 //! All single-round algorithms implement the [`CopyDetector`] trait so the
 //! iterative truth-finding loop in `copydet-fusion` can drive any of them,
@@ -31,7 +30,6 @@ mod error;
 mod fagin;
 mod incremental;
 mod pairwise;
-pub mod parallel;
 mod result;
 mod sampling;
 mod scan;
@@ -51,8 +49,7 @@ pub use scan::{
 };
 pub use scan::{BoundDetector, HybridDetector, IndexDetector};
 pub use sharded::{
-    collect_shard_evidence, fold_pair_runs, merge_shard_rounds, merge_shard_rounds_parallel,
-    merge_shard_rounds_timed, MergeTimings, MergeWorkerReport, PairRuns, ShardIdMap,
-    ShardRoundEvidence, SharedItemObservation,
+    collect_shard_evidence, fold_pair_runs, merge_shard_rounds_parallel, MergeTimings,
+    MergeWorkerReport, PairRuns, ShardIdMap, ShardRoundEvidence, SharedItemObservation,
 };
 pub use topk::{TopKResult, TopKStats};

@@ -3,7 +3,6 @@
 use crate::counters::ComputationCounter;
 use copydet_bayes::CopyDecision;
 use copydet_model::SourcePair;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -12,7 +11,7 @@ use std::time::Duration;
 /// Pairs that are absent from a [`DetectionResult`] were never considered —
 /// they share no value (or only values inside `Ē`) — and are implicitly
 /// independent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairOutcome {
     /// The binary decision.
     pub decision: CopyDecision,
@@ -29,7 +28,7 @@ pub struct PairOutcome {
 }
 
 /// Result of running one copy-detection round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectionResult {
     /// Name of the algorithm that produced the result.
     pub algorithm: String,

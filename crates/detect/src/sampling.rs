@@ -12,12 +12,11 @@ use crate::result::DetectionResult;
 use copydet_model::{Dataset, ItemId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::time::Instant;
 
 /// How data items are sampled before detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SamplingStrategy {
     /// SAMPLE1 / BYITEM: keep a uniformly random fraction of the data items.
     ByItem {

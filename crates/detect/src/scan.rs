@@ -24,12 +24,11 @@ use copydet_bayes::contribution::same_value_scores_both;
 use copydet_bayes::{CopyDecision, PairEvidence};
 use copydet_index::{EntryOrdering, InvertedIndex};
 use copydet_model::{ItemId, SourcePair, ValueId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// How the scan decides which pairs get bound maintenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairModeRule {
     /// Every pair accumulates scores exhaustively (INDEX).
     AllExhaustive,
@@ -41,7 +40,7 @@ pub enum PairModeRule {
 }
 
 /// Configuration of one index scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexScanConfig {
     /// Order in which entries are processed.
     pub ordering: EntryOrdering,
@@ -89,7 +88,7 @@ impl IndexScanConfig {
 
 /// Per-pair bookkeeping recorded for INCREMENTAL (Section V's "preparation
 /// step").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairScanRecord {
     /// The decision reached this round.
     pub decision: CopyDecision,

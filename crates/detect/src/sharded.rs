@@ -160,26 +160,6 @@ pub fn collect_shard_evidence(
     Ok(evidence)
 }
 
-/// Merges per-shard overlap evidence into global pairwise decisions,
-/// sequentially (one merge worker).
-///
-/// For every pair, the sorted observation runs of all shards are
-/// stream-folded in ascending global item id (shards are item-disjoint, so
-/// there are no duplicates) into a [`PairEvidence`] — the identical
-/// sequence of floating-point operations a single-store `score_pair` walk
-/// performs — then the posterior of Eq. 2 decides. `accuracies` are the
-/// **global** source accuracies; the computation counters use the same
-/// accounting as PAIRWISE (two directional score updates per shared item,
-/// one posterior per materialized pair). Pairs with no observations at all
-/// are pruned without materializing evidence.
-pub fn merge_shard_rounds(
-    rounds: Vec<ShardRoundEvidence>,
-    accuracies: &SourceAccuracies,
-    params: CopyParams,
-) -> DetectionResult {
-    merge_shard_rounds_timed(rounds, accuracies, params).0
-}
-
 /// Wall-time decomposition of one cross-shard merge.
 ///
 /// The three phase durations partition the merge's own work: partitioning
@@ -407,17 +387,6 @@ fn fold_bucket(
     partial
 }
 
-/// [`merge_shard_rounds`] plus a wall-time breakdown of its phases (one
-/// merge worker; see [`merge_shard_rounds_parallel`] for the fan-out).
-pub fn merge_shard_rounds_timed(
-    rounds: Vec<ShardRoundEvidence>,
-    accuracies: &SourceAccuracies,
-    params: CopyParams,
-) -> (DetectionResult, MergeTimings) {
-    let (result, timings, _) = merge_shard_rounds_parallel(rounds, accuracies, params, 1);
-    (result, timings)
-}
-
 /// The cross-shard merge, fanned out across `parallelism` workers.
 ///
 /// Pairs are partitioned deterministically by a stable hash of the global
@@ -426,7 +395,10 @@ pub fn merge_shard_rounds_timed(
 /// The partial results combine through disjoint map union and exact integer
 /// sums, so the returned [`DetectionResult`] is **bit-identical** for every
 /// `parallelism` (including 1, the sequential merge) — parallelism changes
-/// wall time, never a single bit of the output.
+/// wall time, never a single bit of the output. `accuracies` are the
+/// **global** source accuracies; the computation counters use the same
+/// accounting as PAIRWISE (two directional score updates per shared item,
+/// one posterior per materialized pair).
 ///
 /// `parallelism` is clamped to `1..=64`; empty partitions are skipped
 /// without spawning a thread, and `parallelism == 1` runs inline. The
@@ -578,7 +550,7 @@ mod tests {
             rounds.push(collect_shard_evidence(&input, &counts, &map).expect("consistent counts"));
         }
 
-        let merged = merge_shard_rounds(rounds, &accuracies, params);
+        let (merged, _, _) = merge_shard_rounds_parallel(rounds, &accuracies, params, 1);
         assert_eq!(merged.algorithm, "SHARDED");
         assert_eq!(merged.outcomes.len(), baseline.outcomes.len());
         for (pair, expected) in &baseline.outcomes {
@@ -603,29 +575,8 @@ mod tests {
             ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
         let counts = SharedItemCounts::build(&global);
         let evidence = collect_shard_evidence(&input, &counts, &map).expect("consistent counts");
-        let merged = merge_shard_rounds(vec![evidence], &accuracies, params);
+        let (merged, _, _) = merge_shard_rounds_parallel(vec![evidence], &accuracies, params, 1);
         assert_eq!(merged.outcomes, baseline.outcomes);
-    }
-
-    /// The timed merge returns the same outcomes and accounts every pair in
-    /// its timing breakdown.
-    #[test]
-    fn timed_merge_matches_and_counts_pairs() {
-        let global = dataset(CLAIMS);
-        let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
-        let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
-        let input = RoundInput::new(&global, &accuracies, &probabilities, params);
-        let map =
-            ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
-        let counts = SharedItemCounts::build(&global);
-        let evidence = collect_shard_evidence(&input, &counts, &map).expect("consistent counts");
-        let baseline = merge_shard_rounds(vec![evidence.clone()], &accuracies, params);
-        let (timed, timings) = merge_shard_rounds_timed(vec![evidence], &accuracies, params);
-        assert_eq!(timed.outcomes, baseline.outcomes);
-        assert_eq!(timings.pairs, usize_to_u64(baseline.pairs_considered));
-        assert_eq!(timings.pruned_pairs, 0);
-        assert!(timings.total_nanos() >= timings.fold_nanos);
     }
 
     /// Every parallelism produces the identical result, and the per-worker
@@ -641,8 +592,9 @@ mod tests {
             ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
         let counts = SharedItemCounts::build(&global);
         let evidence = collect_shard_evidence(&input, &counts, &map).expect("consistent counts");
-        let (sequential, seq_timings) =
-            merge_shard_rounds_timed(vec![evidence.clone()], &accuracies, params);
+        let (sequential, seq_timings, _) =
+            merge_shard_rounds_parallel(vec![evidence.clone()], &accuracies, params, 1);
+        assert_eq!(seq_timings.pairs, usize_to_u64(sequential.pairs_considered));
         for workers in [2usize, 3, 8, 0, usize::MAX] {
             let (parallel, timings, reports) =
                 merge_shard_rounds_parallel(vec![evidence.clone()], &accuracies, params, workers);
@@ -735,10 +687,11 @@ mod tests {
     #[test]
     fn empty_rounds_merge_to_an_empty_result() {
         let accuracies = SourceAccuracies::uniform(3, 0.8).unwrap();
-        let merged = merge_shard_rounds(
+        let (merged, _, _) = merge_shard_rounds_parallel(
             vec![ShardRoundEvidence::default()],
             &accuracies,
             CopyParams::paper_defaults(),
+            1,
         );
         assert!(merged.outcomes.is_empty());
         assert_eq!(merged.pairs_considered, 0);

@@ -1,7 +1,5 @@
 //! Scale configuration shared by every experiment driver.
 
-use serde::{Deserialize, Serialize};
-
 /// How large the synthetic workloads are, as a fraction of the paper's
 /// dataset sizes.
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// recorded there. Scales can be overridden from the environment
 /// (`COPYDET_BOOK_SCALE`, `COPYDET_STOCK_SCALE`, `COPYDET_SEED`) so the
 /// drivers can be rerun at larger sizes without recompiling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Scale factor for the Book-CS / Book-full presets.
     pub book_scale: f64,

@@ -5,10 +5,9 @@ use copydet_detect::{
     BoundDetector, CopyDetector, FaginInputDetector, HybridDetector, IncrementalDetector,
     IndexDetector, PairwiseDetector, SampledDetector, SamplingStrategy,
 };
-use serde::{Deserialize, Serialize};
 
 /// A copy-detection method as configured for the experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Exhaustive pairwise detection (the state of the art the paper speeds
     /// up).

@@ -3,7 +3,6 @@
 
 use copydet_bayes::SourceAccuracies;
 use copydet_model::{ItemId, SourcePair, ValueId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Precision / recall / F-measure of a set of predicted copying pairs
@@ -14,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 /// *recall* the fraction of PAIRWISE's copying pairs the method outputs.
 /// The same structure is reused against the planted gold standard of the
 /// synthetic workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CopyDetectionQuality {
     /// Fraction of predicted copying pairs present in the reference.
     pub precision: f64,

@@ -1,10 +1,8 @@
 //! Plain-text table rendering for experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned text table (also renderable as Markdown), used by
 /// every experiment driver to print paper-style tables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TextTable {
     title: String,
     headers: Vec<String>,

@@ -1,10 +1,9 @@
 //! Per-round statistics of the iterative fusion process.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Wall-clock breakdown of one fusion round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTimings {
     /// Time spent in copy detection (including index building).
     pub copy_detection: Duration,
@@ -23,7 +22,7 @@ impl RoundTimings {
 
 /// Statistics of one round of the iterative process — the quantities Table II
 /// tracks for the motivating example, plus efficiency accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusionRoundStats {
     /// 1-based round number.
     pub round: usize,

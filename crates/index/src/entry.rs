@@ -1,11 +1,10 @@
 //! A single inverted-index entry (Definition 3.2).
 
 use copydet_model::{ItemId, SourceId, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// One entry of the inverted index: a value `v` of data item `D` that is
 /// provided by at least two sources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// The data item `D_E`.
     pub item: ItemId,

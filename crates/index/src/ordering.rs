@@ -3,7 +3,6 @@
 use crate::entry::IndexEntry;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The order in which index entries are scanned by the detection algorithms.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// decisions well-defined regardless of ordering, the permutation never moves
 /// an `Ē` entry ahead of a non-`Ē` entry — the paper's Step II/Step III
 /// separation — it only permutes the two regions internally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EntryOrdering {
     /// Decreasing contribution score (the paper's proposal, BYCONTRIBUTION).
     #[default]

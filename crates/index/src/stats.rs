@@ -2,10 +2,9 @@
 //! quantities discussed in Section VI-B).
 
 use crate::builder::InvertedIndex;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of an [`InvertedIndex`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexStats {
     /// Number of index entries (shared `(item, value)` combinations).
     pub num_entries: usize,

@@ -4,7 +4,6 @@ use crate::ids::{ItemId, SourceId, ValueId};
 use crate::interner::Interner;
 use crate::observation::{Claim, ClaimRef};
 use crate::stats::DatasetStats;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use std::sync::Arc;
 ///
 /// This is the unit from which the inverted index is built: an index entry
 /// exists for every group with at least two providers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemValueGroup {
     /// The data item.
     pub item: ItemId,
@@ -57,7 +56,7 @@ impl ItemValueGroup {
 /// this through [`Dataset::with_patches`], which derives the next snapshot
 /// from the previous one in time proportional to the *changed* entities while
 /// aliasing everything untouched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     pub(crate) source_names: Arc<Vec<String>>,
     pub(crate) item_names: Arc<Vec<String>>,

@@ -13,11 +13,10 @@
 
 use crate::dataset::Dataset;
 use crate::ids::{ItemId, SourceId, ValueId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One claim that was added or changed between two snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClaimChange {
     /// The source whose claim changed.
     pub source: SourceId,
@@ -42,7 +41,7 @@ impl ClaimChange {
 /// Claims are never removed between snapshots (stores are append-oriented;
 /// re-claiming an item overwrites the value), so a delta consists purely of
 /// additions and in-place value changes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DatasetDelta {
     /// All changes, sorted by `(source, item)`.
     changes: Vec<ClaimChange>,

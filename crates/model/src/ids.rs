@@ -5,15 +5,12 @@
 //! can live in plain `Vec`s indexed by `id.index()` on hot paths instead of
 //! hash maps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u32);
 
         impl $name {
@@ -85,7 +82,7 @@ define_id!(
 /// direction* (`S1 → S2` vs `S1 ← S2`) is tracked separately by the
 /// detection algorithms: `SourcePair` only identifies which two sources are
 /// being compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourcePair {
     first: SourceId,
     second: SourceId,

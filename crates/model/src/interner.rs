@@ -1,7 +1,6 @@
 //! A simple string interner mapping value strings to dense [`ValueId`]s.
 
 use crate::ids::ValueId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -18,10 +17,9 @@ use std::sync::Arc;
 /// copy-on-write — storage is only deep-copied when a new string arrives
 /// while an older clone is still alive. This is what keeps
 /// `ClaimStore::snapshot()` free of per-value string copies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     strings: Arc<Vec<String>>,
-    #[serde(skip)]
     lookup: Arc<HashMap<String, ValueId>>,
 }
 

@@ -1,11 +1,10 @@
 //! Claim types: a single `(source, item, value)` observation.
 
 use crate::ids::{ItemId, SourceId, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// An owned claim in terms of dense identifiers: source `source` provides
 /// value `value` for data item `item`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Claim {
     /// The providing source.
     pub source: SourceId,

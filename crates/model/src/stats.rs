@@ -2,7 +2,6 @@
 //! Section VI-A of the paper).
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a [`Dataset`].
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// evaluation datasets: number of sources, number of data items, number of
 /// distinct values, how many values are shared (i.e. would be indexed), the
 /// conflict fan-out per item, and the coverage skew across sources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of sources.
     pub num_sources: usize,

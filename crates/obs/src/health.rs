@@ -316,7 +316,7 @@ mod tests {
         // (1000 s), so a minimum of 500 s qualifies exactly these.
         for _ in 0..8 {
             let mut b = RoundTraceBuilder::new("sharded_round");
-            b.stage("merge.fold", 999_000_000_000_000);
+            b.stage("merge.fold_vote", 999_000_000_000_000);
             let mut t = b.finish();
             t.total_nanos = 1_000_000_000_000_000; // merge share 999‰
             trace_ring().push(t);
@@ -328,6 +328,26 @@ mod tests {
         assert!(
             tripped.iter().any(|r| r.code == HealthReasonCode::MergeStarvation),
             "merge-dominated rounds must degrade: {tripped:?}"
+        );
+
+        // Rounds whose `merge.` stages are wall intervals tiling most (but
+        // not all) of the round stay below the threshold.
+        for _ in 0..8 {
+            let mut b = RoundTraceBuilder::new("sharded_round");
+            b.stage("merge.collect", 50_000_000_000_000);
+            b.stage_count("merge.fold_vote", 800_000_000_000_000, 1_000);
+            let mut t = b.finish();
+            t.total_nanos = 1_000_000_000_000_000; // merge share 850‰
+            assert!(t.stage_sum_nanos("merge.") <= t.total_nanos);
+            trace_ring().push(t);
+        }
+        let reasons = evaluate_process_health(&HealthThresholds {
+            merge_min_round_nanos: 500_000_000_000_000,
+            ..thresholds
+        });
+        assert!(
+            !reasons.iter().any(|r| r.code == HealthReasonCode::MergeStarvation),
+            "wall-tiled merge stages under the threshold must not degrade: {reasons:?}"
         );
     }
 

@@ -63,7 +63,7 @@ impl Default for Span {
 /// One named stage of a round trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStage {
-    /// Stage name (`shard0.scan`, `merge.fold`, ...).
+    /// Stage name (`shard0.scan`, `merge.fold_vote`, ...).
     pub name: String,
     /// Wall time the stage took, in nanoseconds.
     pub nanos: u64,
@@ -247,7 +247,7 @@ mod tests {
         let mut b = RoundTraceBuilder::new("test_round");
         b.stage("capture", 10);
         b.stage_count("shard0.scan", 100, 7);
-        b.stage("merge.fold", 50);
+        b.stage("merge.fold_vote", 50);
         std::thread::sleep(Duration::from_millis(1));
         let trace = b.finish();
         assert_eq!(trace.label, "test_round");

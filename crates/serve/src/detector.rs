@@ -445,14 +445,21 @@ impl ShardedDetector {
         }
         self.rounds += 1;
         let workers = self.merge_parallelism();
+        let merge_span = Span::start();
         let (result, timings, reports) =
             merge_shard_rounds_parallel(evidence, &accuracies, self.config.params, workers);
+        let merge_nanos = merge_span.elapsed_nanos();
+        // Wall intervals only: `timings.fold_nanos` / `vote_nanos` are summed
+        // over merge workers (CPU time) and would overrun the round.
         trace.stage("merge.collect", timings.collect_nanos);
-        trace.stage("merge.fold", timings.fold_nanos);
-        trace.stage_count("merge.vote", timings.vote_nanos, timings.pairs);
+        trace.stage_count(
+            "merge.fold_vote",
+            merge_nanos.saturating_sub(timings.collect_nanos),
+            timings.pairs,
+        );
         // Named like the `shard<i>.<stage>` spans (not under the `merge.`
         // prefix) so prefix sums over `merge.` keep tiling the merge wall
-        // time — worker wall times overlap the fold/vote stages.
+        // time — worker wall times overlap the fold_vote stage.
         for (w, report) in reports.iter().enumerate() {
             trace.stage_count(&format!("worker{w}.merge"), report.wall_nanos, report.pairs);
         }

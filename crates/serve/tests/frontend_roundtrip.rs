@@ -160,7 +160,7 @@ fn metrics_and_trace_roundtrip() {
     assert!(trace.total_nanos > 0);
     assert!(trace.stage_nanos("capture").is_some(), "stages: {:?}", trace.stages);
     assert!(trace.stage_nanos("shard0.scan").is_some(), "stages: {:?}", trace.stages);
-    assert!(trace.stage_nanos("merge.fold").is_some(), "stages: {:?}", trace.stages);
+    assert!(trace.stage_nanos("merge.fold_vote").is_some(), "stages: {:?}", trace.stages);
 
     client.shutdown().expect("shutdown");
     server.shutdown();

@@ -10,8 +10,8 @@
 
 use copydet_bayes::{CopyParams, SourceAccuracies};
 use copydet_detect::{
-    collect_shard_evidence, merge_shard_rounds_parallel, merge_shard_rounds_timed,
-    pairwise_detection, DetectionResult, RoundInput, ShardRoundEvidence,
+    collect_shard_evidence, merge_shard_rounds_parallel, pairwise_detection, DetectionResult,
+    RoundInput, ShardRoundEvidence,
 };
 use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
@@ -169,8 +169,8 @@ proptest! {
 
         let accuracies = SourceAccuracies::uniform(store.num_sources(), 0.8).unwrap();
         let params = CopyParams::paper_defaults();
-        let (sequential, seq_timings) =
-            merge_shard_rounds_timed(evidence.clone(), &accuracies, params);
+        let (sequential, seq_timings, _) =
+            merge_shard_rounds_parallel(evidence.clone(), &accuracies, params, 1);
         prop_assert_eq!(seq_timings.pruned_pairs, u64::from(inject_empty));
         for threads in 1usize..=8 {
             let (parallel, timings, reports) =

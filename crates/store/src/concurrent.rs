@@ -140,8 +140,8 @@ impl SharedClaimStore {
     /// background sealing doubles as background flushing. Returns `true` if
     /// it did any of the three.
     ///
-    /// This is the loop body for a maintenance thread (spawned, like
-    /// `detect::parallel`, inside a [`std::thread::scope`]): writers stream
+    /// This is the loop body for a maintenance thread (spawned inside a
+    /// [`std::thread::scope`]): writers stream
     /// with a plain manual-mode config while sealing/compaction/fsync cost
     /// is paid off the ingest path. Each tick takes the store lock, so a
     /// maintenance loop should sleep or back off when the tick returns

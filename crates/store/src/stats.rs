@@ -1,9 +1,7 @@
 //! Summary statistics of a [`ClaimStore`](crate::ClaimStore).
 
-use serde::{Deserialize, Serialize};
-
 /// A point-in-time summary of a store's shape, for monitoring and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Number of snapshots taken so far.
     pub epoch: u64,

@@ -1,9 +1,7 @@
 //! Configuration of the synthetic workload generator.
 
-use serde::{Deserialize, Serialize};
-
 /// How many items each source covers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoverageModel {
     /// Every source covers an (independently sampled) fraction of the items
     /// drawn uniformly from `[min_fraction, max_fraction]` — the Stock-like
@@ -29,7 +27,7 @@ pub enum CoverageModel {
 }
 
 /// How per-source accuracies are assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccuracyModel {
     /// Accuracies drawn uniformly from `[min, max]`.
     Uniform {
@@ -51,7 +49,7 @@ pub enum AccuracyModel {
 }
 
 /// How copier groups are planted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CopyingConfig {
     /// Number of copier groups. Each group has one original and one or more
     /// copiers.
@@ -73,7 +71,7 @@ impl CopyingConfig {
 }
 
 /// Full configuration of a synthetic dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthConfig {
     /// Number of sources.
     pub num_sources: usize,
