@@ -49,7 +49,7 @@ pub use scan::{
 };
 pub use scan::{BoundDetector, HybridDetector, IndexDetector};
 pub use sharded::{
-    collect_shard_evidence, fold_pair_runs, merge_shard_rounds_parallel, MergeTimings,
-    MergeWorkerReport, PairRuns, ShardIdMap, ShardRoundEvidence, SharedItemObservation,
+    collect_shard_evidence, collect_shard_evidence_for, merge_shard_rounds_parallel, MergeTimings,
+    MergeWorkerReport, ShardIdMap, ShardRoundEvidence, SharedItemObservation,
 };
 pub use topk::{TopKResult, TopKStats};

@@ -122,9 +122,33 @@ pub fn collect_shard_evidence(
     counts: &SharedItemCounts,
     map: &ShardIdMap,
 ) -> Result<ShardRoundEvidence, DetectError> {
+    collect_shard_evidence_for(input, counts, map, None)
+}
+
+/// [`collect_shard_evidence`] restricted to the global pairs that contain
+/// `target` (`None` = every pair). A filtered-out pair is skipped before its
+/// claim lists are walked; every kept pair gets exactly the observations the
+/// unfiltered scan gives it, so merging filtered evidence reproduces the
+/// full round's outcomes for those pairs bit for bit.
+///
+/// # Errors
+/// As [`collect_shard_evidence`], for the kept pairs.
+///
+/// # Panics
+/// Panics if `map` does not cover the snapshot's ids.
+pub fn collect_shard_evidence_for(
+    input: &RoundInput<'_>,
+    counts: &SharedItemCounts,
+    map: &ShardIdMap,
+    target: Option<SourceId>,
+) -> Result<ShardRoundEvidence, DetectError> {
     let mut evidence = ShardRoundEvidence::default();
     for (pair, count) in counts.iter_nonzero() {
         let (l1, l2) = (pair.first(), pair.second());
+        let global = SourcePair::new(map.sources[l1.index()], map.sources[l2.index()]);
+        if target.is_some_and(|t| !global.contains(t)) {
+            continue;
+        }
         let claims1 = input.dataset.claims_of(l1);
         let claims2 = input.dataset.claims_of(l2);
         let mut observations = Vec::with_capacity(u32_to_usize(count));
@@ -147,7 +171,6 @@ pub fn collect_shard_evidence(
                 }
             }
         }
-        let global = SourcePair::new(map.sources[l1.index()], map.sources[l2.index()]);
         if observations.len() != u32_to_usize(count) {
             return Err(DetectError::ShardEvidenceMismatch {
                 pair: global,
@@ -234,7 +257,7 @@ fn pair_partition(pair: SourcePair, workers: usize) -> usize {
 }
 
 /// The sorted per-shard observation runs of one pair, in shard order.
-pub type PairRuns = Vec<Vec<SharedItemObservation>>;
+type PairRuns = Vec<Vec<SharedItemObservation>>;
 
 /// Folds one observation into the pair's evidence.
 #[inline]
@@ -279,12 +302,7 @@ fn merge_two_runs(
 /// pairwise (the merged sequence is the unique sorted order, so the
 /// reduction strategy cannot change the fold order), then the final one or
 /// two runs fold directly.
-///
-/// Public because the top-k serving path ([`crate::topk`] plus the serve
-/// crate's per-pair evaluator) must fold a single pair's runs through the
-/// *identical* float sequence as the full-round merge — bit-identity with
-/// `detect_round` is the correctness bar there.
-pub fn fold_pair_runs(
+fn fold_pair_runs(
     mut runs: PairRuns,
     a_first: f64,
     a_second: f64,

@@ -1,139 +1,33 @@
-//! Top-k copier queries with admissible upper-bound pruning.
+//! Top-k copier queries: the ranking applied to a filtered round.
 //!
-//! The paper's serving question is narrow — "who are the k most likely
-//! copiers of source X?" — yet a full detection round scores *every* pair
-//! that shares at least one item. This module answers the narrow question
-//! from the incrementally maintained per-shard indexes instead:
+//! The serving question is narrow — "who are the k most likely copiers of
+//! source X?" — and the serving path answers it as a detection round whose
+//! evidence scan keeps only the pairs containing X
+//! ([`collect_shard_evidence_for`](crate::collect_shard_evidence_for)),
+//! followed by [`rank_topk`]. Each kept pair folds the same observations in
+//! the same order as in the full round, so the answer is **bit-identical**
+//! to the top-k extracted from a full round by construction.
 //!
-//! 1. Each shard contributes a **sorted candidate list**: every pair its
-//!    [`SharedItemCounts`](copydet_index) index says shares ≥ 1 item
-//!    (optionally restricted to pairs containing the query source), scored
-//!    by `shared_count × C_max` — an admissible upper bound on the shard's
-//!    contribution to the pair's Bayesian evidence (see
-//!    [`pair_score_upper_bound`]).
-//! 2. The lists feed Fagin's NRA ([`NoRandomAccess`]) — sequential access
-//!    only, exactly what a sorted index provides — which narrows the fleet
-//!    to a candidate frontier without touching any claim data.
-//! 3. Only frontier survivors are scored **exactly** (the caller supplies
-//!    the evaluator, which must reproduce the full round's float sequence),
-//!    and a posterior-space stopping test decides when no unevaluated pair
-//!    can still enter the answer.
-//!
-//! The correctness bar is *bit-identity*: the ranked answer must equal the
-//! top-k extracted from a full [`detect_round`](crate) — same pairs, same
-//! posteriors to the last bit, same deterministic tie order — while
-//! evaluating a fraction of the pairs.
-//!
-//! # Why the bound is admissible
-//!
-//! A pair's evidence in either direction is a sum of per-shared-item
-//! contributions. A different-value observation contributes
-//! `ln(1 − s) < 0`; a same-value observation with vote probability `p`
-//! contributes `same_value_score(p, a_c, a_o) ≥ 0` (the numerator
-//! dominates the denominator for every admissible accuracy). Both the
-//! numerator and denominator of the score's inner ratio are linear in `p`,
-//! so the ratio is a Möbius transform of `p` with no pole inside `[0, 1]`
-//! (the denominator is positive at both endpoints and linear): the ratio —
-//! and hence the log — is monotone in `p` and attains its supremum at an
-//! endpoint, `p = 0` or `p = 1`. Maximizing over both endpoints *and both
-//! orientations* of the pair yields a per-item constant `C_max` with
-//! `contribution ≤ C_max` for every observation, every direction. Summing:
-//! `evidence ≤ shared_count × C_max` per shard, and the NRA aggregate
-//! (sum over shards) bounds the pair's total evidence in both directions.
-//! A small multiplicative slack absorbs floating-point accumulation error
-//! so the float-computed bound still dominates the float-computed evidence.
-//!
-//! Because [`posterior_independence`] is monotone *decreasing* in each
-//! evidence direction, an upper bound `U` on both directions is a lower
-//! bound `posterior_independence(U, U)` on the pair's posterior — pairs
-//! whose best possible posterior is strictly worse (higher) than the k-th
-//! best evaluated posterior can never enter the top-k and are pruned
-//! without materializing evidence.
+//! There is no pruning bound: a per-item evidence bound maximised over the
+//! vote probability (≈5.3 at accuracy 0.8, against ≈0.18 for a shared true
+//! value and θ_ind ≈ 1.39) orders candidates but never excludes one, so
+//! every candidate is evaluated.
 
 use crate::result::PairOutcome;
-use copydet_bayes::contribution::same_value_score;
-use copydet_bayes::{posterior_independence, CopyParams};
 use copydet_model::codec::usize_to_u64;
-use copydet_model::{SourceId, SourcePair};
-use copydet_nra::{NoRandomAccess, SortedList};
-use std::collections::BTreeMap;
-
-/// Multiplicative slack applied to every candidate upper bound.
-///
-/// The exact evidence is accumulated in floating point over at most a few
-/// million terms; each term is itself a float evaluation of the same
-/// closed form the bound maximizes. Relative rounding error is therefore
-/// on the order of `count × ε ≈ 1e-10` — a `1e-6` relative slack dominates
-/// it by four orders of magnitude while loosening the bound negligibly.
-const UPPER_BOUND_SLACK: f64 = 1.0 + 1e-6;
-
-/// Admissible per-shared-item upper bound on a pair's evidence
-/// contribution, in either direction.
-///
-/// Maximizes [`same_value_score`] over the endpoints `p ∈ {0, 1}` (the
-/// score is a monotone Möbius function of the vote probability, so its
-/// supremum on `[0, 1]` is at an endpoint — see the module docs) and over
-/// both orientations of the pair, then applies [`UPPER_BOUND_SLACK`].
-/// Different-value observations contribute `ln(1 − s) < 0` and are bounded
-/// by `0 ≤ C_max` a fortiori.
-pub fn pair_score_upper_bound(a_first: f64, a_second: f64, params: &CopyParams) -> f64 {
-    let mut best = 0.0_f64;
-    for p in [0.0, 1.0] {
-        for (a_copier, a_original) in [(a_first, a_second), (a_second, a_first)] {
-            let score = same_value_score(p, a_copier, a_original, params);
-            if score > best {
-                best = score;
-            }
-        }
-    }
-    best * UPPER_BOUND_SLACK
-}
-
-/// Builds one shard's sorted candidate list from its nonzero shared-item
-/// count entries (already mapped to *global* pair ids).
-///
-/// Pairs not containing `target` are dropped when a target source is given
-/// (the per-source query); `upper_bound` supplies the per-item bound —
-/// typically [`pair_score_upper_bound`] of the pair's accuracies — and the
-/// list entry score is `count × bound`, the shard's admissible
-/// contribution to the pair's NRA aggregate.
-pub fn shard_candidate_list(
-    counts: impl IntoIterator<Item = (SourcePair, u32)>,
-    target: Option<SourceId>,
-    mut upper_bound: impl FnMut(SourcePair) -> f64,
-) -> SortedList<SourcePair> {
-    let scored = counts.into_iter().filter_map(|(pair, count)| {
-        if count == 0 {
-            return None;
-        }
-        if let Some(t) = target {
-            if pair.first() != t && pair.second() != t {
-                return None;
-            }
-        }
-        Some((pair, f64::from(count) * upper_bound(pair)))
-    });
-    SortedList::from_pairs(scored)
-}
+use copydet_model::SourcePair;
 
 /// Work counters of one top-k query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TopKStats {
-    /// Distinct pairs appearing in at least one shard's candidate list —
-    /// the full-round evaluation universe for this query.
+    /// Pairs the query's filtered round materialized — every pair of the
+    /// full round the query can rank.
     pub candidates: u64,
-    /// Pairs whose exact evidence was materialized and folded.
+    /// Pairs whose exact evidence was folded: always `candidates`.
     pub evaluated: u64,
-    /// `candidates − evaluated`: pairs ruled out by the bound alone.
+    /// Pairs ruled out without evaluation: always 0 (kept for the
+    /// `DETECT_TOPK` response layout).
     pub pruned: u64,
-    /// `(pair, score)` entries read from the sorted lists by the deepest
-    /// NRA pass.
-    pub entries_read: u64,
-    /// NRA passes run (the frontier doubles until the answer is certain).
-    pub rounds: u64,
-    /// Whether the final pass stopped on the pruning bound (`true`) or by
-    /// exhausting every candidate (`false` — exact either way).
-    pub converged: bool,
 }
 
 /// A ranked top-k answer plus its work counters.
@@ -147,103 +41,28 @@ pub struct TopKResult {
     pub stats: TopKStats,
 }
 
-/// Posterior used for ranking; the evaluator always populates it, but a
-/// missing value ranks last (least suspicious) rather than panicking.
-fn ranking_posterior(outcome: &PairOutcome) -> f64 {
-    outcome.posterior.unwrap_or(1.0)
-}
-
-/// Runs the pruned top-k query over per-shard candidate lists.
-///
-/// `evaluate` materializes one pair's exact evidence (bit-identical to the
-/// full round's fold); it is called at most once per pair. The answer is
-/// exact: every pair the full round would rank in its top-k is evaluated,
-/// and the stopping test only fires when no unevaluated pair can beat the
-/// current k-th best posterior *strictly* — equal-posterior ties are
-/// impossible across the pruning boundary, so the deterministic
-/// by-pair-id tie order of the full round is preserved.
-pub fn topk_with_pruning(
-    lists: Vec<SortedList<SourcePair>>,
+/// Ranks evaluated pairs by ascending posterior of independence (most
+/// suspicious first), breaks ties by ascending pair id, and keeps the first
+/// `k`. A missing posterior ranks as 1.0 (least suspicious).
+pub fn rank_topk(
+    outcomes: impl IntoIterator<Item = (SourcePair, PairOutcome)>,
     k: usize,
-    params: &CopyParams,
-    mut evaluate: impl FnMut(SourcePair) -> PairOutcome,
 ) -> TopKResult {
-    let candidates = {
-        let mut distinct = std::collections::BTreeSet::new();
-        for list in &lists {
-            for entry in list.entries() {
-                distinct.insert(entry.key);
-            }
-        }
-        usize_to_u64(distinct.len())
-    };
-    let mut stats = TopKStats { candidates, ..TopKStats::default() };
-    if k == 0 || candidates == 0 {
-        stats.pruned = candidates;
-        stats.converged = true;
-        return TopKResult { ranked: Vec::new(), stats };
-    }
-
-    let nra = NoRandomAccess::new(lists);
-    // Exact outcomes already materialized, keyed deterministically.
-    let mut cache: BTreeMap<SourcePair, PairOutcome> = BTreeMap::new();
-    let mut frontier_k = k;
-    loop {
-        stats.rounds = stats.rounds.saturating_add(1);
-        let out = nra.top_k(frontier_k);
-        stats.entries_read = usize_to_u64(out.entries_read);
-        // Score every frontier member exactly (once each, ever).
-        for result in &out.top_k {
-            cache.entry(result.key).or_insert_with(|| evaluate(result.key));
-        }
-        // Rank all evaluated pairs: ascending posterior (most suspicious
-        // first), ties by ascending pair id — matching a full round's
-        // deterministic extraction order.
-        let mut ranked: Vec<(SourcePair, PairOutcome)> =
-            cache.iter().map(|(&pair, &outcome)| (pair, outcome)).collect();
-        ranked.sort_by(|a, b| {
-            ranking_posterior(&a.1).total_cmp(&ranking_posterior(&b.1)).then_with(|| a.0.cmp(&b.0))
-        });
-
-        // The frontier covered every candidate: the ranking is exhaustive
-        // and therefore exact.
-        let exhausted =
-            out.top_k.len() < frontier_k || usize_to_u64(cache.len()) >= stats.candidates;
-        // Pruning test. Every candidate outside the NRA frontier has an
-        // aggregate upper bound at most `floor` (the k'-th largest lower
-        // bound when converged; its exact aggregate when the lists were
-        // exhausted), so its evidence in *each* direction is at most
-        // `floor` and its posterior at least `posterior(floor, floor)`.
-        // If that best case is still strictly worse (higher) than the
-        // k-th best evaluated posterior, no unevaluated pair can enter
-        // the answer — strictness means ties across the boundary cannot
-        // occur, so the by-pair-id tie order stays exact.
-        let certain = match (ranked.get(k.saturating_sub(1)), out.top_k.last()) {
-            (Some((_, kth)), Some(floor_entry)) if !exhausted => {
-                let floor = floor_entry.lower.max(0.0);
-                posterior_independence(floor, floor, params) > ranking_posterior(kth)
-            }
-            _ => false,
-        };
-        if exhausted || certain {
-            stats.evaluated = usize_to_u64(cache.len());
-            stats.pruned = stats.candidates.saturating_sub(stats.evaluated);
-            stats.converged = !exhausted;
-            ranked.truncate(k);
-            return TopKResult { ranked, stats };
-        }
-        frontier_k = frontier_k.saturating_mul(2);
-    }
+    let mut ranked: Vec<(SourcePair, PairOutcome)> = outcomes.into_iter().collect();
+    let candidates = usize_to_u64(ranked.len());
+    ranked.sort_unstable_by(|a, b| {
+        let posterior = |outcome: &PairOutcome| outcome.posterior.unwrap_or(1.0);
+        posterior(&a.1).total_cmp(&posterior(&b.1)).then_with(|| a.0.cmp(&b.0))
+    });
+    ranked.truncate(k);
+    TopKResult { ranked, stats: TopKStats { candidates, evaluated: candidates, pruned: 0 } }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use copydet_bayes::CopyDecision;
-
-    fn params() -> CopyParams {
-        CopyParams::default()
-    }
+    use copydet_model::SourceId;
 
     fn outcome(posterior: f64) -> PairOutcome {
         PairOutcome {
@@ -259,111 +78,26 @@ mod tests {
     }
 
     #[test]
-    fn upper_bound_dominates_every_score_sample() {
-        let p = params();
-        let bound = pair_score_upper_bound(0.8, 0.8, &p);
-        assert!(bound > 0.0);
-        for i in 0..=100 {
-            let vote = f64::from(i) / 100.0;
-            let score = same_value_score(vote, 0.8, 0.8, &p);
-            assert!(score <= bound, "score {score} exceeds bound {bound} at p={vote}");
-        }
-        // Different-value contributions are negative, trivially below.
-        assert!(copydet_bayes::contribution::different_value_score(&p) < 0.0);
-    }
-
-    #[test]
-    fn candidate_list_filters_by_target_and_zero_counts() {
-        let entries = vec![(pair(0, 1), 3_u32), (pair(0, 2), 0), (pair(1, 2), 5), (pair(0, 3), 1)];
-        let list = shard_candidate_list(entries, Some(SourceId::new(0)), |_| 1.0);
-        let keys: Vec<SourcePair> = list.entries().iter().map(|e| e.key).collect();
-        assert_eq!(keys, vec![pair(0, 1), pair(0, 3)]);
-        // Scores are count × bound, sorted descending.
-        assert_eq!(list.entries()[0].score, 3.0);
-        assert_eq!(list.entries()[1].score, 1.0);
-    }
-
-    #[test]
-    fn k_zero_or_no_candidates_short_circuits() {
-        let p = params();
-        let out = topk_with_pruning(vec![], 5, &p, |_| unreachable!("no candidates"));
-        assert!(out.ranked.is_empty());
-        assert_eq!(out.stats.candidates, 0);
-        let list = shard_candidate_list([(pair(0, 1), 2_u32)], None, |_| 1.0);
-        let out = topk_with_pruning(vec![list], 0, &p, |_| unreachable!("k = 0"));
-        assert!(out.ranked.is_empty());
-        assert_eq!(out.stats.candidates, 1);
-        assert_eq!(out.stats.pruned, 1);
-    }
-
-    #[test]
-    fn prunes_weak_candidates_without_evaluating_them() {
-        let p = params();
-        let bound = pair_score_upper_bound(0.8, 0.8, &p);
-        // One dominant pair (large shared count) plus many weak ones. The
-        // dominant pair evaluates to a damning posterior; the weak pairs'
-        // best possible posterior is far higher, so they are pruned.
-        let mut entries = vec![(pair(0, 1), 1000_u32)];
-        for other in 2..40_u32 {
-            entries.push((pair(0, other), 1));
-        }
-        let list = shard_candidate_list(entries, Some(SourceId::new(0)), |_| bound);
-        let mut evaluated = Vec::new();
-        let out = topk_with_pruning(vec![list], 1, &p, |pr| {
-            evaluated.push(pr);
-            // Dominant pair: overwhelming copying evidence.
-            if pr == pair(0, 1) {
-                outcome(1e-9)
-            } else {
-                outcome(0.95)
-            }
-        });
-        assert_eq!(out.ranked.len(), 1);
-        assert_eq!(out.ranked[0].0, pair(0, 1));
-        assert!(out.stats.converged, "should stop on the bound, not exhaustion");
-        assert!(
-            out.stats.evaluated < out.stats.candidates,
-            "evaluated {} of {} candidates",
-            out.stats.evaluated,
-            out.stats.candidates
-        );
-        assert_eq!(out.stats.pruned, out.stats.candidates - out.stats.evaluated);
-        assert_eq!(u64::try_from(evaluated.len()).unwrap(), out.stats.evaluated);
-    }
-
-    #[test]
-    fn exhaustion_returns_exact_ranking_with_pair_tiebreak() {
-        let p = params();
-        // All candidates tie on posterior: the ranking must fall back to
-        // ascending pair id, exactly like a full round's extraction.
-        let entries: Vec<(SourcePair, u32)> = (1..6_u32).map(|other| (pair(0, other), 2)).collect();
-        let list = shard_candidate_list(entries, None, |_| 1.0);
-        let out = topk_with_pruning(vec![list], 3, &p, |_| outcome(0.5));
-        let keys: Vec<SourcePair> = out.ranked.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![pair(0, 1), pair(0, 2), pair(0, 3)]);
-        assert!(!out.stats.converged);
-        assert_eq!(out.stats.evaluated, 5);
-        assert_eq!(out.stats.pruned, 0);
-    }
-
-    #[test]
-    fn multi_shard_aggregates_bound_across_lists() {
-        let p = params();
-        let bound = pair_score_upper_bound(0.8, 0.8, &p);
-        // The same pair appears in two shards; its aggregate bound is the
-        // sum. A competitor appears in one shard with a larger single-shard
-        // count but smaller aggregate.
-        let shard_a =
-            shard_candidate_list([(pair(0, 1), 600_u32), (pair(0, 2), 700)], None, |_| bound);
-        let shard_b = shard_candidate_list([(pair(0, 1), 600_u32)], None, |_| bound);
-        let out = topk_with_pruning(vec![shard_a, shard_b], 1, &p, |pr| {
-            if pr == pair(0, 1) {
-                outcome(1e-12)
-            } else {
-                outcome(0.9)
-            }
-        });
-        assert_eq!(out.ranked[0].0, pair(0, 1));
-        assert_eq!(out.stats.candidates, 2);
+    fn rank_orders_by_posterior_then_pair_id_and_truncates_to_k() {
+        let outcomes = [
+            (pair(0, 4), outcome(0.5)),
+            (pair(0, 2), outcome(0.5)),
+            (pair(0, 3), outcome(0.01)),
+            (pair(0, 1), outcome(0.5)),
+        ];
+        let keys = |result: &TopKResult| -> Vec<SourcePair> {
+            result.ranked.iter().map(|(pair, _)| *pair).collect()
+        };
+        // Posterior ties fall back to ascending pair id.
+        let top = rank_topk(outcomes, 3);
+        assert_eq!(keys(&top), vec![pair(0, 3), pair(0, 1), pair(0, 2)]);
+        assert_eq!(top.stats, TopKStats { candidates: 4, evaluated: 4, pruned: 0 });
+        // k larger than the set returns every pair.
+        let all = rank_topk(outcomes, usize::MAX);
+        assert_eq!(keys(&all), vec![pair(0, 3), pair(0, 1), pair(0, 2), pair(0, 4)]);
+        // k = 0 returns nothing but still counts the candidates.
+        let none = rank_topk(outcomes, 0);
+        assert!(none.ranked.is_empty());
+        assert_eq!(none.stats.candidates, 4);
     }
 }

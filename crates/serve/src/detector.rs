@@ -2,23 +2,26 @@
 //! merge into global copy decisions.
 
 use crate::shard::{ShardMaps, ShardedStore};
-use copydet_bayes::{CopyDecision, SourceAccuracies, ValueProbabilities};
+use copydet_bayes::{SourceAccuracies, ValueProbabilities};
 use copydet_detect::{
-    collect_shard_evidence, fold_pair_runs, merge_shard_rounds_parallel, topk, DetectError,
-    DetectionResult, PairOutcome, SharedItemObservation, TopKResult,
+    collect_shard_evidence_for, merge_shard_rounds_parallel, topk, DetectError, DetectionResult,
+    TopKResult,
 };
 use copydet_fusion::{vote_group_probabilities, VoteConfig};
+use copydet_index::SharedItemCounts;
 use copydet_model::codec::usize_to_u64;
-use copydet_model::{Dataset, ItemValueGroup, SourceId, SourcePair};
-use copydet_nra::SortedList;
+use copydet_model::{Dataset, ItemValueGroup, SourceId};
 use copydet_obs::event::field;
 use copydet_obs::{
     emit, registry, slow_op_exceeded, trace_fields, trace_ring, Counter, Histogram,
     RoundTraceBuilder, Severity, Span,
 };
-use copydet_store::LiveConfig;
-use std::collections::HashMap;
+use copydet_store::{LiveConfig, StoreSnapshot};
 use std::sync::{Arc, OnceLock};
+
+/// One shard's frozen state: its snapshot and the shared-item counts
+/// captured with it under the same lock.
+type Capture = (StoreSnapshot, Arc<SharedItemCounts>);
 
 /// Sharded detection rounds completed in this process.
 fn rounds_total() -> &'static Arc<Counter> {
@@ -42,12 +45,6 @@ fn topk_queries_total() -> &'static Arc<Counter> {
 fn topk_query_nanos() -> &'static Arc<Histogram> {
     static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
     HIST.get_or_init(|| registry().histogram("copydet_serve_topk_query_nanos"))
-}
-
-/// Candidate pairs ruled out by the upper bound alone (never evaluated).
-fn topk_candidates_pruned() -> &'static Arc<Counter> {
-    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
-    COUNTER.get_or_init(|| registry().counter("copydet_serve_topk_candidates_pruned_total"))
 }
 
 /// Candidate pairs whose exact evidence was materialized for a top-k query.
@@ -154,11 +151,9 @@ impl ShardedDetector {
     /// indicates store corruption; the round fails instead of panicking the
     /// serving thread.
     pub fn detect_round(&mut self, store: &ShardedStore) -> Result<DetectionResult, DetectError> {
-        let trace = RoundTraceBuilder::new("sharded_round");
-        let capture_span = Span::start();
-        let (captures, capture_nanos) = store.capture_shards_traced();
-        let capture_total = capture_span.elapsed_nanos();
-        self.detect_traced(store, &captures, trace, Some((capture_total, &capture_nanos)))
+        let mut trace = RoundTraceBuilder::new("sharded_round");
+        let captures = capture_traced(store, &mut trace);
+        self.detect_traced(store, &captures, trace)
     }
 
     /// One detection round over an explicit capture (from
@@ -174,26 +169,23 @@ impl ShardedDetector {
     pub fn detect_captured(
         &mut self,
         store: &ShardedStore,
-        captures: &[(
-            copydet_store::StoreSnapshot,
-            std::sync::Arc<copydet_index::SharedItemCounts>,
-        )],
+        captures: &[Capture],
     ) -> Result<DetectionResult, DetectError> {
-        let trace = RoundTraceBuilder::new("sharded_round");
-        self.detect_traced(store, captures, trace, None)
+        self.detect_traced(store, captures, RoundTraceBuilder::new("sharded_round"))
     }
 
-    /// Answers "who are the `k` most likely copiers of `source`?" without a
-    /// global round.
+    /// Answers "who are the `k` most likely copiers of `source`?" with a
+    /// filtered round.
     ///
-    /// Candidate pairs come from each shard's incrementally maintained
-    /// shared-item counts, ordered by an admissible evidence upper bound and
-    /// pruned through Fagin's NRA ([`topk::topk_with_pruning`]); only
-    /// surviving pairs are scored exactly, through the *identical* per-shard
-    /// walk and shard-order fold as [`detect_round`](Self::detect_round) —
-    /// the ranked answer is bit-identical to the top-k extracted from a full
-    /// round (ascending posterior, ties by ascending pair id), while
-    /// evaluating a fraction of the pairs.
+    /// The query runs the same capture, per-shard scan and merge as
+    /// [`detect_round`](Self::detect_round), except that each shard's scan
+    /// keeps only the pairs containing `source`
+    /// ([`collect_shard_evidence_for`]); the merged outcomes are then ranked
+    /// by [`topk::rank_topk`]. Every kept pair folds the same observations
+    /// in the same order as in the full round, so the ranked answer is
+    /// bit-identical to the top-k extracted from a full round (ascending
+    /// posterior, ties by ascending pair id). A query does not count in
+    /// [`rounds`](Self::rounds).
     ///
     /// # Errors
     /// [`DetectError::UnknownSourceName`] if the fleet has never seen
@@ -211,8 +203,8 @@ impl ShardedDetector {
         self.detect_topk_target(store, Some(target), k)
     }
 
-    /// The `k` most suspicious pairs fleet-wide, by the same pruned query
-    /// path as [`detect_topk`](Self::detect_topk) with no source filter.
+    /// The `k` most suspicious pairs fleet-wide: the same query as
+    /// [`detect_topk`](Self::detect_topk) over an unfiltered round.
     pub fn detect_topk_fleet(
         &self,
         store: &ShardedStore,
@@ -221,9 +213,8 @@ impl ShardedDetector {
         self.detect_topk_target(store, None, k)
     }
 
-    /// The shared top-k query body: capture, candidate lists from counts
-    /// alone, NRA pruning, exact evaluation of survivors. Emits a
-    /// `topk_query` trace and the per-query latency/pruning metrics.
+    /// The shared top-k query body: capture, filtered scan and merge, rank.
+    /// Emits a `topk_query` trace and the per-query latency/work metrics.
     fn detect_topk_target(
         &self,
         store: &ShardedStore,
@@ -231,118 +222,13 @@ impl ShardedDetector {
         k: usize,
     ) -> Result<TopKResult, DetectError> {
         let mut trace = RoundTraceBuilder::new("topk_query");
-        let query_span = Span::start();
-        let capture_span = Span::start();
-        let (captures, capture_nanos) = store.capture_shards_traced();
-        trace.stage("capture", capture_span.elapsed_nanos());
-        for (i, nanos) in capture_nanos.iter().enumerate() {
-            trace.stage(&format!("shard{i}.capture"), *nanos);
-        }
-        let prepare_span = Span::start();
-        let maps: Vec<ShardMaps> =
-            captures.iter().map(|(snapshot, _)| store.maps_for(snapshot)).collect();
-        let accuracies =
-            SourceAccuracies::uniform(store.num_sources(), self.config.initial_accuracy)
-                .expect("initial accuracy is a probability");
-        let vote_config = VoteConfig::new(self.config.params);
-        let initial_accuracy = self.config.initial_accuracy;
-        let params = self.config.params;
-        trace.stage("prepare", prepare_span.elapsed_nanos());
-
-        // Candidate lists: one per shard, straight from the shared-item
-        // counts — no claim data is touched before the pruning loop asks
-        // for an exact score. `local_pairs` remembers each shard's local
-        // ids so the evaluator can find the pair's claim lists again.
-        let lists_span = Span::start();
-        let mut local_pairs: Vec<HashMap<SourcePair, (SourceId, SourceId)>> =
-            Vec::with_capacity(captures.len());
-        let lists: Vec<SortedList<SourcePair>> = captures
-            .iter()
-            .zip(&maps)
-            .map(|((_, counts), map)| {
-                let mut locals = HashMap::new();
-                let entries: Vec<(SourcePair, u32)> = counts
-                    .iter_nonzero()
-                    .map(|(pair, count)| {
-                        let global = SourcePair::new(
-                            map.ids.sources[pair.first().index()],
-                            map.ids.sources[pair.second().index()],
-                        );
-                        locals.insert(global, (pair.first(), pair.second()));
-                        (global, count)
-                    })
-                    .collect();
-                local_pairs.push(locals);
-                topk::shard_candidate_list(entries, target, |p| {
-                    topk::pair_score_upper_bound(
-                        accuracies.get(p.first()),
-                        accuracies.get(p.second()),
-                        &params,
-                    )
-                })
-            })
-            .collect();
-        trace.stage("lists", lists_span.elapsed_nanos());
-
-        // Exact evaluator for NRA survivors: the identical per-shard
-        // two-cursor walk as `collect_shard_evidence` and the identical
-        // shard-order fold as the round merge, so every returned outcome
-        // is bit-identical to the full round's. Each shard's vote bootstrap
-        // runs lazily, on the first pair evaluated against it.
-        let eval_span = Span::start();
-        let mut probabilities: Vec<Option<ValueProbabilities>> = vec![None; captures.len()];
-        let result = topk::topk_with_pruning(lists, k, &params, |pair| {
-            let a_first = accuracies.get(pair.first());
-            let a_second = accuracies.get(pair.second());
-            let mut runs: copydet_detect::PairRuns = Vec::new();
-            for (i, ((snapshot, _), map)) in captures.iter().zip(&maps).enumerate() {
-                let Some(&(l1, l2)) = local_pairs[i].get(&pair) else { continue };
-                let probs = probabilities[i].get_or_insert_with(|| {
-                    let shard_accuracies =
-                        SourceAccuracies::uniform(snapshot.dataset.num_sources(), initial_accuracy)
-                            .expect("initial accuracy is a probability");
-                    globally_ordered_vote(&snapshot.dataset, &shard_accuracies, map, &vote_config)
-                });
-                let claims1 = snapshot.dataset.claims_of(l1);
-                let claims2 = snapshot.dataset.claims_of(l2);
-                let mut observations = Vec::new();
-                let (mut ci, mut cj) = (0, 0);
-                while ci < claims1.len() && cj < claims2.len() {
-                    let (d1, v1) = claims1[ci];
-                    let (d2, v2) = claims2[cj];
-                    match d1.cmp(&d2) {
-                        std::cmp::Ordering::Less => ci += 1,
-                        std::cmp::Ordering::Greater => cj += 1,
-                        std::cmp::Ordering::Equal => {
-                            let same_value_probability = (v1 == v2).then(|| probs.get(d1, v1));
-                            observations.push(SharedItemObservation {
-                                item: map.ids.items[d1.index()],
-                                same_value_probability,
-                            });
-                            ci += 1;
-                            cj += 1;
-                        }
-                    }
-                }
-                if !observations.is_empty() {
-                    runs.push(observations);
-                }
-            }
-            let evidence = fold_pair_runs(runs, a_first, a_second, &params);
-            let posterior = evidence.posterior_independence(&params);
-            PairOutcome {
-                decision: CopyDecision::from_posterior(posterior),
-                posterior: Some(posterior),
-                c_to: evidence.c_to,
-                c_from: evidence.c_from,
-            }
-        });
-        trace.stage_count("query", eval_span.elapsed_nanos(), result.stats.evaluated);
+        let captures = capture_traced(store, &mut trace);
+        let round = self.scan_and_merge(store, &captures, target, &mut trace)?;
+        let result = topk::rank_topk(round.outcomes, k);
         let finished = trace.finish();
         topk_queries_total().inc();
-        topk_query_nanos().record(query_span.elapsed_nanos());
+        topk_query_nanos().record(finished.total_nanos);
         topk_pairs_evaluated().add(result.stats.evaluated);
-        topk_candidates_pruned().add(result.stats.pruned);
         if slow_op_exceeded(finished.total_nanos) {
             emit(Severity::Warn, "detect", "topk.slow", trace_fields(&finished));
         }
@@ -353,7 +239,6 @@ impl ShardedDetector {
             vec![
                 field::u64("k", usize_to_u64(k)),
                 field::u64("evaluated", result.stats.evaluated),
-                field::u64("pruned", result.stats.pruned),
                 field::u64("nanos", finished.total_nanos),
             ],
         );
@@ -362,25 +247,46 @@ impl ShardedDetector {
     }
 
     /// The round body shared by [`detect_round`](Self::detect_round) and
-    /// [`detect_captured`](Self::detect_captured): prepare, fan-out, merge —
-    /// recording each stage into `trace`, which is pushed into the global
-    /// [`trace_ring`] before returning.
+    /// [`detect_captured`](Self::detect_captured): scan and merge into
+    /// `trace`, which is pushed into the global [`trace_ring`] before
+    /// returning.
     fn detect_traced(
         &mut self,
         store: &ShardedStore,
-        captures: &[(
-            copydet_store::StoreSnapshot,
-            std::sync::Arc<copydet_index::SharedItemCounts>,
-        )],
+        captures: &[Capture],
         mut trace: RoundTraceBuilder,
-        capture: Option<(u64, &[u64])>,
     ) -> Result<DetectionResult, DetectError> {
-        if let Some((total, per_shard)) = capture {
-            trace.stage("capture", total);
-            for (i, nanos) in per_shard.iter().enumerate() {
-                trace.stage(&format!("shard{i}.capture"), *nanos);
-            }
+        let result = self.scan_and_merge(store, captures, None, &mut trace)?;
+        self.rounds += 1;
+        let finished = trace.finish();
+        rounds_total().inc();
+        round_nanos().record(finished.total_nanos);
+        if slow_op_exceeded(finished.total_nanos) {
+            emit(Severity::Warn, "detect", "round.slow", trace_fields(&finished));
         }
+        emit(
+            Severity::Debug,
+            "detect",
+            "round.finish",
+            vec![
+                field::u64("pairs", usize_to_u64(result.pairs_considered)),
+                field::u64("nanos", finished.total_nanos),
+            ],
+        );
+        trace_ring().push(finished);
+        Ok(result)
+    }
+
+    /// Prepare, per-shard fan-out and merge over `captures`, recording each
+    /// stage into `trace`. `target` restricts every shard's scan to the
+    /// pairs containing it (`None` = the full round).
+    fn scan_and_merge(
+        &self,
+        store: &ShardedStore,
+        captures: &[Capture],
+        target: Option<SourceId>,
+        trace: &mut RoundTraceBuilder,
+    ) -> Result<DetectionResult, DetectError> {
         let prepare_span = Span::start();
         let maps: Vec<ShardMaps> =
             captures.iter().map(|(snapshot, _)| store.maps_for(snapshot)).collect();
@@ -424,8 +330,12 @@ impl ShardedDetector {
                             params,
                             delta: None,
                         };
-                        let evidence =
-                            collect_shard_evidence(&input.as_round_input(), counts, &map.ids);
+                        let evidence = collect_shard_evidence_for(
+                            &input.as_round_input(),
+                            counts,
+                            &map.ids,
+                            target,
+                        );
                         (evidence, scan_span.elapsed_nanos())
                     })
                 })
@@ -443,11 +353,10 @@ impl ShardedDetector {
             trace.stage_count(&format!("shard{i}.scan"), nanos, observations);
             evidence.push(shard_evidence);
         }
-        self.rounds += 1;
         let workers = self.merge_parallelism();
         let merge_span = Span::start();
         let (result, timings, reports) =
-            merge_shard_rounds_parallel(evidence, &accuracies, self.config.params, workers);
+            merge_shard_rounds_parallel(evidence, &accuracies, params, workers);
         let merge_nanos = merge_span.elapsed_nanos();
         // Wall intervals only: `timings.fold_nanos` / `vote_nanos` are summed
         // over merge workers (CPU time) and would overrun the round.
@@ -463,21 +372,20 @@ impl ShardedDetector {
         for (w, report) in reports.iter().enumerate() {
             trace.stage_count(&format!("worker{w}.merge"), report.wall_nanos, report.pairs);
         }
-        let finished = trace.finish();
-        rounds_total().inc();
-        round_nanos().record(finished.total_nanos);
-        if slow_op_exceeded(finished.total_nanos) {
-            emit(Severity::Warn, "detect", "round.slow", trace_fields(&finished));
-        }
-        emit(
-            Severity::Debug,
-            "detect",
-            "round.finish",
-            vec![field::u64("pairs", timings.pairs), field::u64("nanos", finished.total_nanos)],
-        );
-        trace_ring().push(finished);
         Ok(result)
     }
+}
+
+/// Captures every shard ([`ShardedStore::capture_shards_traced`]) and
+/// records the whole capture and each shard's share into `trace`.
+fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<Capture> {
+    let capture_span = Span::start();
+    let (captures, per_shard) = store.capture_shards_traced();
+    trace.stage("capture", capture_span.elapsed_nanos());
+    for (i, nanos) in per_shard.iter().enumerate() {
+        trace.stage(&format!("shard{i}.capture"), *nanos);
+    }
+    captures
 }
 
 /// The vote bootstrap over one shard's snapshot, with each item's value
@@ -626,16 +534,15 @@ mod tests {
                 let got = detector.detect_topk(&store, "S0", k).expect("known source");
                 let expected = extract_topk(&full, Some(target), k);
                 assert_eq!(got.ranked, expected, "{shards} shard(s), k={k}");
-                // The per-source query never considers pairs outside the
-                // target's candidate set.
-                assert!(got.stats.evaluated <= got.stats.candidates, "{shards} shard(s), k={k}");
-                assert!(
-                    (got.stats.candidates as usize) < full.outcomes.len(),
-                    "{shards} shard(s), k={k}: candidate set must be a strict subset"
-                );
+                // The filtered round evaluates exactly the target's pairs.
+                let with_target = full.outcomes.keys().filter(|p| p.contains(target)).count();
+                assert_eq!(got.stats.candidates as usize, with_target, "{shards} shard(s), k={k}");
+                assert_eq!(got.stats.evaluated, got.stats.candidates);
+                assert_eq!(got.stats.pruned, 0);
             }
             let fleet = detector.detect_topk_fleet(&store, 4).expect("fleet query");
             assert_eq!(fleet.ranked, extract_topk(&full, None, 4), "{shards} shard(s) fleet");
+            assert_eq!(detector.rounds(), 0, "top-k queries are not rounds");
         }
     }
 

@@ -75,7 +75,7 @@ pub const REQ_SHUTDOWN: u8 = 0x04;
 pub const REQ_METRICS: u8 = 0x05;
 /// Request kind: recent round traces.
 pub const REQ_TRACE: u8 = 0x06;
-/// Request kind: pruned top-k copier query (per-source or fleet-wide).
+/// Request kind: top-k copier query (per-source or fleet-wide).
 pub const REQ_DETECT_TOPK: u8 = 0x07;
 /// Request kind: typed health verdict.
 pub const REQ_HEALTH: u8 = 0x08;
@@ -512,14 +512,14 @@ pub struct WireDetection {
     pub copying: Vec<WireCopyingPair>,
 }
 
-/// A pruned top-k query's answer as reported over the wire.
+/// A top-k query's answer as reported over the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTopK {
-    /// Candidate pairs the shared-item indexes proposed for this query.
+    /// Pairs the query's filtered round materialized.
     pub candidates: u64,
-    /// Candidates whose exact evidence was materialized.
+    /// Candidates whose exact evidence was folded: always `candidates`.
     pub evaluated: u64,
-    /// Candidates ruled out by the upper bound alone.
+    /// Always 0; kept so the response layout does not change.
     pub pruned: u64,
     /// At most `k` pairs, most suspicious first (ascending posterior of
     /// independence, ties by global pair id).
@@ -1097,9 +1097,9 @@ fn handle_detect(
     Ok(out)
 }
 
-/// DETECT_TOPK: run a pruned top-k query (per-source or fleet-wide) and
-/// encode the ranked pairs by name, most suspicious first, with the query's
-/// pruning counters.
+/// DETECT_TOPK: run a top-k query (per-source or fleet-wide) and encode the
+/// ranked pairs by name, most suspicious first, with the query's work
+/// counters.
 fn handle_detect_topk(
     store: &ShardedStore,
     payload: &[u8],
@@ -1356,11 +1356,11 @@ impl Client {
         decode(&mut r).map_err(invalid)
     }
 
-    /// Runs a pruned top-k query on the server: the `k` most likely copiers
-    /// of `source` (`Some`), or the `k` most suspicious pairs fleet-wide
+    /// Runs a top-k query on the server: the `k` most likely copiers of
+    /// `source` (`Some`), or the `k` most suspicious pairs fleet-wide
     /// (`None`). The ranked answer is bit-identical to the top-k of a full
-    /// [`detect`](Self::detect) round; the counters say how much of the
-    /// fleet's pair universe the query actually evaluated.
+    /// [`detect`](Self::detect) round; the counters say how many of the
+    /// fleet's pairs the query evaluated.
     pub fn detect_topk(&mut self, source: Option<&str>, k: u32) -> io::Result<WireTopK> {
         let mut payload = Vec::new();
         match source {

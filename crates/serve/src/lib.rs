@@ -19,15 +19,17 @@
 //!   concurrent writers amortize lock traffic instead of convoying.
 //! * **[`ShardedDetector`]** — fans a detection round out across shards in
 //!   a `std::thread::scope` (snapshot + evidence scan per shard, candidate
-//!   pairs pruned by each shard's incrementally-maintained shared-item
+//!   pairs taken from each shard's incrementally-maintained shared-item
 //!   counts) and merges the per-shard overlap evidence into global pairwise
 //!   decisions. Item-disjointness makes the merge *exact*: results are
 //!   **bit-identical** to the PAIRWISE baseline on a single store fed the
-//!   same stream (property-tested in `tests/shard_equivalence.rs`).
+//!   same stream (property-tested in `tests/shard_equivalence.rs`). A top-k
+//!   query is the same round with each shard's scan filtered to the queried
+//!   source's pairs.
 //! * **[`frontend`]** — a std-only `TcpListener` request loop speaking a
 //!   checksummed length-prefixed protocol built on
 //!   [`copydet_model::codec`]: INGEST batch / STATS / DETECT round /
-//!   DETECT_TOPK pruned top-k query / SHUTDOWN / METRICS exposition /
+//!   DETECT_TOPK top-k query / SHUTDOWN / METRICS exposition /
 //!   TRACE (recent round traces) / HEALTH (process health verdict) /
 //!   EVENTS (flight-recorder tail), plus the matching blocking
 //!   [`Client`](frontend::Client).

@@ -222,6 +222,8 @@ fn topk_roundtrip_matches_in_process_query_bitwise() {
     assert_eq!(topk.candidates, expected.stats.candidates);
     assert_eq!(topk.evaluated, expected.stats.evaluated);
     assert_eq!(topk.pruned, expected.stats.pruned);
+    assert_eq!(topk.pruned, 0);
+    assert_eq!(topk.evaluated, topk.candidates);
     assert_eq!(topk.ranked.len(), expected.ranked.len());
     for (wire, (pair, outcome)) in topk.ranked.iter().zip(&expected.ranked) {
         // Posteriors cross the wire as raw bits: bit-identical, not close.
@@ -233,7 +235,7 @@ fn topk_roundtrip_matches_in_process_query_bitwise() {
     assert!(best.posterior < 1e-6, "planted pair is decisive");
     // The per-source candidate set is a strict subset of the fleet's pairs.
     let full = client.detect().expect("detect");
-    assert!(topk.candidates < full.pairs_considered, "query must not pay for a full round");
+    assert!(topk.candidates < full.pairs_considered, "query keeps only the source's pairs");
 
     // Fleet-wide: the most suspicious pair overall is the planted one.
     let fleet = client.detect_topk(None, 1).expect("fleet detect_topk");

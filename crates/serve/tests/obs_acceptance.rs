@@ -70,6 +70,36 @@ fn tcp_round_trace_decomposes_wall_time() {
     server.shutdown();
 }
 
+/// A TCP top-k query is a filtered round: its `topk_query` trace carries
+/// the round's own scan and merge stages as disjoint wall intervals, and
+/// the query does not count as a round for HEALTH's merge-starvation rule.
+#[test]
+fn tcp_topk_trace_records_the_round_stages() {
+    let store = ShardedStore::new(1);
+    let server = frontend::serve(store, "127.0.0.1:0").expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    ingest_all(&mut client, &heavy_corpus());
+    let topk = client.detect_topk(Some("S0"), 5).expect("detect_topk");
+    assert_eq!(topk.ranked.len(), 5);
+
+    // Other tests in this binary push traces too: pick the query's by label.
+    let traces = client.trace(0).expect("trace");
+    let trace = traces
+        .iter()
+        .find(|t| t.label == "topk_query")
+        .expect("the DETECT_TOPK query left a trace");
+    assert!(trace.stage_nanos("shard0.scan").is_some(), "per-shard scan stage recorded");
+    assert!(trace.stage_nanos("merge.fold_vote").is_some(), "merge stage recorded");
+    let sum = trace.stage_sum_nanos("shard0.").saturating_add(trace.stage_sum_nanos("merge."));
+    assert!(sum <= trace.total_nanos, "disjoint sub-intervals cannot exceed the query");
+
+    let verdict = client.health().expect("health");
+    assert!(verdict.ok, "a top-k query leaves the fleet healthy, got {:?}", verdict.reasons);
+
+    client.shutdown().expect("shutdown");
+    server.shutdown();
+}
+
 /// First value of metric `name` in a text exposition (skipping `# TYPE`
 /// lines, which never start with the bare metric name).
 fn metric_value(text: &str, name: &str) -> u64 {

@@ -51,15 +51,13 @@ fn drive_round(addr: std::net::SocketAddr) -> std::io::Result<Vec<(String, Strin
     for pair in &detection.copying {
         println!("    {} <-> {} (posterior {:.2e})", pair.first, pair.second, pair.posterior);
     }
-    // The point query: who copies alpha? Served from the incremental
-    // shared-item indexes without a full round — and the answer matches
-    // the round's ranking bit for bit.
+    // The point query: who copies alpha? A round filtered to alpha's pairs,
+    // so the answer matches the full round's ranking bit for bit.
     let top = client.detect_topk(Some("alpha"), 1)?;
     let best = top.ranked.first().expect("alpha shares items with every source");
     println!(
-        "  top copier of alpha: {} <-> {} (posterior {:.2e}; evaluated {} of {} candidate(s), {} \
-         pruned)",
-        best.first, best.second, best.posterior, top.evaluated, top.candidates, top.pruned,
+        "  top copier of alpha: {} <-> {} (posterior {:.2e}; ranked {} of alpha's pair(s))",
+        best.first, best.second, best.posterior, top.evaluated,
     );
     assert_eq!((best.first.as_str(), best.second.as_str()), ("alpha", "mirror"));
     // The operator surface: a health verdict plus the flight recorder's
