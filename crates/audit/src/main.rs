@@ -357,10 +357,11 @@ const LINT_HEADER: &str = "lint-header";
 
 /// Modules that parse crash or network input — or run on every hot path
 /// (the observability layer instruments ingest/detect/serve, so a panic in
-/// it takes the instrumented operation down with it; the top-k query
-/// pipeline runs per request) — and must stay panic-free.
+/// it takes the instrumented operation down with it; the sharded round and
+/// the top-k ranking run per request) — and must stay panic-free.
 const PANIC_SCOPE: &[&str] = &[
     "crates/detect/src/topk.rs",
+    "crates/serve/src/detector.rs",
     "crates/serve/src/frontend.rs",
     "crates/serve/src/registry_log.rs",
     "crates/store/src/wal.rs",

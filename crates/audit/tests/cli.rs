@@ -110,7 +110,7 @@ fn unknown_flag_is_a_usage_error() {
     assert_eq!(output.status.code(), Some(2));
 }
 
-/// The acceptance criterion: the real tree audits clean under `--deny`.
+/// The acceptance bar: the real tree audits clean under `--deny`.
 #[test]
 fn real_repository_is_clean() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

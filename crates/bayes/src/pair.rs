@@ -166,32 +166,19 @@ impl<'a> ScoringContext<'a> {
         self.params.thresholds()
     }
 
-    /// Scores one pair of sources exhaustively by merging their claim lists —
-    /// the inner loop of the PAIRWISE baseline. `C→` is the direction
-    /// "`s1` copies from `s2`".
+    /// Scores one pair of sources exhaustively over their shared items
+    /// ([`Dataset::shared_claims`]) — the inner loop of the PAIRWISE
+    /// baseline. `C→` is the direction "`s1` copies from `s2`".
     pub fn score_pair(&self, s1: SourceId, s2: SourceId) -> PairEvidence {
         let mut evidence = PairEvidence::empty();
         let a1 = self.accuracies.get(s1);
         let a2 = self.accuracies.get(s2);
-        let claims1 = self.dataset.claims_of(s1);
-        let claims2 = self.dataset.claims_of(s2);
-        let (mut i, mut j) = (0, 0);
-        while i < claims1.len() && j < claims2.len() {
-            let (d1, v1) = claims1[i];
-            let (d2, v2) = claims2[j];
-            match d1.cmp(&d2) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if v1 == v2 {
-                        let p = self.probabilities.get(d1, v1);
-                        evidence.add_same_value(p, a1, a2, &self.params);
-                    } else {
-                        evidence.add_different_value(&self.params);
-                    }
-                    i += 1;
-                    j += 1;
-                }
+        for (d, v1, v2) in self.dataset.shared_claims(s1, s2) {
+            if v1 == v2 {
+                let p = self.probabilities.get(d, v1);
+                evidence.add_same_value(p, a1, a2, &self.params);
+            } else {
+                evidence.add_different_value(&self.params);
             }
         }
         evidence

@@ -1,5 +1,6 @@
 //! Error type for the detection layer.
 
+use copydet_bayes::BayesError;
 use copydet_model::SourcePair;
 use std::fmt;
 
@@ -45,6 +46,29 @@ pub enum DetectError {
         /// The name the query asked for.
         name: String,
     },
+    /// A round's bootstrap state was invalid: an initial accuracy or a
+    /// value probability outside `[0, 1]`.
+    Bayes(BayesError),
+    /// A shard's local-to-global value map covers fewer values than the
+    /// shard's snapshot interns — the map was built for another snapshot.
+    ShardValueMapMismatch {
+        /// Distinct values in the shard snapshot.
+        values: usize,
+        /// Values the map translates.
+        mapped: usize,
+    },
+    /// The thread scanning one shard's evidence panicked; the round fails
+    /// instead of taking the serving thread down with it.
+    ShardScanPanicked {
+        /// Index of the shard whose scan died.
+        shard: usize,
+    },
+}
+
+impl From<BayesError> for DetectError {
+    fn from(e: BayesError) -> Self {
+        DetectError::Bayes(e)
+    }
 }
 
 impl fmt::Display for DetectError {
@@ -68,6 +92,14 @@ impl fmt::Display for DetectError {
             ),
             DetectError::UnknownSourceName { name } => {
                 write!(f, "unknown source name {name:?}")
+            }
+            DetectError::Bayes(e) => write!(f, "invalid round state: {e}"),
+            DetectError::ShardValueMapMismatch { values, mapped } => write!(
+                f,
+                "shard value map translates {mapped} values but the snapshot interns {values}"
+            ),
+            DetectError::ShardScanPanicked { shard } => {
+                write!(f, "the evidence scan of shard {shard} panicked")
             }
         }
     }
@@ -95,5 +127,10 @@ mod tests {
         assert!(text.contains("(S0, S1)") && text.contains('3') && text.contains('2'));
         let e = DetectError::UnknownSourceName { name: "ghost".into() };
         assert!(e.to_string().contains("ghost"));
+        let e = DetectError::from(BayesError::InvalidProbability { what: "x", value: 1.5 });
+        assert!(e.to_string().contains("1.5"));
+        let e = DetectError::ShardValueMapMismatch { values: 7, mapped: 4 };
+        assert!(e.to_string().contains('7') && e.to_string().contains('4'));
+        assert!(DetectError::ShardScanPanicked { shard: 3 }.to_string().contains('3'));
     }
 }

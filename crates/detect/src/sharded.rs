@@ -103,9 +103,9 @@ impl ShardRoundEvidence {
 /// Candidate pairs come from the shard's incrementally-maintained
 /// [`SharedItemCounts`] — only pairs that actually share an item in this
 /// shard are visited, so the scan is `O(Σ pair overlaps)`, not
-/// `O(|S_shard|²)`. For each candidate pair the two claim lists are merged
-/// (the same walk as `ScoringContext::score_pair`) and every shared item
-/// becomes a [`SharedItemObservation`] carrying the truth probability of the
+/// `O(|S_shard|²)`. For each candidate pair every shared item
+/// ([`Dataset::shared_claims`](copydet_model::Dataset::shared_claims), the
+/// walk `ScoringContext::score_pair` folds over too) becomes a [`SharedItemObservation`] carrying the truth probability of the
 /// agreed value, translated to global ids via `map`.
 ///
 /// # Errors
@@ -149,27 +149,12 @@ pub fn collect_shard_evidence_for(
         if target.is_some_and(|t| !global.contains(t)) {
             continue;
         }
-        let claims1 = input.dataset.claims_of(l1);
-        let claims2 = input.dataset.claims_of(l2);
         let mut observations = Vec::with_capacity(u32_to_usize(count));
-        let (mut i, mut j) = (0, 0);
-        while i < claims1.len() && j < claims2.len() {
-            let (d1, v1) = claims1[i];
-            let (d2, v2) = claims2[j];
-            match d1.cmp(&d2) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let same_value_probability =
-                        (v1 == v2).then(|| input.probabilities.get(d1, v1));
-                    observations.push(SharedItemObservation {
-                        item: map.items[d1.index()],
-                        same_value_probability,
-                    });
-                    i += 1;
-                    j += 1;
-                }
-            }
+        for (d, v1, v2) in input.dataset.shared_claims(l1, l2) {
+            observations.push(SharedItemObservation {
+                item: map.items[d.index()],
+                same_value_probability: (v1 == v2).then(|| input.probabilities.get(d, v1)),
+            });
         }
         if observations.len() != u32_to_usize(count) {
             return Err(DetectError::ShardEvidenceMismatch {

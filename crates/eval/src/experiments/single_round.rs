@@ -86,17 +86,25 @@ mod tests {
             assert!(p.computations > 0, "{} did no work on {}", p.method, p.dataset);
             assert!(p.detection_seconds >= 0.0);
         }
-        // The relative ordering of BOUND vs BOUND+ is an empirical result
-        // (the lazy timers trade bound evaluations for later termination),
-        // so the structural check here is only that each algorithm produced
-        // one point per dataset and the figure renders.
+        let computations = |method: Method, dataset: &str| {
+            points
+                .iter()
+                .find(|p| p.method == method && p.dataset == dataset)
+                .unwrap_or_else(|| panic!("missing point for {method} on {dataset}"))
+                .computations
+        };
+        // What Fig. 2 shows at this scale (seed 7): BOUND+ does fewer
+        // computations than INDEX on every dataset (e.g. book-cs 13,680 <
+        // 15,564, stock-2wk 591,279 < 926,708). HYBRID is *not* pinned
+        // against INDEX or BOUND+: on book-full it does 141,921 against
+        // INDEX's 139,328, a deviation from the paper ROADMAP tracks.
         for dataset in ["book-cs", "stock-1day", "book-full", "stock-2wk"] {
             for method in Method::figure2_order() {
-                assert!(
-                    points.iter().any(|p| p.method == method && p.dataset == dataset),
-                    "missing point for {method} on {dataset}"
-                );
+                computations(method, dataset);
             }
+            let (bound_plus, index) =
+                (computations(Method::BoundPlus, dataset), computations(Method::Index, dataset));
+            assert!(bound_plus < index, "{dataset}: BOUND+ {bound_plus} vs INDEX {index}");
         }
         let tables = run(&ExperimentConfig::tiny());
         assert_eq!(tables.len(), 2);

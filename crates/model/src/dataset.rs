@@ -352,49 +352,44 @@ impl Dataset {
         &self.item_groups[d.index()]
     }
 
-    /// Number of data items shared by two sources (both provide some value),
-    /// computed by merging the two sorted claim lists.
+    /// The items both sources claim, as `(item, value of a, value of b)` in
+    /// ascending item order, found by merging the two sorted claim lists.
+    ///
+    /// This is the one pairwise claim walk: PAIRWISE scoring, the per-shard
+    /// evidence scan and the per-pair counts below all fold over it, so
+    /// every fold visits shared items in the same (item) order.
+    pub fn shared_claims(
+        &self,
+        a: SourceId,
+        b: SourceId,
+    ) -> impl Iterator<Item = (ItemId, ValueId, ValueId)> + '_ {
+        let (ca, cb) = (self.claims_of(a), self.claims_of(b));
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            while let (Some(&(da, va)), Some(&(db, vb))) = (ca.get(i), cb.get(j)) {
+                // Step past the smaller item; on a shared item, past both.
+                i += usize::from(da <= db);
+                j += usize::from(db <= da);
+                if da == db {
+                    return Some((da, va, vb));
+                }
+            }
+            None
+        })
+    }
+
+    /// Number of data items shared by two sources (both provide some value).
     ///
     /// The detection algorithms use the bulk variant in `copydet-index`
     /// (shared-item counting over the whole dataset); this per-pair query is
     /// mostly useful for tests and diagnostics.
     pub fn shared_item_count(&self, a: SourceId, b: SourceId) -> usize {
-        let (mut ia, mut ib) = (0, 0);
-        let (ca, cb) = (&self.claims[a.index()], &self.claims[b.index()]);
-        let mut count = 0;
-        while ia < ca.len() && ib < cb.len() {
-            match ca[ia].0.cmp(&cb[ib].0) {
-                std::cmp::Ordering::Less => ia += 1,
-                std::cmp::Ordering::Greater => ib += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    ia += 1;
-                    ib += 1;
-                }
-            }
-        }
-        count
+        self.shared_claims(a, b).count()
     }
 
     /// Number of data items on which two sources provide the *same* value.
     pub fn shared_value_count(&self, a: SourceId, b: SourceId) -> usize {
-        let (mut ia, mut ib) = (0, 0);
-        let (ca, cb) = (&self.claims[a.index()], &self.claims[b.index()]);
-        let mut count = 0;
-        while ia < ca.len() && ib < cb.len() {
-            match ca[ia].0.cmp(&cb[ib].0) {
-                std::cmp::Ordering::Less => ia += 1,
-                std::cmp::Ordering::Greater => ib += 1,
-                std::cmp::Ordering::Equal => {
-                    if ca[ia].1 == cb[ib].1 {
-                        count += 1;
-                    }
-                    ia += 1;
-                    ib += 1;
-                }
-            }
-        }
-        count
+        self.shared_claims(a, b).filter(|(_, va, vb)| va == vb).count()
     }
 
     /// Computes summary statistics for the dataset.
@@ -531,6 +526,20 @@ mod tests {
         assert_eq!(ds.shared_value_count(s0, s1), 1);
         assert_eq!(ds.shared_item_count(s0, s2), 1);
         assert_eq!(ds.shared_value_count(s0, s2), 0);
+    }
+
+    #[test]
+    fn shared_claims_yields_common_items_in_item_order() {
+        let ds = sample();
+        let [s0, s1, s2] = ["S0", "S1", "S2"].map(|s| ds.source_by_name(s).unwrap());
+        let [nj, az] = ["NJ", "AZ"].map(|d| ds.item_by_name(d).unwrap());
+        let v = |s| ds.value_by_str(s).unwrap();
+        let walk = |a, b| ds.shared_claims(a, b).collect::<Vec<_>>();
+        assert_eq!(
+            walk(s0, s1),
+            [(nj, v("Trenton"), v("Trenton")), (az, v("Phoenix"), v("Tempe"))]
+        );
+        assert_eq!(walk(s2, s0), [(nj, v("Atlantic"), v("Trenton"))], "values in argument order");
     }
 
     #[test]

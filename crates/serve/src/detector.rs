@@ -148,8 +148,10 @@ impl ShardedDetector {
     /// [`DetectError::ShardEvidenceMismatch`] if a shard's counts disagree
     /// with its snapshot — impossible for captures taken by this method
     /// (each shard's pair is captured under one lock), so an error here
-    /// indicates store corruption; the round fails instead of panicking the
-    /// serving thread.
+    /// indicates store corruption; [`DetectError::Bayes`] if the configured
+    /// initial accuracy is not a probability; [`DetectError::ShardScanPanicked`]
+    /// if a shard's scan thread dies. The round fails instead of panicking
+    /// the serving thread.
     pub fn detect_round(&mut self, store: &ShardedStore) -> Result<DetectionResult, DetectError> {
         let mut trace = RoundTraceBuilder::new("sharded_round");
         let captures = capture_traced(store, &mut trace);
@@ -190,7 +192,8 @@ impl ShardedDetector {
     /// # Errors
     /// [`DetectError::UnknownSourceName`] if the fleet has never seen
     /// `source` — a typed error, not an empty result, so the serving layer
-    /// can answer with an ERR frame.
+    /// can answer with an ERR frame; otherwise as
+    /// [`detect_round`](Self::detect_round).
     pub fn detect_topk(
         &self,
         store: &ShardedStore,
@@ -292,21 +295,20 @@ impl ShardedDetector {
             captures.iter().map(|(snapshot, _)| store.maps_for(snapshot)).collect();
         // Sized after the maps are built, so every mapped id is covered.
         let accuracies =
-            SourceAccuracies::uniform(store.num_sources(), self.config.initial_accuracy)
-                .expect("initial accuracy is a probability");
+            SourceAccuracies::uniform(store.num_sources(), self.config.initial_accuracy)?;
         let vote_config = VoteConfig::new(self.config.params);
         let initial_accuracy = self.config.initial_accuracy;
         let params = self.config.params;
         trace.stage("prepare", prepare_span.elapsed_nanos());
         let fanout_span = Span::start();
-        type ScanResult = (Result<copydet_detect::ShardRoundEvidence, DetectError>, u64);
+        type ScanResult = Result<(copydet_detect::ShardRoundEvidence, u64), DetectError>;
         let scans: Vec<ScanResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = captures
                 .iter()
                 .zip(&maps)
                 .map(|((snapshot, counts), map)| {
                     let vote_config = &vote_config;
-                    scope.spawn(move || {
+                    scope.spawn(move || -> ScanResult {
                         // The same bootstrap `LiveDetector::prepare` builds,
                         // assembled directly so the vote is computed once —
                         // in global value order (prepare's locally-ordered
@@ -315,14 +317,13 @@ impl ShardedDetector {
                         let shard_accuracies = SourceAccuracies::uniform(
                             snapshot.dataset.num_sources(),
                             initial_accuracy,
-                        )
-                        .expect("initial accuracy is a probability");
+                        )?;
                         let probabilities = globally_ordered_vote(
                             &snapshot.dataset,
                             &shard_accuracies,
                             map,
                             vote_config,
-                        );
+                        )?;
                         let input = copydet_detect::OwnedRoundInput {
                             dataset: snapshot.dataset.clone(),
                             accuracies: shard_accuracies,
@@ -335,20 +336,23 @@ impl ShardedDetector {
                             counts,
                             &map.ids,
                             target,
-                        );
-                        (evidence, scan_span.elapsed_nanos())
+                        )?;
+                        Ok((evidence, scan_span.elapsed_nanos()))
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|handle| handle.join().expect("shard evidence scan panicked"))
+                .enumerate()
+                .map(|(shard, handle)| {
+                    handle.join().unwrap_or(Err(DetectError::ShardScanPanicked { shard }))
+                })
                 .collect()
         });
         trace.stage("fanout", fanout_span.elapsed_nanos());
         let mut evidence = Vec::with_capacity(scans.len());
-        for (i, (shard_evidence, nanos)) in scans.into_iter().enumerate() {
-            let shard_evidence = shard_evidence?;
+        for (i, scan) in scans.into_iter().enumerate() {
+            let (shard_evidence, nanos) = scan?;
             let observations = usize_to_u64(shard_evidence.num_observations());
             trace.stage_count(&format!("shard{i}.scan"), nanos, observations);
             evidence.push(shard_evidence);
@@ -397,12 +401,23 @@ fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<Ca
 /// local id depends on which *other* items the shard saw first). Reordering
 /// by global id before the fold makes the probabilities — and everything
 /// downstream of them — bit-identical to the single-store run.
+///
+/// # Errors
+/// [`DetectError::ShardValueMapMismatch`] if `map` does not translate every
+/// value of `dataset`; [`DetectError::Bayes`] if the vote yields a value
+/// outside `[0, 1]`.
 fn globally_ordered_vote(
     dataset: &Dataset,
     accuracies: &SourceAccuracies,
     map: &ShardMaps,
     config: &VoteConfig,
-) -> ValueProbabilities {
+) -> Result<ValueProbabilities, DetectError> {
+    if map.values.len() < dataset.num_distinct_values() {
+        return Err(DetectError::ShardValueMapMismatch {
+            values: dataset.num_distinct_values(),
+            mapped: map.values.len(),
+        });
+    }
     let mut probabilities = ValueProbabilities::new(dataset.num_items());
     for item in dataset.items() {
         let groups = dataset.values_of_item(item);
@@ -410,13 +425,14 @@ fn globally_ordered_vote(
             continue;
         }
         let mut ordered: Vec<&ItemValueGroup> = groups.iter().collect();
-        ordered.sort_by_key(|g| map.values[g.value.index()]);
+        // Every value id is below the checked map length, so no key is `None`.
+        ordered.sort_by_key(|g| map.values.get(g.value.index()));
         let probs = vote_group_probabilities(&ordered, accuracies, None, config);
         for (group, p) in ordered.iter().zip(probs) {
-            probabilities.set(group.item, group.value, p).expect("vote probability is clamped");
+            probabilities.set(group.item, group.value, p)?;
         }
     }
-    probabilities
+    Ok(probabilities)
 }
 
 #[cfg(test)]
@@ -557,6 +573,22 @@ mod tests {
             matches!(&err, DetectError::UnknownSourceName { name } if name == "nobody"),
             "unexpected error: {err:?}"
         );
+    }
+
+    /// An initial accuracy outside `[0, 1]` fails rounds and top-k queries
+    /// with a typed error instead of panicking the serving thread.
+    #[test]
+    fn invalid_initial_accuracy_is_a_typed_error() {
+        let claims = stream();
+        let store = ShardedStore::new(2);
+        store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
+        let config = LiveConfig { initial_accuracy: 1.5, ..LiveConfig::default() };
+        let mut detector = ShardedDetector::with_config(config);
+        let invalid = |r: Result<_, DetectError>| matches!(r, Err(DetectError::Bayes(_)));
+        assert!(invalid(detector.detect_round(&store).map(|_| ())));
+        assert!(invalid(detector.detect_topk(&store, "S0", 3).map(|_| ())));
+        assert!(invalid(detector.detect_topk_fleet(&store, 3).map(|_| ())));
+        assert_eq!(detector.rounds(), 0, "a failed round is not counted");
     }
 
     /// A counts handle captured at a different time than the snapshot it is

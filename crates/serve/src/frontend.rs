@@ -337,6 +337,13 @@ pub enum ProtocolError {
         /// The rendered detection error.
         message: String,
     },
+    /// An INGEST batch was applied in memory but the fleet can no longer
+    /// persist claims ([`ShardedStore::ingest_error`]), so the batch is not
+    /// acknowledged. Sticky until the fleet is recovered.
+    NotPersisted {
+        /// The rendered persistence failure.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -375,6 +382,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::Detect { message } => {
                 write!(f, "DETECT round failed: {message}")
+            }
+            ProtocolError::NotPersisted { detail } => {
+                write!(f, "INGEST not acknowledged: the fleet cannot persist claims ({detail})")
             }
         }
     }
@@ -606,11 +616,6 @@ pub fn serve(store: ShardedStore, addr: impl ToSocketAddrs) -> io::Result<Server
 /// resource use only — none changes a single bit of any response.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendConfig {
-    /// Cross-shard merge workers per DETECT round. `0` (the default)
-    /// auto-selects: the `COPYDET_MERGE_THREADS` environment variable if
-    /// set, else [`std::thread::available_parallelism`]. See
-    /// [`ShardedDetector::with_merge_parallelism`].
-    pub merge_parallelism: usize,
     /// How long a connection may sit idle *between* frames before its
     /// handler closes it. `None` (the default) waits forever — the
     /// pre-timeout behavior, where a client that connects and goes silent
@@ -679,15 +684,8 @@ pub fn serve_with_config(
             let handler_connections = Arc::clone(&accept_connections);
             let Ok(interrupt) = stream.try_clone() else { continue };
             let handler = std::thread::spawn(move || {
-                let _ = handle_connection(
-                    stream,
-                    store,
-                    stats,
-                    stop,
-                    server_addr,
-                    handler_connections,
-                    config,
-                );
+                let _ =
+                    handle_connection(stream, store, stats, stop, server_addr, handler_connections);
             });
             let mut registry = accept_connections.lock();
             // Reap finished handlers so a long-lived server's registry holds
@@ -707,11 +705,9 @@ fn handle_connection(
     stop: Arc<AtomicBool>,
     server_addr: SocketAddr,
     connections: Connections,
-    config: FrontendConfig,
 ) -> io::Result<()> {
     let _live = LiveConnection::open();
-    let result =
-        serve_connection(&mut stream, &store, &stats, &stop, server_addr, &connections, config);
+    let result = serve_connection(&mut stream, &store, &stats, &stop, server_addr, &connections);
     // Dropping `stream` alone does not close the socket: the accept loop
     // holds a `try_clone` dup in the connection registry (for SHUTDOWN
     // interruption), so the peer would never see a FIN. An explicit
@@ -730,7 +726,6 @@ fn serve_connection(
     stop: &AtomicBool,
     server_addr: SocketAddr,
     connections: &Connections,
-    config: FrontendConfig,
 ) -> io::Result<()> {
     while let Some((kind, payload)) = read_frame(stream)? {
         let span = Span::start();
@@ -741,8 +736,8 @@ fn serve_connection(
         let response = match kind {
             REQ_INGEST => handle_ingest(store, &payload),
             REQ_STATS => Ok(handle_stats(store, stats)),
-            REQ_DETECT => handle_detect(store, &payload, config),
-            REQ_DETECT_TOPK => handle_detect_topk(store, &payload, config),
+            REQ_DETECT => handle_detect(store, &payload),
+            REQ_DETECT_TOPK => handle_detect_topk(store, &payload),
             REQ_METRICS => handle_metrics(),
             REQ_TRACE => handle_trace(&payload),
             REQ_HEALTH => handle_health(store, &payload),
@@ -811,7 +806,9 @@ fn serve_connection(
     Ok(())
 }
 
-/// INGEST: decode the batch, apply it, answer with the accepted count.
+/// INGEST: decode the batch, apply it, answer with the accepted count — or
+/// with [`ProtocolError::NotPersisted`] once the fleet cannot persist (see
+/// `DESIGN.md` §6 for what an unacknowledged batch may have left behind).
 fn handle_ingest(store: &ShardedStore, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
     let claims = decode_ingest(payload)?;
     // The response carries the batch's own accepted count — a fleet-wide
@@ -820,6 +817,11 @@ fn handle_ingest(store: &ShardedStore, payload: &[u8]) -> Result<Vec<u8>, Protoc
     // stale the moment it is read (STATS reports live totals).
     let accepted =
         store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
+    // One atomic load: the batch recorded any failure it hit under the
+    // locks it held, so no shard is locked again here.
+    if let Some(e) = store.ingest_error() {
+        return Err(ProtocolError::NotPersisted { detail: e.to_string() });
+    }
     let mut out = Vec::new();
     codec::put_u64(&mut out, usize_to_u64(accepted));
     Ok(out)
@@ -1034,11 +1036,7 @@ fn handle_events(payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
 }
 
 /// DETECT: run a sharded round and encode the copying pairs by name.
-fn handle_detect(
-    store: &ShardedStore,
-    payload: &[u8],
-    config: FrontendConfig,
-) -> Result<Vec<u8>, ProtocolError> {
+fn handle_detect(store: &ShardedStore, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
     const REQUEST: &str = "DETECT";
     // DETECT declares an empty payload; stray bytes mean a confused (or
     // hostile) peer and are refused, not silently dropped.
@@ -1050,7 +1048,6 @@ fn handle_detect(
         });
     }
     let result = ShardedDetector::new()
-        .with_merge_parallelism(config.merge_parallelism)
         .detect_round(store)
         .map_err(|e| ProtocolError::Detect { message: e.to_string() })?;
     // Pair ids live in the global registry's id space; the read-locked name
@@ -1100,11 +1097,7 @@ fn handle_detect(
 /// DETECT_TOPK: run a top-k query (per-source or fleet-wide) and encode the
 /// ranked pairs by name, most suspicious first, with the query's work
 /// counters.
-fn handle_detect_topk(
-    store: &ShardedStore,
-    payload: &[u8],
-    config: FrontendConfig,
-) -> Result<Vec<u8>, ProtocolError> {
+fn handle_detect_topk(store: &ShardedStore, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
     const REQUEST: &str = "DETECT_TOPK";
     let bad = |source| ProtocolError::BadPayload { request: REQUEST, source };
     let mut r = Reader::new(payload);
@@ -1122,7 +1115,7 @@ fn handle_detect_topk(
             declared: k,
         });
     }
-    let detector = ShardedDetector::new().with_merge_parallelism(config.merge_parallelism);
+    let detector = ShardedDetector::new();
     let result = match &source {
         Some(name) => detector.detect_topk(store, name, u32_to_usize(k)),
         None => detector.detect_topk_fleet(store, u32_to_usize(k)),

@@ -12,7 +12,7 @@ use copydet_store::{
     read_bounded_text, SharedClaimStore, StoreConfig, StoreIoError, StoreSnapshot, StoreStats,
 };
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// FNV-1a 64-bit hash — the partitioning hash of the sharded store.
 ///
@@ -171,6 +171,10 @@ pub struct ShardedStore {
     /// so concurrent writers contend on their shard mutexes, not here.
     // lock-rank: 10 (serve.shard.global_registry)
     global: Arc<RankedRwLock<GlobalTables>>,
+    /// The first persistence failure an ingest batch ran into, recorded
+    /// under a lock the batch already held and read lock-free by
+    /// [`ingest_error`](Self::ingest_error).
+    ingest_error: Arc<OnceLock<StoreIoError>>,
 }
 
 impl ShardedStore {
@@ -189,7 +193,15 @@ impl ShardedStore {
     pub fn with_config(num_shards: usize, config: StoreConfig) -> Self {
         assert!(num_shards > 0, "a sharded store needs at least one shard");
         let shards = (0..num_shards).map(|_| SharedClaimStore::with_config(config)).collect();
-        Self { shards: Arc::new(shards), global: new_global_registry() }
+        Self::from_shards(shards)
+    }
+
+    fn from_shards(shards: Vec<SharedClaimStore>) -> Self {
+        Self {
+            shards: Arc::new(shards),
+            global: new_global_registry(),
+            ingest_error: Arc::default(),
+        }
     }
 
     /// Opens (creating or recovering) a **durable** sharded store under
@@ -234,7 +246,7 @@ impl ShardedStore {
                 config,
             )?);
         }
-        let store = Self { shards: Arc::new(shards), global: new_global_registry() };
+        let store = Self::from_shards(shards);
         {
             // Replay the arrival order before looking at any shard: these
             // records are already durable, so they intern without re-logging.
@@ -426,6 +438,7 @@ impl ShardedStore {
         // under the shared read lock and skips the exclusive one entirely.
         let all_known = {
             let global = self.global.read();
+            self.note_ingest_error(global.log_error.as_ref());
             claims.iter().all(|&(s, d, v)| {
                 global.sources.get(s).is_some()
                     && global.items.get(d).is_some()
@@ -443,6 +456,7 @@ impl ShardedStore {
             // crash can never leave durable claims whose names are missing
             // from the arrival-order log.
             global.flush_log();
+            self.note_ingest_error(global.log_error.as_ref());
         }
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (idx, &(_, d, _)) in claims.iter().enumerate() {
@@ -457,8 +471,33 @@ impl ShardedStore {
                 let (s, d, v) = claims[idx];
                 guard.ingest(s, d, v);
             }
+            self.note_ingest_error(guard.io_error());
         }
         claims.len()
+    }
+
+    /// Records `error` as the fleet's ingest error unless one is already
+    /// recorded (the first failure wins). Called with a lock the ingest path
+    /// already holds, so the check adds no lock acquisition.
+    fn note_ingest_error(&self, error: Option<&StoreIoError>) {
+        if let Some(e) = error {
+            if self.ingest_error.get().is_none() {
+                let _ = self.ingest_error.set(e.clone());
+            }
+        }
+    }
+
+    /// The first persistence failure an [`ingest_batch`](Self::ingest_batch)
+    /// observed — a broken registry log or a shard store that has stopped
+    /// persisting — read with one atomic load and no lock.
+    ///
+    /// Sticky: a store that failed once keeps serving from memory but stops
+    /// persisting, so the INGEST verb refuses to acknowledge any batch from
+    /// then on. Failures that no batch has run into yet (a
+    /// background seal, an explicit [`sync`](Self::sync)) show up in
+    /// [`io_error`](Self::io_error), which locks every shard, first.
+    pub fn ingest_error(&self) -> Option<&StoreIoError> {
+        self.ingest_error.get()
     }
 
     /// Captures every shard's current state for a detection round: the

@@ -7,9 +7,15 @@ use copydet_detect::{CopyDetector, IncrementalDetector, RoundInput};
 use copydet_model::DatasetBuilder;
 use copydet_serve::frontend::{self, Client};
 use copydet_serve::ShardedStore;
+use std::sync::{Mutex, PoisonError};
 
 const SOURCES: usize = 48;
 const ITEMS: usize = 256;
+
+/// Held by the two heavy-round tests so they run one at a time: on a 2-core
+/// host a concurrent round steals the cores whose wall time is being
+/// decomposed (the glue outside the stages then exceeds 10%).
+static HEAVY_ROUND: Mutex<()> = Mutex::new(());
 
 /// Every source claims every item, so all `48·47/2` pairs share all 256
 /// items — a round heavy enough that the evidence scan and the merge, not
@@ -43,6 +49,7 @@ fn ingest_all(client: &mut Client, claims: &[(String, String, String)]) {
 /// the rest).
 #[test]
 fn tcp_round_trace_decomposes_wall_time() {
+    let _serial = HEAVY_ROUND.lock().unwrap_or_else(PoisonError::into_inner);
     let store = ShardedStore::new(1);
     let server = frontend::serve(store, "127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -75,6 +82,7 @@ fn tcp_round_trace_decomposes_wall_time() {
 /// the query does not count as a round for HEALTH's merge-starvation rule.
 #[test]
 fn tcp_topk_trace_records_the_round_stages() {
+    let _serial = HEAVY_ROUND.lock().unwrap_or_else(PoisonError::into_inner);
     let store = ShardedStore::new(1);
     let server = frontend::serve(store, "127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
