@@ -360,6 +360,7 @@ const LINT_HEADER: &str = "lint-header";
 /// it takes the instrumented operation down with it; the sharded round and
 /// the top-k ranking run per request) — and must stay panic-free.
 const PANIC_SCOPE: &[&str] = &[
+    "crates/detect/src/sharded.rs",
     "crates/detect/src/topk.rs",
     "crates/serve/src/detector.rs",
     "crates/serve/src/frontend.rs",
@@ -375,9 +376,11 @@ const PANIC_SCOPE: &[&str] = &[
 ];
 
 /// Codec/format/wire modules — plus the cross-shard merge, which folds
-/// evidence counts across id spaces — where `as` integer casts hide
+/// evidence counts across id spaces, and the fixed-point score type, which
+/// converts between `f64` and `i128` — where `as` integer casts hide
 /// truncation.
 const CAST_SCOPE: &[&str] = &[
+    "crates/bayes/src/fixed.rs",
     "crates/model/src/codec.rs",
     "crates/store/src/format.rs",
     "crates/serve/src/frontend.rs",

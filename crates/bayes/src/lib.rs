@@ -29,7 +29,8 @@
 //! * [`max_contribution`] — `M̂(D.v)` of Proposition 3.1, the score attached
 //!   to every inverted-index entry,
 //! * [`PairEvidence`] / [`pairwise_scores`] — full per-pair evidence
-//!   accumulation (the inner loop of the PAIRWISE baseline),
+//!   accumulation (the inner loop of the PAIRWISE baseline), as exact
+//!   fixed-point sums that do not depend on the order items are added in,
 //! * [`posterior_independence`] and [`CopyDecision`] — Eq. 2 and the decision
 //!   rule.
 
@@ -40,6 +41,7 @@
 mod accuracy;
 pub mod contribution;
 mod error;
+mod fixed;
 pub mod max_contribution;
 mod pair;
 mod params;

@@ -2,6 +2,7 @@
 
 use crate::accuracy::SourceAccuracies;
 use crate::contribution::{different_value_score, same_value_scores_both};
+use crate::fixed::FixedScore;
 use crate::params::{CopyParams, DecisionThresholds};
 use crate::truth::ValueProbabilities;
 use copydet_model::{Dataset, SourceId};
@@ -51,16 +52,23 @@ pub fn posterior_independence(c_to: f64, c_from: f64, params: &CopyParams) -> f6
 
 /// Accumulated evidence about one pair of sources.
 ///
-/// `c_to` accumulates `C→` ("first copies from second") and `c_from`
-/// accumulates `C←` ("second copies from first"), where *first*/*second*
-/// refer to whatever orientation the caller chose when adding evidence — the
-/// posterior of Eq. 2 is symmetric in the two directions.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// [`c_to`](Self::c_to) is `C→` ("first copies from second") and
+/// [`c_from`](Self::c_from) is `C←` ("second copies from first"), where
+/// *first*/*second* refer to whatever orientation the caller chose when
+/// adding evidence — the posterior of Eq. 2 is symmetric in the two
+/// directions.
+///
+/// The scores are exact sums (`FixedScore`): each per-item score is rounded
+/// once to a multiple of 2⁻⁶⁰ and added as an integer. So the evidence does
+/// not depend on the order in which items are added, and two partial sums
+/// over disjoint items [`merge`](Self::merge) into exactly the evidence of
+/// one pass over both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairEvidence {
     /// Accumulated `C→`.
-    pub c_to: f64,
+    to: FixedScore,
     /// Accumulated `C←`.
-    pub c_from: f64,
+    from: FixedScore,
     /// Number of items contributing to the scores on which the values were
     /// equal.
     pub shared_values: usize,
@@ -71,7 +79,17 @@ pub struct PairEvidence {
 impl PairEvidence {
     /// Evidence with no observations yet.
     pub fn empty() -> Self {
-        Self { c_to: 0.0, c_from: 0.0, shared_values: 0, different_values: 0 }
+        Self::default()
+    }
+
+    /// Accumulated `C→`, converted to `f64` once.
+    pub fn c_to(&self) -> f64 {
+        self.to.to_f64()
+    }
+
+    /// Accumulated `C←`, converted to `f64` once.
+    pub fn c_from(&self) -> f64 {
+        self.from.to_f64()
     }
 
     /// Number of shared items folded into the evidence so far.
@@ -79,36 +97,57 @@ impl PairEvidence {
         self.shared_values + self.different_values
     }
 
+    /// Folds in one shared value whose directional scores `(C→(D), C←(D))`
+    /// the caller already computed (the index scan scores an entry once).
+    #[inline]
+    pub fn add_scores(&mut self, to: f64, from: f64) {
+        self.to += FixedScore::from_f64(to);
+        self.from += FixedScore::from_f64(from);
+        self.shared_values += 1;
+    }
+
     /// Folds in an item on which both sources provide the same value with
     /// truth probability `p`; `a_first`/`a_second` are the accuracies of the
     /// pair's first and second source.
     pub fn add_same_value(&mut self, p: f64, a_first: f64, a_second: f64, params: &CopyParams) {
         let (to, from) = same_value_scores_both(p, a_first, a_second, params);
-        self.c_to += to;
-        self.c_from += from;
-        self.shared_values += 1;
+        self.add_scores(to, from);
     }
 
     /// Folds in an item on which the two sources provide different values.
     pub fn add_different_value(&mut self, params: &CopyParams) {
-        let s = different_value_score(params);
-        self.c_to += s;
-        self.c_from += s;
-        self.different_values += 1;
+        self.add_different_values(1, params);
     }
 
     /// Folds in `count` different-value items at once (the bulk adjustment
-    /// the INDEX algorithm applies after scanning).
+    /// the INDEX algorithm applies after scanning): one integer multiply,
+    /// identical to `count` single additions.
     pub fn add_different_values(&mut self, count: usize, params: &CopyParams) {
-        let s = different_value_score(params) * count as f64;
-        self.c_to += s;
-        self.c_from += s;
+        let s = FixedScore::from_f64(different_value_score(params)).times(count);
+        self.to += s;
+        self.from += s;
         self.different_values += count;
+    }
+
+    /// Adds the evidence of `other`, gathered over items disjoint from this
+    /// evidence's (another shard's part of the same pair). Exact: merging
+    /// partials in any grouping equals one pass over all their items.
+    pub fn merge(&mut self, other: &Self) {
+        self.to += other.to;
+        self.from += other.from;
+        self.shared_values += other.shared_values;
+        self.different_values += other.different_values;
+    }
+
+    /// The same evidence for the pair taken in the other orientation:
+    /// `C→` and `C←` trade places.
+    pub fn swapped(self) -> Self {
+        Self { to: self.from, from: self.to, ..self }
     }
 
     /// Posterior probability of independence given the current evidence.
     pub fn posterior_independence(&self, params: &CopyParams) -> f64 {
-        posterior_independence(self.c_to, self.c_from, params)
+        posterior_independence(self.c_to(), self.c_from(), params)
     }
 
     /// Binary decision from the current evidence.
@@ -119,20 +158,14 @@ impl PairEvidence {
     /// Returns `true` if the accumulated scores already guarantee a copying
     /// decision under `thresholds` (either direction at or above `θcp`).
     pub fn implies_copying(&self, thresholds: &DecisionThresholds) -> bool {
-        self.c_to >= thresholds.theta_cp || self.c_from >= thresholds.theta_cp
+        self.c_to() >= thresholds.theta_cp || self.c_from() >= thresholds.theta_cp
     }
 
     /// Returns `true` if the accumulated scores already guarantee a
     /// no-copying decision under `thresholds` (both directions below
     /// `θind`).
     pub fn implies_no_copying(&self, thresholds: &DecisionThresholds) -> bool {
-        self.c_to < thresholds.theta_ind && self.c_from < thresholds.theta_ind
-    }
-}
-
-impl Default for PairEvidence {
-    fn default() -> Self {
-        Self::empty()
+        self.c_to() < thresholds.theta_ind && self.c_from() < thresholds.theta_ind
     }
 }
 
@@ -168,19 +201,23 @@ impl<'a> ScoringContext<'a> {
 
     /// Scores one pair of sources exhaustively over their shared items
     /// ([`Dataset::shared_claims`]) — the inner loop of the PAIRWISE
-    /// baseline. `C→` is the direction "`s1` copies from `s2`".
+    /// baseline. `C→` is the direction "`s1` copies from `s2`". Every
+    /// different-value item scores the same constant, so they are counted
+    /// during the walk and added in one exact multiply.
     pub fn score_pair(&self, s1: SourceId, s2: SourceId) -> PairEvidence {
         let mut evidence = PairEvidence::empty();
         let a1 = self.accuracies.get(s1);
         let a2 = self.accuracies.get(s2);
+        let mut different = 0;
         for (d, v1, v2) in self.dataset.shared_claims(s1, s2) {
             if v1 == v2 {
                 let p = self.probabilities.get(d, v1);
                 evidence.add_same_value(p, a1, a2, &self.params);
             } else {
-                evidence.add_different_value(&self.params);
+                different += 1;
             }
         }
+        evidence.add_different_values(different, &self.params);
         evidence
     }
 }
@@ -223,8 +260,8 @@ mod tests {
             pairwise_scores(&ctx, SourceId::new(2), SourceId::new(3));
         assert_eq!(evidence.shared_values, 4);
         assert_eq!(evidence.different_values, 1);
-        assert!((evidence.c_to - 11.58).abs() < 0.05, "C→ = {}", evidence.c_to);
-        assert!((evidence.c_from - 11.58).abs() < 0.05);
+        assert!((evidence.c_to() - 11.58).abs() < 0.05, "C→ = {}", evidence.c_to());
+        assert!((evidence.c_from() - 11.58).abs() < 0.05);
         assert!(posterior < 0.0001, "posterior = {posterior}");
         assert_eq!(decision, CopyDecision::Copying);
     }
@@ -244,13 +281,13 @@ mod tests {
             pairwise_scores(&ctx, SourceId::new(0), SourceId::new(1));
         assert_eq!(evidence.shared_values, 4);
         assert_eq!(evidence.different_values, 0);
-        assert!(evidence.c_to < 0.1 && evidence.c_to > 0.0);
+        assert!(evidence.c_to() < 0.1 && evidence.c_to() > 0.0);
         assert!((posterior - 0.79).abs() < 0.02, "posterior = {posterior}");
         assert_eq!(decision, CopyDecision::NoCopying);
     }
 
     /// Scoring is orientation-consistent: swapping the pair swaps the two
-    /// directional scores and leaves the posterior unchanged.
+    /// directional scores bit for bit and leaves the posterior unchanged.
     #[test]
     fn scoring_is_symmetric_under_swap() {
         let (ex, accuracies, probabilities) = context_fixture();
@@ -263,12 +300,10 @@ mod tests {
         for (a, b) in [(0u32, 5u32), (2, 4), (6, 8), (1, 9)] {
             let e1 = ctx.score_pair(SourceId::new(a), SourceId::new(b));
             let e2 = ctx.score_pair(SourceId::new(b), SourceId::new(a));
-            assert!((e1.c_to - e2.c_from).abs() < 1e-9);
-            assert!((e1.c_from - e2.c_to).abs() < 1e-9);
-            assert!(
-                (e1.posterior_independence(&ctx.params) - e2.posterior_independence(&ctx.params))
-                    .abs()
-                    < 1e-12
+            assert_eq!(e1, e2.swapped());
+            assert_eq!(
+                e1.posterior_independence(&ctx.params).to_bits(),
+                e2.posterior_independence(&ctx.params).to_bits()
             );
         }
     }
@@ -324,11 +359,12 @@ mod tests {
         let mut e = PairEvidence::empty();
         assert!(e.implies_no_copying(&thresholds));
         assert!(!e.implies_copying(&thresholds));
-        e.c_to = thresholds.theta_cp + 0.01;
-        assert!(e.implies_copying(&thresholds));
-        assert!(!e.implies_no_copying(&thresholds));
+        let mut above_cp = PairEvidence::empty();
+        above_cp.add_scores(thresholds.theta_cp + 0.01, 0.0);
+        assert!(above_cp.implies_copying(&thresholds));
+        assert!(!above_cp.implies_no_copying(&thresholds));
         // Above θind but below θcp: neither conclusion is guaranteed.
-        e.c_to = (thresholds.theta_ind + thresholds.theta_cp) / 2.0;
+        e.add_scores((thresholds.theta_ind + thresholds.theta_cp) / 2.0, 0.0);
         assert!(!e.implies_copying(&thresholds));
         assert!(!e.implies_no_copying(&thresholds));
     }
@@ -350,8 +386,7 @@ mod tests {
             a.add_different_value(&params);
         }
         b.add_different_values(7, &params);
-        assert!((a.c_to - b.c_to).abs() < 1e-9);
-        assert_eq!(a.different_values, b.different_values);
+        assert_eq!(a, b);
         assert_eq!(a.shared_items(), 7);
     }
 }

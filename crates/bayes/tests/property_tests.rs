@@ -118,32 +118,110 @@ proptest! {
         }
     }
 
-    /// Accumulating evidence item by item is associative: the order of
-    /// same/different additions does not change the final scores.
+    /// Accumulating evidence item by item is exact: the order of
+    /// same/different additions does not change a single bit of the scores.
     #[test]
     fn evidence_accumulation_is_order_independent(
         params in params_strategy(),
-        items in prop::collection::vec((prob_strategy(), accuracy_strategy(), accuracy_strategy(), any::<bool>()), 0..20),
+        items in prop::collection::vec(item_strategy(), 0..20),
     ) {
-        let mut forward = PairEvidence::empty();
-        for &(p, a1, a2, same) in &items {
-            if same {
-                forward.add_same_value(p, a1, a2, &params);
-            } else {
-                forward.add_different_value(&params);
-            }
-        }
-        let mut backward = PairEvidence::empty();
-        for &(p, a1, a2, same) in items.iter().rev() {
-            if same {
-                backward.add_same_value(p, a1, a2, &params);
-            } else {
-                backward.add_different_value(&params);
-            }
-        }
-        prop_assert!((forward.c_to - backward.c_to).abs() < 1e-9);
-        prop_assert!((forward.c_from - backward.c_from).abs() < 1e-9);
-        prop_assert_eq!(forward.shared_values, backward.shared_values);
-        prop_assert_eq!(forward.different_values, backward.different_values);
+        let forward = fold(&items, &params);
+        let reversed: Vec<_> = items.iter().rev().copied().collect();
+        let backward = fold(&reversed, &params);
+        prop_assert_eq!(forward, backward);
+        prop_assert_eq!(forward.c_to().to_bits(), backward.c_to().to_bits());
+        prop_assert_eq!(forward.c_from().to_bits(), backward.c_from().to_bits());
     }
+
+    /// Splitting the items at any point (as item-disjoint shards do) and
+    /// merging the two partials equals the sequential fold bit for bit.
+    #[test]
+    fn split_and_merge_equals_sequential_fold(
+        params in params_strategy(),
+        items in prop::collection::vec(item_strategy(), 0..40),
+        split in 0usize..=40,
+    ) {
+        let sequential = fold(&items, &params);
+        let at = split.min(items.len());
+        let (head, tail) = items.split_at(at);
+        let mut merged = fold(tail, &params);
+        merged.merge(&fold(head, &params));
+        prop_assert_eq!(merged, sequential);
+        prop_assert_eq!(merged.c_to().to_bits(), sequential.c_to().to_bits());
+    }
+
+    /// The exact sum of `n` scores stays within `n·2⁻⁶⁰` of their real sum,
+    /// plus the one final rounding to `f64`. The reference is a compensated
+    /// (Neumaier) `f64` fold, itself within `2ε|S| + 4nε²Σ|x|` of the real
+    /// sum, so that much slack is added on top. Rounding is symmetric, so
+    /// negated scores sum to the negated result.
+    #[test]
+    fn exact_sum_error_is_bounded_against_an_f64_fold(
+        scores in prop::collection::vec(-20.0f64..20.0, 0..200),
+    ) {
+        let mut evidence = PairEvidence::empty();
+        for &x in &scores {
+            evidence.add_scores(x, -x);
+        }
+        let (sum, abs_sum) = compensated_sum(&scores);
+        let n = scores.len() as f64;
+        let eps = f64::EPSILON;
+        let bound = n * 2f64.powi(-60)
+            + eps * sum.abs() // the final rounding of the fixed-point sum
+            + 2.0 * eps * sum.abs()
+            + 4.0 * n * eps * eps * abs_sum;
+        let error = (evidence.c_to() - sum).abs();
+        prop_assert!(error <= bound, "error {error:e} above bound {bound:e} for n = {n}");
+        prop_assert_eq!(evidence.c_from().to_bits(), (-evidence.c_to()).to_bits());
+    }
+}
+
+/// One shared item: `(p, a_first, a_second, same value?)`.
+type Item = (f64, f64, f64, bool);
+
+fn item_strategy() -> impl Strategy<Value = Item> {
+    (prob_strategy(), accuracy_strategy(), accuracy_strategy(), any::<bool>())
+}
+
+fn fold(items: &[Item], params: &CopyParams) -> PairEvidence {
+    let mut evidence = PairEvidence::empty();
+    for &(p, a1, a2, same) in items {
+        if same {
+            evidence.add_same_value(p, a1, a2, params);
+        } else {
+            evidence.add_different_value(params);
+        }
+    }
+    evidence
+}
+
+/// Neumaier's compensated summation: `(Σx, Σ|x|)`.
+fn compensated_sum(scores: &[f64]) -> (f64, f64) {
+    let (mut sum, mut compensation, mut abs_sum) = (0.0f64, 0.0f64, 0.0f64);
+    for &x in scores {
+        let t = sum + x;
+        compensation += if sum.abs() >= x.abs() { (sum - t) + x } else { (x - t) + sum };
+        sum = t;
+        abs_sum += x.abs();
+    }
+    (sum + compensation, abs_sum)
+}
+
+/// The documented saturation: an infinite or huge score clamps to 2³⁴ and a
+/// NaN counts as 0, so the posterior saturates instead of turning NaN.
+#[test]
+fn non_finite_and_huge_scores_saturate() {
+    let params = CopyParams::paper_defaults();
+    let mut evidence = PairEvidence::empty();
+    evidence.add_scores(f64::INFINITY, f64::NAN);
+    assert_eq!(evidence.c_to(), 2f64.powi(34));
+    assert_eq!(evidence.c_from(), 0.0);
+    assert_eq!(evidence.posterior_independence(&params), 0.0);
+    let mut huge = PairEvidence::empty();
+    huge.add_scores(1e300, f64::NEG_INFINITY);
+    assert_eq!(huge.c_to(), 2f64.powi(34));
+    assert_eq!(huge.c_from(), -(2f64.powi(34)));
+    let mut negative = PairEvidence::empty();
+    negative.add_scores(-1e300, -1e300);
+    assert_eq!(negative.posterior_independence(&params), 1.0);
 }

@@ -57,6 +57,16 @@ pub enum DetectError {
         /// Values the map translates.
         mapped: usize,
     },
+    /// A shard's local-to-global id map does not cover an id of the
+    /// shard's snapshot — the map was built for another snapshot.
+    ShardIdMapMismatch {
+        /// Which id space ran short: `"source"` or `"item"`.
+        kind: &'static str,
+        /// The local id the map could not translate.
+        local: usize,
+        /// Ids of that kind the map translates.
+        mapped: usize,
+    },
     /// The thread scanning one shard's evidence panicked; the round fails
     /// instead of taking the serving thread down with it.
     ShardScanPanicked {
@@ -98,6 +108,11 @@ impl fmt::Display for DetectError {
                 f,
                 "shard value map translates {mapped} values but the snapshot interns {values}"
             ),
+            DetectError::ShardIdMapMismatch { kind, local, mapped } => write!(
+                f,
+                "shard id map translates {mapped} {kind} ids but the snapshot uses local \
+                 {kind} id {local}"
+            ),
             DetectError::ShardScanPanicked { shard } => {
                 write!(f, "the evidence scan of shard {shard} panicked")
             }
@@ -131,6 +146,8 @@ mod tests {
         assert!(e.to_string().contains("1.5"));
         let e = DetectError::ShardValueMapMismatch { values: 7, mapped: 4 };
         assert!(e.to_string().contains('7') && e.to_string().contains('4'));
+        let e = DetectError::ShardIdMapMismatch { kind: "item", local: 9, mapped: 2 };
+        assert!(e.to_string().contains("item id 9") && e.to_string().contains('2'));
         assert!(DetectError::ShardScanPanicked { shard: 3 }.to_string().contains('3'));
     }
 }

@@ -224,8 +224,8 @@ mod tests {
         let exact = ctx.score_pair(pair.first(), pair.second());
         let to = fagin.totals[&(pair, Direction::Forward)];
         let from = fagin.totals[&(pair, Direction::Backward)];
-        assert!((to - exact.c_to).abs() < 1e-9);
-        assert!((from - exact.c_from).abs() < 1e-9);
+        assert!((to - exact.c_to()).abs() < 1e-9);
+        assert!((from - exact.c_from()).abs() < 1e-9);
     }
 
     #[test]

@@ -269,8 +269,8 @@ impl IncrementalDetector {
                     PairScanRecord {
                         decision,
                         posterior: Some(posterior),
-                        c_hat_to: evidence.c_to,
-                        c_hat_from: evidence.c_from,
+                        c_hat_to: evidence.c_to(),
+                        c_hat_from: evidence.c_from(),
                         decision_pos: u32::MAX,
                         shared_before_decision: evidence.shared_values as u32,
                         shared_after_decision: 0,
@@ -284,8 +284,8 @@ impl IncrementalDetector {
                     PairOutcome {
                         decision,
                         posterior: Some(posterior),
-                        c_to: evidence.c_to,
-                        c_from: evidence.c_from,
+                        c_to: evidence.c_to(),
+                        c_from: evidence.c_from(),
                     },
                 );
             }
@@ -454,8 +454,8 @@ impl IncrementalDetector {
             }
             record.decision = decision;
             record.posterior = Some(posterior);
-            record.c_hat_to = evidence.c_to;
-            record.c_hat_from = evidence.c_from;
+            record.c_hat_to = evidence.c_to();
+            record.c_hat_from = evidence.c_from();
             record.decision_pos = u32::MAX;
             record.shared_before_decision = evidence.shared_values as u32;
             record.shared_after_decision = 0;
@@ -466,8 +466,8 @@ impl IncrementalDetector {
                 PairOutcome {
                     decision,
                     posterior: Some(posterior),
-                    c_to: evidence.c_to,
-                    c_from: evidence.c_from,
+                    c_to: evidence.c_to(),
+                    c_from: evidence.c_from(),
                 },
             );
         }

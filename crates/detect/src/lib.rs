@@ -49,7 +49,8 @@ pub use scan::{
 };
 pub use scan::{BoundDetector, HybridDetector, IndexDetector};
 pub use sharded::{
-    collect_shard_evidence, collect_shard_evidence_for, merge_shard_rounds_parallel, MergeTimings,
-    MergeWorkerReport, ShardIdMap, ShardRoundEvidence, SharedItemObservation,
+    collect_shard_evidence, collect_shard_partials_for, merge_shard_partials,
+    merge_shard_rounds_parallel, MergeTimings, MergeWorkerReport, ShardIdMap, ShardPartials,
+    ShardRoundEvidence, SharedItemObservation,
 };
 pub use topk::{TopKResult, TopKStats};

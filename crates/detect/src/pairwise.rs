@@ -39,8 +39,8 @@ pub fn pairwise_detection(input: &RoundInput<'_>) -> DetectionResult {
                 PairOutcome {
                     decision: CopyDecision::from_posterior(posterior),
                     posterior: Some(posterior),
-                    c_to: evidence.c_to,
-                    c_from: evidence.c_from,
+                    c_to: evidence.c_to(),
+                    c_from: evidence.c_from(),
                 },
             );
         }

@@ -247,9 +247,7 @@ pub fn index_scan(
                     accuracies.get(pair.second()),
                     params,
                 );
-                state.evidence.c_to += to;
-                state.evidence.c_from += from;
-                state.evidence.shared_values += 1;
+                state.evidence.add_scores(to, from);
                 result.counter.score_updates += 2;
 
                 if state.mode != PairMode::Bounded {
@@ -266,8 +264,8 @@ pub fn index_scan(
                     !config.lazy_bounds || first_observation || n0 >= state.next_min_check;
                 if check_min {
                     let remaining = (l - n0) as f64;
-                    let cmin_to = state.evidence.c_to + remaining * diff_penalty;
-                    let cmin_from = state.evidence.c_from + remaining * diff_penalty;
+                    let cmin_to = state.evidence.c_to() + remaining * diff_penalty;
+                    let cmin_from = state.evidence.c_from() + remaining * diff_penalty;
                     result.counter.bound_computations += 1;
                     if cmin_to >= thresholds.theta_cp || cmin_from >= thresholds.theta_cp {
                         state.concluded = Some(CopyDecision::Copying);
@@ -300,9 +298,10 @@ pub fn index_scan(
                     let h_est = (seen1 * l_f / cov1).max(seen2 * l_f / cov2);
                     let h = h_est.max(n0 as f64).min(l_f);
                     let cmax_to =
-                        state.evidence.c_to + (h - n0 as f64) * diff_penalty + (l_f - h) * m_next;
-                    let cmax_from =
-                        state.evidence.c_from + (h - n0 as f64) * diff_penalty + (l_f - h) * m_next;
+                        state.evidence.c_to() + (h - n0 as f64) * diff_penalty + (l_f - h) * m_next;
+                    let cmax_from = state.evidence.c_from()
+                        + (h - n0 as f64) * diff_penalty
+                        + (l_f - h) * m_next;
                     result.counter.bound_computations += 1;
                     if cmax_to < thresholds.theta_ind && cmax_from < thresholds.theta_ind {
                         state.concluded = Some(CopyDecision::NoCopying);
@@ -353,15 +352,15 @@ pub fn index_scan(
                 state.evidence.add_different_values(different as usize, params);
                 result.counter.pair_finalizations += 1;
                 state.decision_pos = u32::MAX;
-                state.c_dec_to = state.evidence.c_to;
-                state.c_dec_from = state.evidence.c_from;
+                state.c_dec_to = state.evidence.c_to();
+                state.c_dec_from = state.evidence.c_from();
                 if state.mode == PairMode::Bounded && state.evidence.implies_no_copying(&thresholds)
                 {
                     PairOutcome {
                         decision: CopyDecision::NoCopying,
                         posterior: None,
-                        c_to: state.evidence.c_to,
-                        c_from: state.evidence.c_from,
+                        c_to: state.c_dec_to,
+                        c_from: state.c_dec_from,
                     }
                 } else {
                     let posterior = state.evidence.posterior_independence(params);
@@ -369,8 +368,8 @@ pub fn index_scan(
                     PairOutcome {
                         decision: CopyDecision::from_posterior(posterior),
                         posterior: Some(posterior),
-                        c_to: state.evidence.c_to,
-                        c_from: state.evidence.c_from,
+                        c_to: state.c_dec_to,
+                        c_from: state.c_dec_from,
                     }
                 }
             }
@@ -767,8 +766,8 @@ mod tests {
         for (&p, rec) in &records.pairs {
             if rec.decision == CopyDecision::Copying && rec.decided_by_bounds {
                 let exact = ctx.score_pair(p.first(), p.second());
-                assert!(rec.c_hat_to <= exact.c_to + 1e-9, "Ĉ→ exceeds exact C→ for {p}");
-                assert!(rec.c_hat_from <= exact.c_from + 1e-9);
+                assert!(rec.c_hat_to <= exact.c_to() + 1e-9, "Ĉ→ exceeds exact C→ for {p}");
+                assert!(rec.c_hat_from <= exact.c_from() + 1e-9);
                 // Ĉ is at least Cmin at decision (the lift removes a
                 // negative penalty).
                 assert!(rec.shared_before_decision + rec.shared_after_decision <= rec.shared_items);

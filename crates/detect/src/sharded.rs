@@ -1,47 +1,43 @@
-//! Cross-shard detection: per-shard overlap evidence and the merge that
-//! turns it into global pairwise decisions.
+//! Cross-shard detection: per-shard pair partials and the merge that turns
+//! them into global pairwise decisions.
 //!
 //! `copydet-serve` hash-partitions **data items** across shards, each an
 //! independent claim store with its own dense id space. Because the shards
 //! are item-disjoint, a pair of sources' evidence decomposes exactly: every
-//! shared item lives in precisely one shard, so the global pairwise scores
-//! of Eq. 2 are the fold of the per-shard shared-item observations — no
-//! cross-shard interaction terms exist.
+//! shared item lives in precisely one shard, so the global scores of Eq. 2
+//! are the sums of per-shard sums — no cross-shard interaction terms exist.
 //!
-//! The merge is **bit-identical** to a single-store PAIRWISE run, not just
-//! approximately equal, because floating-point accumulation is
-//! order-sensitive and the fold is careful about order:
+//! Each shard scores its own pairs ([`collect_shard_partials_for`]): for
+//! every pair its counts say shares an item in the shard, it walks the
+//! pair's shared claims, scores each item (Eq. 6 / Eq. 8) and returns one
+//! [`PairEvidence`] partial, keyed — and oriented — by the **global** pair.
+//! [`PairEvidence`] sums are exact fixed-point integers, so adding the
+//! partials in any order ([`merge_shard_partials`]) gives the bits one pass
+//! of `ScoringContext::score_pair` over a single store gives. The merge is
+//! **bit-identical** to `pairwise_detection` without replaying any item
+//! order.
 //!
-//! 1. each shard reports *observations* (shared item + the value-agreement
-//!    probability), not partial score sums, with ids already translated to
-//!    the global id space via a [`ShardIdMap`]; a shard's per-pair
-//!    observation list is already **sorted by global item id** (a shard's
-//!    local item order is the global order restricted to it);
-//! 2. [`merge_shard_rounds_parallel`] stream-folds each pair's sorted
-//!    per-shard runs in ascending global item id — exactly the order in
-//!    which `ScoringContext::score_pair` walks a single store's claim
-//!    lists — without ever concatenating and re-sorting them.
+//! Source pairs are independent of each other, so the merge partitions them
+//! **deterministically** (a stable FNV-1a hash of the global pair ids)
+//! across `parallelism` workers in a [`std::thread::scope`]; each worker
+//! adds its pairs' partials and votes their posteriors. The workers' results
+//! combine through disjoint outcome maps and exact integer counter sums, so
+//! the output is bit-identical at every worker count (property-tested in
+//! `copydet-serve`'s `shard_equivalence` suite).
 //!
-//! Source pairs are independent of each other, so the per-pair folds are
-//! embarrassingly parallel: pairs are partitioned **deterministically** (a
-//! stable FNV-1a hash of the global pair ids) across `parallelism` workers
-//! in a [`std::thread::scope`]. Every worker performs the identical
-//! per-pair float sequence the sequential merge performs, and the partial
-//! results combine through order-insensitive operations only (disjoint
-//! outcome maps, exact integer counter sums) — which is why the parallel
-//! merge is bit-identical to the sequential one for every thread count
-//! (property-tested in `copydet-serve`'s `shard_equivalence` suite).
+//! Pairs whose merged evidence is empty are **pruned** before voting (a
+//! shard scan never emits one, since it only visits pairs that share an
+//! item, but hand-assembled input can carry them).
 //!
-//! Pairs whose merged evidence is empty are **pruned** before a
-//! [`PairEvidence`] is materialized (they cannot arise from
-//! [`collect_shard_evidence`], which only visits pairs the shard counts say
-//! share an item, but hand-assembled evidence can carry them).
-//!
-//! The remaining input, the per-value truth probability, is order-sensitive
-//! too (the vote normalizes over an item's value groups in sequence); shard
+//! One order still matters: the per-value truth probability comes from a
+//! vote that normalizes over an item's value groups in sequence. Shard
 //! drivers obtain bit-identical probabilities by voting each item's groups
-//! in global value-id order via
-//! `copydet_fusion::vote_group_probabilities` — see `copydet-serve`.
+//! in global value-id order via `copydet_fusion::vote_group_probabilities`
+//! — see `copydet-serve`.
+//!
+//! [`collect_shard_evidence`] and [`merge_shard_rounds_parallel`] keep the
+//! older observation-shipping shape — one [`SharedItemObservation`] per
+//! shared item — for benchmark replays. The serving path uses neither.
 
 use crate::api::RoundInput;
 use crate::error::DetectError;
@@ -70,6 +66,86 @@ pub struct ShardIdMap {
     pub items: Vec<ItemId>,
 }
 
+impl ShardIdMap {
+    fn source(&self, local: SourceId) -> Result<SourceId, DetectError> {
+        self.sources.get(local.index()).copied().ok_or(DetectError::ShardIdMapMismatch {
+            kind: "source",
+            local: local.index(),
+            mapped: self.sources.len(),
+        })
+    }
+
+    fn item(&self, local: ItemId) -> Result<ItemId, DetectError> {
+        self.items.get(local.index()).copied().ok_or(DetectError::ShardIdMapMismatch {
+            kind: "item",
+            local: local.index(),
+            mapped: self.items.len(),
+        })
+    }
+
+    /// The global pair of a local pair, and whether the global order of the
+    /// two sources is the reverse of their local order.
+    fn pair(&self, local: SourcePair) -> Result<(SourcePair, bool), DetectError> {
+        let (first, second) = (self.source(local.first())?, self.source(local.second())?);
+        Ok((SourcePair::new(first, second), first > second))
+    }
+}
+
+/// One shard's part of the evidence of every pair it scanned: `(global
+/// pair, partial)`, each partial oriented by the global pair (`C→` is "the
+/// pair's first source copies from its second").
+pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
+
+/// Scores one shard's pairs: for every pair that shares an item in this
+/// shard and — when `target` is set — contains `target`, the pair's partial
+/// evidence over the shard's items.
+///
+/// Candidate pairs come from the shard's incrementally-maintained
+/// [`SharedItemCounts`], so the scan is `O(Σ pair overlaps)` claim-walk
+/// work. Each pair is scored by `ScoringContext::score_pair` over
+/// [`Dataset::shared_claims`](copydet_model::Dataset::shared_claims), with
+/// `input`'s shard-local accuracies and probabilities. The partial is then
+/// oriented by the **global** pair: when the global ids order the two
+/// sources the other way round, `C→` and `C←` are swapped. A filtered-out
+/// pair is skipped before its claims are walked; a kept pair gets exactly
+/// the partial the unfiltered scan gives it.
+///
+/// # Errors
+/// [`DetectError::ShardEvidenceMismatch`] if `counts` disagrees with the
+/// snapshot in `input` (a listed pair must share exactly the counted number
+/// of items). The two are only consistent when captured together under one
+/// store lock; on the serving path a mismatch is a recoverable request
+/// failure, not a dead round thread. [`DetectError::ShardIdMapMismatch`] if
+/// `map` does not cover a source of `counts`.
+pub fn collect_shard_partials_for(
+    input: &RoundInput<'_>,
+    counts: &SharedItemCounts,
+    map: &ShardIdMap,
+    target: Option<SourceId>,
+) -> Result<ShardPartials, DetectError> {
+    let scoring = input.scoring_context();
+    let mut partials = Vec::new();
+    for (local, count) in counts.iter_nonzero() {
+        let (global, reversed) = map.pair(local)?;
+        if target.is_some_and(|t| !global.contains(t)) {
+            continue;
+        }
+        let evidence = scoring.score_pair(local.first(), local.second());
+        check_count(global, count, evidence.shared_items())?;
+        partials.push((global, if reversed { evidence.swapped() } else { evidence }));
+    }
+    Ok(partials)
+}
+
+fn check_count(pair: SourcePair, counted: u32, observed: usize) -> Result<(), DetectError> {
+    let counted = u32_to_usize(counted);
+    if observed == counted {
+        Ok(())
+    } else {
+        Err(DetectError::ShardEvidenceMismatch { pair, counted, observed })
+    }
+}
+
 /// One shared data item observed for a pair of sources, in global ids.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedItemObservation {
@@ -81,9 +157,11 @@ pub struct SharedItemObservation {
     pub same_value_probability: Option<f64>,
 }
 
-/// The overlap evidence one shard contributes to a detection round: for
-/// every pair of sources that shares at least one item *within the shard*,
-/// the per-item observations, keyed by the **global** source pair.
+/// The overlap evidence one shard contributes to a detection round, as
+/// observations: for every pair of sources that shares at least one item
+/// *within the shard*, the per-item observations, keyed by the **global**
+/// source pair. Benchmark replays use this shape; the serving path ships
+/// [`ShardPartials`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct ShardRoundEvidence {
     /// Per-pair shared-item observations (ascending global item id, since a
@@ -98,71 +176,30 @@ impl ShardRoundEvidence {
     }
 }
 
-/// Collects one shard's overlap evidence for a detection round.
-///
-/// Candidate pairs come from the shard's incrementally-maintained
-/// [`SharedItemCounts`] — only pairs that actually share an item in this
-/// shard are visited, so the scan is `O(Σ pair overlaps)`, not
-/// `O(|S_shard|²)`. For each candidate pair every shared item
-/// ([`Dataset::shared_claims`](copydet_model::Dataset::shared_claims), the
-/// walk `ScoringContext::score_pair` folds over too) becomes a [`SharedItemObservation`] carrying the truth probability of the
-/// agreed value, translated to global ids via `map`.
+/// Collects one shard's overlap evidence as observations: the pairs
+/// [`collect_shard_partials_for`] visits, with each shared item left
+/// unscored as a [`SharedItemObservation`] carrying the truth probability of
+/// the agreed value, translated to global ids via `map`.
 ///
 /// # Errors
-/// [`DetectError::ShardEvidenceMismatch`] if `counts` disagrees with the
-/// snapshot in `input` (a listed pair must share exactly the counted number
-/// of items). The two are only consistent when captured together under one
-/// store lock; on the serving path a mismatch is a recoverable request
-/// failure, not a dead round thread.
-///
-/// # Panics
-/// Panics if `map` does not cover the snapshot's ids.
+/// As [`collect_shard_partials_for`]; [`DetectError::ShardIdMapMismatch`]
+/// also if `map` does not cover a shared item.
 pub fn collect_shard_evidence(
     input: &RoundInput<'_>,
     counts: &SharedItemCounts,
     map: &ShardIdMap,
 ) -> Result<ShardRoundEvidence, DetectError> {
-    collect_shard_evidence_for(input, counts, map, None)
-}
-
-/// [`collect_shard_evidence`] restricted to the global pairs that contain
-/// `target` (`None` = every pair). A filtered-out pair is skipped before its
-/// claim lists are walked; every kept pair gets exactly the observations the
-/// unfiltered scan gives it, so merging filtered evidence reproduces the
-/// full round's outcomes for those pairs bit for bit.
-///
-/// # Errors
-/// As [`collect_shard_evidence`], for the kept pairs.
-///
-/// # Panics
-/// Panics if `map` does not cover the snapshot's ids.
-pub fn collect_shard_evidence_for(
-    input: &RoundInput<'_>,
-    counts: &SharedItemCounts,
-    map: &ShardIdMap,
-    target: Option<SourceId>,
-) -> Result<ShardRoundEvidence, DetectError> {
     let mut evidence = ShardRoundEvidence::default();
-    for (pair, count) in counts.iter_nonzero() {
-        let (l1, l2) = (pair.first(), pair.second());
-        let global = SourcePair::new(map.sources[l1.index()], map.sources[l2.index()]);
-        if target.is_some_and(|t| !global.contains(t)) {
-            continue;
-        }
+    for (local, count) in counts.iter_nonzero() {
+        let (global, _) = map.pair(local)?;
         let mut observations = Vec::with_capacity(u32_to_usize(count));
-        for (d, v1, v2) in input.dataset.shared_claims(l1, l2) {
+        for (d, v1, v2) in input.dataset.shared_claims(local.first(), local.second()) {
             observations.push(SharedItemObservation {
-                item: map.items[d.index()],
+                item: map.item(d)?,
                 same_value_probability: (v1 == v2).then(|| input.probabilities.get(d, v1)),
             });
         }
-        if observations.len() != u32_to_usize(count) {
-            return Err(DetectError::ShardEvidenceMismatch {
-                pair: global,
-                counted: u32_to_usize(count),
-                observed: observations.len(),
-            });
-        }
+        check_count(global, count, observations.len())?;
         evidence.pairs.insert(global, observations);
     }
     Ok(evidence)
@@ -170,30 +207,26 @@ pub fn collect_shard_evidence_for(
 
 /// Wall-time decomposition of one cross-shard merge.
 ///
-/// The three phase durations partition the merge's own work: partitioning
-/// per-shard evidence runs into per-pair (and, when parallel, per-worker)
-/// buckets (`collect`), the per-pair stream-fold of sorted observation runs
-/// into a [`PairEvidence`] (`fold`), and the per-pair posterior plus
-/// decision (`vote`). With more than one merge worker, `fold_nanos` and
-/// `vote_nanos` are **summed across workers** (CPU time, not wall time);
-/// the per-worker wall times live in the [`MergeWorkerReport`]s. The
-/// fold/vote split is measured with one extra clock read per pair, so for
-/// very small pairs the split is clock-granularity coarse even though the
-/// sum stays accurate.
+/// The three phase durations partition the merge's own work: moving
+/// per-shard partials into per-worker buckets (`collect`), adding each
+/// pair's partials into one [`PairEvidence`] (`fold`), and the per-pair
+/// posterior plus decision (`vote`). With more than one merge worker,
+/// `fold_nanos` and `vote_nanos` are **summed across workers** (CPU time,
+/// not wall time); the per-worker wall times live in the
+/// [`MergeWorkerReport`]s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeTimings {
-    /// Nanoseconds spent partitioning shard evidence into per-pair buckets.
+    /// Nanoseconds spent moving shard partials into per-worker buckets.
     pub collect_nanos: u64,
-    /// Nanoseconds spent stream-folding observation runs, summed across all
-    /// pairs and workers.
+    /// Nanoseconds spent adding partials, summed across all workers.
     pub fold_nanos: u64,
     /// Nanoseconds spent on posteriors and decisions, summed across all
-    /// pairs and workers.
+    /// workers.
     pub vote_nanos: u64,
     /// Number of source pairs the merge materialized.
     pub pairs: u64,
     /// Number of source pairs skipped because their merged evidence was
-    /// empty (no [`PairEvidence`] was materialized for them).
+    /// empty (no outcome was materialized for them).
     pub pruned_pairs: u64,
 }
 
@@ -212,7 +245,7 @@ pub struct MergeWorkerReport {
     pub pairs: u64,
     /// Source pairs this worker pruned (empty merged evidence).
     pub pruned_pairs: u64,
-    /// Nanoseconds this worker spent stream-folding observation runs.
+    /// Nanoseconds this worker spent adding partials.
     pub fold_nanos: u64,
     /// Nanoseconds this worker spent on posteriors and decisions.
     pub vote_nanos: u64,
@@ -241,101 +274,6 @@ fn pair_partition(pair: SourcePair, workers: usize) -> usize {
     usize::try_from(hash % usize_to_u64(workers)).unwrap_or(0)
 }
 
-/// The sorted per-shard observation runs of one pair, in shard order.
-type PairRuns = Vec<Vec<SharedItemObservation>>;
-
-/// Folds one observation into the pair's evidence.
-#[inline]
-fn fold_observation(
-    evidence: &mut PairEvidence,
-    observation: &SharedItemObservation,
-    a_first: f64,
-    a_second: f64,
-    params: &CopyParams,
-) {
-    match observation.same_value_probability {
-        Some(p) => evidence.add_same_value(p, a_first, a_second, params),
-        None => evidence.add_different_value(params),
-    }
-}
-
-/// Merges two item-sorted runs into one (shards are item-disjoint, so no
-/// key ever ties).
-fn merge_two_runs(
-    a: Vec<SharedItemObservation>,
-    b: Vec<SharedItemObservation>,
-) -> Vec<SharedItemObservation> {
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        debug_assert!(a[i].item != b[j].item, "shards must be item-disjoint");
-        if a[i].item < b[j].item {
-            merged.push(a[i]);
-            i += 1;
-        } else {
-            merged.push(b[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&a[i..]);
-    merged.extend_from_slice(&b[j..]);
-    merged
-}
-
-/// Stream-folds a pair's sorted runs in ascending global item id without
-/// concatenating and re-sorting them: more than two runs are first reduced
-/// pairwise (the merged sequence is the unique sorted order, so the
-/// reduction strategy cannot change the fold order), then the final one or
-/// two runs fold directly.
-fn fold_pair_runs(
-    mut runs: PairRuns,
-    a_first: f64,
-    a_second: f64,
-    params: &CopyParams,
-) -> PairEvidence {
-    while runs.len() > 2 {
-        let mut reduced = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut iter = runs.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => reduced.push(merge_two_runs(a, b)),
-                None => reduced.push(a),
-            }
-        }
-        runs = reduced;
-    }
-    let mut evidence = PairEvidence::empty();
-    match runs.len() {
-        0 => {}
-        1 => {
-            for observation in &runs[0] {
-                fold_observation(&mut evidence, observation, a_first, a_second, params);
-            }
-        }
-        _ => {
-            let (a, b) = (&runs[0], &runs[1]);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                debug_assert!(a[i].item != b[j].item, "shards must be item-disjoint");
-                if a[i].item < b[j].item {
-                    fold_observation(&mut evidence, &a[i], a_first, a_second, params);
-                    i += 1;
-                } else {
-                    fold_observation(&mut evidence, &b[j], a_first, a_second, params);
-                    j += 1;
-                }
-            }
-            for observation in &a[i..] {
-                fold_observation(&mut evidence, observation, a_first, a_second, params);
-            }
-            for observation in &b[j..] {
-                fold_observation(&mut evidence, observation, a_first, a_second, params);
-            }
-        }
-    }
-    evidence
-}
-
 /// One worker's partial merge result: per-pair outcomes plus exact counter
 /// contributions, combined by the caller through order-insensitive
 /// operations only (disjoint map union, integer sums).
@@ -350,66 +288,66 @@ struct MergePartial {
     wall_nanos: u64,
 }
 
-/// Folds every pair of one worker's bucket. The identical per-pair float
-/// sequence as the sequential merge; only the set of pairs differs.
-fn fold_bucket(
-    bucket: HashMap<SourcePair, PairRuns>,
-    accuracies: &SourceAccuracies,
-    params: &CopyParams,
-) -> MergePartial {
-    let wall_start = Instant::now();
-    let mut partial =
-        MergePartial { outcomes: Vec::with_capacity(bucket.len()), ..Default::default() };
-    for (pair, runs) in bucket {
-        if runs.is_empty() {
-            // Every run was empty: prune before materializing evidence.
+/// Adds the partials of one worker's bucket per pair and votes every pair.
+/// Sorting by pair makes each pair's partials adjacent, so they are added in
+/// place: the fold allocates nothing.
+fn merge_bucket(mut bucket: ShardPartials, params: &CopyParams) -> MergePartial {
+    let fold_start = Instant::now();
+    bucket.sort_unstable_by_key(|(pair, _)| *pair);
+    bucket.dedup_by(|(pair, evidence), (kept_pair, kept)| {
+        let same = pair == kept_pair;
+        if same {
+            kept.merge(evidence);
+        }
+        same
+    });
+    let vote_start = Instant::now();
+    let mut partial = MergePartial {
+        outcomes: Vec::with_capacity(bucket.len()),
+        fold_nanos: nanos_of(vote_start - fold_start),
+        ..Default::default()
+    };
+    for (pair, evidence) in bucket {
+        if evidence.shared_items() == 0 {
             partial.pruned_pairs += 1;
             continue;
         }
-        let fold_start = Instant::now();
-        let a_first = accuracies.get(pair.first());
-        let a_second = accuracies.get(pair.second());
-        let evidence = fold_pair_runs(runs, a_first, a_second, params);
         partial.score_updates += 2 * usize_to_u64(evidence.shared_items());
         partial.shared_values += usize_to_u64(evidence.shared_values);
-        let vote_start = Instant::now();
-        partial.fold_nanos = partial.fold_nanos.saturating_add(nanos_of(vote_start - fold_start));
         let posterior = evidence.posterior_independence(params);
         partial.outcomes.push((
             pair,
             PairOutcome {
                 decision: CopyDecision::from_posterior(posterior),
                 posterior: Some(posterior),
-                c_to: evidence.c_to,
-                c_from: evidence.c_from,
+                c_to: evidence.c_to(),
+                c_from: evidence.c_from(),
             },
         ));
-        partial.vote_nanos = partial.vote_nanos.saturating_add(nanos_of(vote_start.elapsed()));
     }
-    partial.wall_nanos = nanos_of(wall_start.elapsed());
+    partial.vote_nanos = nanos_of(vote_start.elapsed());
+    partial.wall_nanos = nanos_of(fold_start.elapsed());
     partial
 }
 
 /// The cross-shard merge, fanned out across `parallelism` workers.
 ///
 /// Pairs are partitioned deterministically by a stable hash of the global
-/// pair ids ([`pair_partition`]); each worker stream-folds its pairs' sorted
-/// per-shard runs in ascending global item id and votes their posteriors.
-/// The partial results combine through disjoint map union and exact integer
+/// pair ids ([`pair_partition`]); each worker adds its pairs' per-shard
+/// partials ([`PairEvidence::merge`], exact) and votes their posteriors.
+/// The workers' results combine through disjoint map union and exact integer
 /// sums, so the returned [`DetectionResult`] is **bit-identical** for every
-/// `parallelism` (including 1, the sequential merge) — parallelism changes
-/// wall time, never a single bit of the output. `accuracies` are the
-/// **global** source accuracies; the computation counters use the same
-/// accounting as PAIRWISE (two directional score updates per shared item,
-/// one posterior per materialized pair).
+/// `parallelism` (including 1, the sequential merge) and every shard order.
+/// The computation counters use the same accounting as PAIRWISE (two
+/// directional score updates per shared item, one posterior per
+/// materialized pair).
 ///
 /// `parallelism` is clamped to `1..=64`; empty partitions are skipped
 /// without spawning a thread, and `parallelism == 1` runs inline. The
 /// returned [`MergeWorkerReport`]s (one per partition, in partition order)
 /// feed the round trace's per-worker merge spans.
-pub fn merge_shard_rounds_parallel(
-    rounds: Vec<ShardRoundEvidence>,
-    accuracies: &SourceAccuracies,
+pub fn merge_shard_partials(
+    shards: Vec<ShardPartials>,
     params: CopyParams,
     parallelism: usize,
 ) -> (DetectionResult, MergeTimings, Vec<MergeWorkerReport>) {
@@ -418,21 +356,19 @@ pub fn merge_shard_rounds_parallel(
     let mut result = DetectionResult::new("SHARDED");
     let mut timings = MergeTimings::default();
 
-    // Collect: move every per-shard run (a handle, not its observations)
-    // into its pair's bucket. Empty runs are dropped here — but the pair
-    // entry is still created, so a pair whose evidence is empty in *every*
-    // shard is visible to the fold phase as a prunable entry.
-    let mut buckets: Vec<HashMap<SourcePair, PairRuns>> = Vec::new();
-    buckets.resize_with(workers, HashMap::new);
-    for round in rounds {
-        for (pair, observations) in round.pairs {
-            let bucket = match buckets.get_mut(pair_partition(pair, workers)) {
-                Some(bucket) => bucket,
-                None => continue, // unreachable: the partition is < workers
-            };
-            let runs = bucket.entry(pair).or_default();
-            if !observations.is_empty() {
-                runs.push(observations);
+    // Collect: move every partial into its pair's worker bucket, each sized
+    // exactly by a first counting pass.
+    let mut sizes = vec![0usize; workers];
+    for (pair, _) in shards.iter().flatten() {
+        if let Some(size) = sizes.get_mut(pair_partition(*pair, workers)) {
+            *size += 1;
+        }
+    }
+    let mut buckets: Vec<ShardPartials> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for partials in shards {
+        for (pair, evidence) in partials {
+            if let Some(bucket) = buckets.get_mut(pair_partition(pair, workers)) {
+                bucket.push((pair, evidence));
             }
         }
     }
@@ -443,7 +379,7 @@ pub fn merge_shard_rounds_parallel(
     partials.resize_with(workers, MergePartial::default);
     if workers == 1 {
         if let (Some(slot), Some(bucket)) = (partials.get_mut(0), buckets.pop()) {
-            *slot = fold_bucket(bucket, accuracies, &params);
+            *slot = merge_bucket(bucket, &params);
         }
     } else {
         std::thread::scope(|scope| {
@@ -451,9 +387,7 @@ pub fn merge_shard_rounds_parallel(
                 .into_iter()
                 .enumerate()
                 .filter(|(_, bucket)| !bucket.is_empty())
-                .map(|(index, bucket)| {
-                    (index, scope.spawn(move || fold_bucket(bucket, accuracies, &params)))
-                })
+                .map(|(index, bucket)| (index, scope.spawn(move || merge_bucket(bucket, &params))))
                 .collect();
             for (index, handle) in handles {
                 if let (Ok(partial), Some(slot)) = (handle.join(), partials.get_mut(index)) {
@@ -486,6 +420,50 @@ pub fn merge_shard_rounds_parallel(
     (result, timings, reports)
 }
 
+/// Replay-only adapter for the observation shape of
+/// [`collect_shard_evidence`]: scores each shard's observations of a pair
+/// into one partial with the **global** `accuracies`, then runs
+/// [`merge_shard_partials`]. Exact sums make the result the serving merge's,
+/// bit for bit. The scoring time is added to
+/// [`MergeTimings::fold_nanos`]. The serving path does not call this.
+pub fn merge_shard_rounds_parallel(
+    rounds: Vec<ShardRoundEvidence>,
+    accuracies: &SourceAccuracies,
+    params: CopyParams,
+    parallelism: usize,
+) -> (DetectionResult, MergeTimings, Vec<MergeWorkerReport>) {
+    let start = Instant::now();
+    let shards: Vec<ShardPartials> = rounds
+        .into_iter()
+        .map(|round| {
+            round
+                .pairs
+                .into_iter()
+                .map(|(pair, observations)| {
+                    let mut evidence = PairEvidence::empty();
+                    for observation in &observations {
+                        match observation.same_value_probability {
+                            Some(p) => evidence.add_same_value(
+                                p,
+                                accuracies.get(pair.first()),
+                                accuracies.get(pair.second()),
+                                &params,
+                            ),
+                            None => evidence.add_different_value(&params),
+                        }
+                    }
+                    (pair, evidence)
+                })
+                .collect()
+        })
+        .collect();
+    let scoring_nanos = nanos_of(start.elapsed());
+    let (mut result, mut timings, reports) = merge_shard_partials(shards, params, parallelism);
+    timings.fold_nanos = timings.fold_nanos.saturating_add(scoring_nanos);
+    result.detection_time = start.elapsed();
+    (result, timings, reports)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,56 +491,145 @@ mod tests {
         b.build()
     }
 
-    /// Splitting the items of a dataset into shards (each rebuilt from its
-    /// own claim subsequence, with shard-local ids) and merging reproduces
-    /// the PAIRWISE baseline bit for bit.
-    #[test]
-    fn two_item_shards_merge_to_the_pairwise_baseline() {
-        let global = dataset(CLAIMS);
-        let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
-        let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
-        let baseline =
-            pairwise_detection(&RoundInput::new(&global, &accuracies, &probabilities, params));
+    /// One shard of `CLAIMS`: the items of the given id parity, rebuilt with
+    /// shard-local ids — in reverse source order when `reverse_sources` —
+    /// plus its id map and the global `accuracies` carried to local ids.
+    struct Shard {
+        dataset: Dataset,
+        map: ShardIdMap,
+        accuracies: SourceAccuracies,
+        probabilities: ValueProbabilities,
+    }
 
-        // Partition items by parity of their id.
-        let mut rounds = Vec::new();
-        for parity in 0..2u32 {
-            let shard_claims: Vec<_> = CLAIMS
-                .iter()
-                .filter(|(_, d, _)| global.item_by_name(d).unwrap().raw() % 2 == parity)
-                .copied()
-                .collect();
-            let shard = dataset(&shard_claims);
-            let map = ShardIdMap {
-                sources: shard
-                    .sources()
-                    .map(|s| global.source_by_name(shard.source_name(s)).unwrap())
-                    .collect(),
-                items: shard
-                    .items()
-                    .map(|d| global.item_by_name(shard.item_name(d)).unwrap())
-                    .collect(),
-            };
-            // Shard-local probabilities: look the uniform default up through
-            // the global table so the values agree bitwise.
-            let shard_probs = ValueProbabilities::uniform_over_dataset(&shard, 0.4).unwrap();
-            let shard_accs = SourceAccuracies::uniform(shard.num_sources(), 0.8).unwrap();
-            let counts = SharedItemCounts::build(&shard);
-            let input = RoundInput::new(&shard, &shard_accs, &shard_probs, params);
-            rounds.push(collect_shard_evidence(&input, &counts, &map).expect("consistent counts"));
+    fn shard(
+        global: &Dataset,
+        accuracies: &SourceAccuracies,
+        parity: u32,
+        reverse_sources: bool,
+    ) -> Shard {
+        let mut claims: Vec<_> = CLAIMS
+            .iter()
+            .filter(|(_, d, _)| global.item_by_name(d).unwrap().raw() % 2 == parity)
+            .copied()
+            .collect();
+        if reverse_sources {
+            // Local ids follow first appearance: highest global source first.
+            claims.sort_by_key(|(s, _, _)| std::cmp::Reverse(global.source_by_name(s).unwrap()));
+        }
+        let dataset = dataset(&claims);
+        let map = ShardIdMap {
+            sources: dataset
+                .sources()
+                .map(|s| global.source_by_name(dataset.source_name(s)).unwrap())
+                .collect(),
+            items: dataset
+                .items()
+                .map(|d| global.item_by_name(dataset.item_name(d)).unwrap())
+                .collect(),
+        };
+        let local_accuracies =
+            SourceAccuracies::from_vec(map.sources.iter().map(|&g| accuracies.get(g)).collect())
+                .unwrap();
+        // The uniform default agrees bitwise with the global table's.
+        let probabilities = ValueProbabilities::uniform_over_dataset(&dataset, 0.4).unwrap();
+        Shard { dataset, map, accuracies: local_accuracies, probabilities }
+    }
+
+    impl Shard {
+        fn input(&self) -> RoundInput<'_> {
+            RoundInput::new(
+                &self.dataset,
+                &self.accuracies,
+                &self.probabilities,
+                CopyParams::paper_defaults(),
+            )
         }
 
-        let (merged, _, _) = merge_shard_rounds_parallel(rounds, &accuracies, params, 1);
+        fn partials(&self) -> ShardPartials {
+            let counts = SharedItemCounts::build(&self.dataset);
+            collect_shard_partials_for(&self.input(), &counts, &self.map, None)
+                .expect("consistent counts")
+        }
+
+        fn observations(&self) -> ShardRoundEvidence {
+            let counts = SharedItemCounts::build(&self.dataset);
+            collect_shard_evidence(&self.input(), &counts, &self.map).expect("consistent counts")
+        }
+    }
+
+    fn baseline(global: &Dataset, accuracies: &SourceAccuracies) -> DetectionResult {
+        let probabilities = ValueProbabilities::uniform_over_dataset(global, 0.4).unwrap();
+        let params = CopyParams::paper_defaults();
+        pairwise_detection(&RoundInput::new(global, accuracies, &probabilities, params))
+    }
+
+    fn assert_bit_identical(merged: &DetectionResult, baseline: &DetectionResult) {
         assert_eq!(merged.algorithm, "SHARDED");
         assert_eq!(merged.outcomes.len(), baseline.outcomes.len());
         for (pair, expected) in &baseline.outcomes {
             let got = merged.outcomes.get(pair).expect("pair must be materialized");
             assert_eq!(got, expected, "pair {pair} diverged from PAIRWISE");
+            assert_eq!(got.c_to.to_bits(), expected.c_to.to_bits());
+            assert_eq!(got.c_from.to_bits(), expected.c_from.to_bits());
         }
         assert_eq!(merged.counter.score_updates, baseline.counter.score_updates);
         assert_eq!(merged.counter.pair_finalizations, baseline.counter.pair_finalizations);
         assert_eq!(merged.shared_values_examined, baseline.shared_values_examined);
+    }
+
+    /// Splitting the items of a dataset into shards (each rebuilt from its
+    /// own claim subsequence, with shard-local ids) and merging reproduces
+    /// the PAIRWISE baseline bit for bit — through partials and through the
+    /// observation adapter alike, in either shard order.
+    #[test]
+    fn two_item_shards_merge_to_the_pairwise_baseline() {
+        let global = dataset(CLAIMS);
+        let params = CopyParams::paper_defaults();
+        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
+        let expected = baseline(&global, &accuracies);
+        let shards: Vec<Shard> =
+            (0..2).map(|parity| shard(&global, &accuracies, parity, false)).collect();
+
+        let partials: Vec<ShardPartials> = shards.iter().map(Shard::partials).collect();
+        let (merged, _, _) = merge_shard_partials(partials.clone(), params, 1);
+        assert_bit_identical(&merged, &expected);
+        let reversed: Vec<ShardPartials> = partials.into_iter().rev().collect();
+        let (merged, _, _) = merge_shard_partials(reversed, params, 1);
+        assert_bit_identical(&merged, &expected);
+
+        let rounds = shards.iter().map(Shard::observations).collect();
+        let (merged, _, _) = merge_shard_rounds_parallel(rounds, &accuracies, params, 1);
+        assert_bit_identical(&merged, &expected);
+    }
+
+    /// A shard whose local source order is the reverse of the global one,
+    /// with non-uniform accuracies (so `C→ ≠ C←`): its partials must be
+    /// re-oriented by the global pair. Without the swap in
+    /// [`collect_shard_partials_for`] the merged scores come out mirrored.
+    #[test]
+    fn reversed_shard_partials_are_oriented_by_the_global_pair() {
+        let global = dataset(CLAIMS);
+        let params = CopyParams::paper_defaults();
+        let accuracies = SourceAccuracies::from_vec(vec![0.9, 0.3, 0.6]).unwrap();
+        let expected = baseline(&global, &accuracies);
+        assert!(
+            expected.outcomes.values().any(|o| o.c_to != o.c_from),
+            "the fixture must tell the two directions apart"
+        );
+        let reversed = shard(&global, &accuracies, 0, true);
+        assert_eq!(
+            reversed.map.sources,
+            vec![SourceId::new(2), SourceId::new(1), SourceId::new(0)]
+        );
+        let natural = shard(&global, &accuracies, 1, false);
+        for workers in [1usize, 3] {
+            let (merged, _, _) = merge_shard_partials(
+                vec![reversed.partials(), natural.partials()],
+                params,
+                workers,
+            );
+            assert_bit_identical(&merged, &expected);
+        }
     }
 
     /// A single shard covering everything degenerates to PAIRWISE exactly.
@@ -577,8 +644,9 @@ mod tests {
         let map =
             ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
         let counts = SharedItemCounts::build(&global);
-        let evidence = collect_shard_evidence(&input, &counts, &map).expect("consistent counts");
-        let (merged, _, _) = merge_shard_rounds_parallel(vec![evidence], &accuracies, params, 1);
+        let partials =
+            collect_shard_partials_for(&input, &counts, &map, None).expect("consistent counts");
+        let (merged, _, _) = merge_shard_partials(vec![partials], params, 1);
         assert_eq!(merged.outcomes, baseline.outcomes);
     }
 
@@ -589,18 +657,14 @@ mod tests {
         let global = dataset(CLAIMS);
         let params = CopyParams::paper_defaults();
         let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
-        let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
-        let input = RoundInput::new(&global, &accuracies, &probabilities, params);
-        let map =
-            ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
-        let counts = SharedItemCounts::build(&global);
-        let evidence = collect_shard_evidence(&input, &counts, &map).expect("consistent counts");
-        let (sequential, seq_timings, _) =
-            merge_shard_rounds_parallel(vec![evidence.clone()], &accuracies, params, 1);
+        let shards: Vec<ShardPartials> = (0..2)
+            .map(|parity| shard(&global, &accuracies, parity, parity == 0).partials())
+            .collect();
+        let (sequential, seq_timings, _) = merge_shard_partials(shards.clone(), params, 1);
         assert_eq!(seq_timings.pairs, usize_to_u64(sequential.pairs_considered));
         for workers in [2usize, 3, 8, 0, usize::MAX] {
             let (parallel, timings, reports) =
-                merge_shard_rounds_parallel(vec![evidence.clone()], &accuracies, params, workers);
+                merge_shard_partials(shards.clone(), params, workers);
             assert_eq!(parallel.outcomes, sequential.outcomes, "{workers} workers");
             assert_eq!(parallel.counter.score_updates, sequential.counter.score_updates);
             assert_eq!(parallel.counter.pair_finalizations, sequential.counter.pair_finalizations);
@@ -620,11 +684,9 @@ mod tests {
         let empty_pair = SourcePair::new(SourceId::from_index(0), SourceId::from_index(3));
         let mut round = ShardRoundEvidence::default();
         round.pairs.insert(empty_pair, Vec::new());
-        let mut other = ShardRoundEvidence::default();
-        other.pairs.insert(empty_pair, Vec::new());
         for workers in [1usize, 4] {
             let (result, timings, reports) = merge_shard_rounds_parallel(
-                vec![round.clone(), other.clone()],
+                vec![round.clone(), round.clone()],
                 &accuracies,
                 params,
                 workers,
@@ -654,48 +716,68 @@ mod tests {
         // fewer than the dataset in `input` says.
         let stale = dataset(&CLAIMS[..CLAIMS.len() - 4]);
         let counts = SharedItemCounts::build(&stale);
-        let err = collect_shard_evidence(&input, &counts, &map)
-            .expect_err("racy counts/snapshot capture must surface as a typed error");
-        match err {
-            DetectError::ShardEvidenceMismatch { counted, observed, .. } => {
-                assert_ne!(counted, observed);
+        let errors = [
+            collect_shard_partials_for(&input, &counts, &map, None).map(|_| ()),
+            collect_shard_evidence(&input, &counts, &map).map(|_| ()),
+        ];
+        for err in errors {
+            match err {
+                Err(DetectError::ShardEvidenceMismatch { counted, observed, .. }) => {
+                    assert_ne!(counted, observed);
+                }
+                other => panic!("expected ShardEvidenceMismatch, got {other:?}"),
             }
-            other => panic!("expected ShardEvidenceMismatch, got {other:?}"),
         }
     }
 
-    /// The pair partition is stable (pinned values) and total.
+    /// A map too short for the snapshot's ids is a typed error, not an
+    /// out-of-bounds panic on the scan thread.
+    #[test]
+    fn short_id_map_is_a_typed_error() {
+        let global = dataset(CLAIMS);
+        let params = CopyParams::paper_defaults();
+        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
+        let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
+        let input = RoundInput::new(&global, &accuracies, &probabilities, params);
+        let counts = SharedItemCounts::build(&global);
+        let short_sources = ShardIdMap {
+            sources: global.sources().take(1).collect(),
+            items: global.items().collect(),
+        };
+        let err = collect_shard_partials_for(&input, &counts, &short_sources, None)
+            .expect_err("a short source map must fail the scan");
+        assert_eq!(err, DetectError::ShardIdMapMismatch { kind: "source", local: 1, mapped: 1 });
+        let short_items = ShardIdMap { sources: global.sources().collect(), items: Vec::new() };
+        let err = collect_shard_evidence(&input, &counts, &short_items)
+            .expect_err("a short item map must fail the scan");
+        assert!(matches!(err, DetectError::ShardIdMapMismatch { kind: "item", mapped: 0, .. }));
+        // The partial scan never reads the item map.
+        assert!(collect_shard_partials_for(&input, &counts, &short_items, None).is_ok());
+    }
+
+    /// The pair partition is stable (pinned FNV-1a values) and total.
     #[test]
     fn pair_partition_is_stable_and_total() {
-        let pair = SourcePair::new(SourceId::from_index(0), SourceId::from_index(1));
+        let pair =
+            |a: usize, b: usize| SourcePair::new(SourceId::from_index(a), SourceId::from_index(b));
         for workers in 1..=9 {
-            assert!(pair_partition(pair, workers) < workers);
+            assert!(pair_partition(pair(0, 1), workers) < workers);
         }
-        assert_eq!(pair_partition(pair, 1), 0);
+        assert_eq!(pair_partition(pair(0, 1), 1), 0);
         // Pinned: the partition feeds deterministic per-worker accounting.
-        let other = SourcePair::new(SourceId::from_index(2), SourceId::from_index(5));
-        assert_eq!(pair_partition(pair, 8), pair_partition(pair, 8));
-        let spread: std::collections::HashSet<usize> = (0..64)
-            .map(|i| {
-                pair_partition(
-                    SourcePair::new(SourceId::from_index(i), SourceId::from_index(i + 1)),
-                    8,
-                )
-            })
-            .collect();
+        assert_eq!(pair_partition(pair(0, 1), 8), 4);
+        assert_eq!(pair_partition(pair(0, 1), 3), 2);
+        assert_eq!(pair_partition(pair(2, 5), 8), 2);
+        assert_eq!(pair_partition(pair(7, 11), 64), 9);
+        let spread: std::collections::HashSet<usize> =
+            (0..64).map(|i| pair_partition(pair(i, i + 1), 8)).collect();
         assert!(spread.len() > 1, "the hash spreads pairs over workers");
-        let _ = other;
     }
 
     #[test]
     fn empty_rounds_merge_to_an_empty_result() {
-        let accuracies = SourceAccuracies::uniform(3, 0.8).unwrap();
-        let (merged, _, _) = merge_shard_rounds_parallel(
-            vec![ShardRoundEvidence::default()],
-            &accuracies,
-            CopyParams::paper_defaults(),
-            1,
-        );
+        let (merged, _, _) =
+            merge_shard_partials(vec![Vec::new()], CopyParams::paper_defaults(), 1);
         assert!(merged.outcomes.is_empty());
         assert_eq!(merged.pairs_considered, 0);
     }

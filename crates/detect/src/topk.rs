@@ -2,11 +2,12 @@
 //!
 //! The serving question is narrow — "who are the k most likely copiers of
 //! source X?" — and the serving path answers it as a detection round whose
-//! evidence scan keeps only the pairs containing X
-//! ([`collect_shard_evidence_for`](crate::collect_shard_evidence_for)),
-//! followed by [`rank_topk`]. Each kept pair folds the same observations in
-//! the same order as in the full round, so the answer is **bit-identical**
-//! to the top-k extracted from a full round by construction.
+//! shard scans keep only the pairs containing X
+//! ([`collect_shard_partials_for`](crate::collect_shard_partials_for)),
+//! followed by [`rank_topk`]. Each kept pair gets the same per-shard
+//! partials as in the full round, and the partials add exactly, so the
+//! answer is **bit-identical** to the top-k extracted from a full round by
+//! construction.
 //!
 //! There is no pruning bound: a per-item evidence bound maximised over the
 //! vote probability (≈5.3 at accuracy 0.8, against ≈0.18 for a shared true
@@ -23,7 +24,7 @@ pub struct TopKStats {
     /// Pairs the query's filtered round materialized — every pair of the
     /// full round the query can rank.
     pub candidates: u64,
-    /// Pairs whose exact evidence was folded: always `candidates`.
+    /// Pairs whose exact evidence was merged: always `candidates`.
     pub evaluated: u64,
     /// Pairs ruled out without evaluation: always 0 (kept for the
     /// `DETECT_TOPK` response layout).

@@ -77,6 +77,47 @@ pub fn run(config: &ExperimentConfig) -> Vec<TextTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::bootstrap_probabilities;
+    use copydet_bayes::{SourceAccuracies, ValueProbabilities};
+    use copydet_detect::{index_detection, pairwise_detection, RoundInput};
+
+    /// Every pair INDEX outputs carries PAIRWISE's `C→`/`C←` bits (and so
+    /// its posterior). Exact evidence sums make INDEX's by-contribution
+    /// entry order irrelevant; with `f64` folds the two differed in the last
+    /// bits.
+    fn assert_index_carries_pairwise_bits(name: &str, input: &RoundInput<'_>) {
+        let index = index_detection(input);
+        let pairwise = pairwise_detection(input);
+        assert!(!index.outcomes.is_empty(), "{name}: INDEX output no pair");
+        for (pair, outcome) in &index.outcomes {
+            let expected = pairwise.outcomes.get(pair).unwrap_or_else(|| {
+                panic!("{name}: INDEX pair {pair} shares nothing under PAIRWISE")
+            });
+            assert_eq!(outcome.c_to.to_bits(), expected.c_to.to_bits(), "{name}: C→ of {pair}");
+            assert_eq!(outcome.c_from.to_bits(), expected.c_from.to_bits(), "{name}: C← of {pair}");
+            assert_eq!(
+                outcome.posterior.map(f64::to_bits),
+                expected.posterior.map(f64::to_bits),
+                "{name}: posterior of {pair}"
+            );
+        }
+    }
+
+    #[test]
+    fn index_evidence_is_pairwise_evidence_bit_for_bit() {
+        let params = CopyParams::paper_defaults();
+        let example = copydet_model::motivating_example();
+        let accuracies = SourceAccuracies::from_vec(example.accuracies.clone()).unwrap();
+        let probabilities = ValueProbabilities::from_table(example.probability_table()).unwrap();
+        let input = RoundInput::new(&example.dataset, &accuracies, &probabilities, params);
+        assert_index_carries_pairwise_bits("motivating example", &input);
+        for synth in workloads(&ExperimentConfig::tiny()) {
+            let accuracies = SourceAccuracies::uniform(synth.dataset.num_sources(), 0.8).unwrap();
+            let probabilities = bootstrap_probabilities(&synth, &accuracies, params);
+            let input = RoundInput::new(&synth.dataset, &accuracies, &probabilities, params);
+            assert_index_carries_pairwise_bits(&synth.name, &input);
+        }
+    }
 
     #[test]
     fn figure2_measures_four_algorithms_on_four_datasets() {

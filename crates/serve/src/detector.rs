@@ -1,11 +1,12 @@
-//! Fan-out detection rounds over a [`ShardedStore`] and the cross-shard
-//! merge into global copy decisions.
+//! Fan-out detection rounds over a [`ShardedStore`]: every shard scores its
+//! own pairs into exact evidence partials on its own thread, and the
+//! cross-shard merge adds the partials into global copy decisions.
 
 use crate::shard::{ShardMaps, ShardedStore};
 use copydet_bayes::{SourceAccuracies, ValueProbabilities};
 use copydet_detect::{
-    collect_shard_evidence_for, merge_shard_rounds_parallel, topk, DetectError, DetectionResult,
-    TopKResult,
+    collect_shard_partials_for, merge_shard_partials, topk, DetectError, DetectionResult,
+    ShardPartials, TopKResult,
 };
 use copydet_fusion::{vote_group_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
@@ -53,8 +54,8 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
     COUNTER.get_or_init(|| registry().counter("copydet_serve_topk_pairs_evaluated_total"))
 }
 
-/// Runs copy detection over an item-partitioned store: one evidence scan per
-/// shard, fanned out across threads, then an exact merge.
+/// Runs copy detection over an item-partitioned store: one scoring scan per
+/// shard, fanned out across threads, then an exact merge of pair partials.
 ///
 /// Each round:
 ///
@@ -70,12 +71,14 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    except that the value vote runs with each item's groups ordered by
 ///    **global** value id (see below) — voting locally first and redoing it
 ///    would double the bootstrap cost for a result that gets discarded.
-///    Then the shard's overlap evidence is collected — only pairs the
-///    shard's counts say share an item are visited.
-/// 3. **Merge** — per-shard evidence is folded into global pairwise scores
-///    in global item order and the posterior of Eq. 2 decides
-///    ([`merge_shard_rounds_parallel`]). Pairs are partitioned by a stable
-///    hash across merge workers (see
+///    Then the shard scores its own pairs ([`collect_shard_partials_for`]):
+///    only pairs the shard's counts say share an item are visited, and each
+///    yields one exact [`PairEvidence`](copydet_bayes::PairEvidence)
+///    partial keyed by the global pair. No per-item observation leaves the
+///    scan thread.
+/// 3. **Merge** — each pair's per-shard partials are added and the
+///    posterior of Eq. 2 decides ([`merge_shard_partials`]). Pairs are
+///    partitioned by a stable hash across merge workers (see
 ///    [`with_merge_parallelism`](Self::with_merge_parallelism)); the
 ///    parallel merge is bit-identical to the sequential one at every
 ///    worker count.
@@ -83,12 +86,13 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 /// Shards are item-disjoint, so the merged result is **bit-identical** to
 /// running the exact PAIRWISE baseline on a single store fed the same
 /// stream — not merely equal in decisions, equal in every score and
-/// posterior bit. Two orderings make that work: per-pair observations fold
-/// in global item-id order, and each item's vote normalization sums its
-/// value groups in global value-id order (shard-local interning orders both
-/// differently, and floating-point addition is order-sensitive). The
-/// equivalence proptest in `tests/shard_equivalence.rs` asserts exactly
-/// this against `pairwise_detection`.
+/// posterior bit. Evidence sums are exact integers, so the order in which
+/// shards and items add up does not matter. One order still does: each
+/// item's vote normalization sums its value groups in floating point, so
+/// the groups are voted in global value-id order (shard-local interning
+/// orders them differently). The equivalence proptest in
+/// `tests/shard_equivalence.rs` asserts exactly this against
+/// `pairwise_detection`.
 #[derive(Debug, Default)]
 pub struct ShardedDetector {
     config: LiveConfig,
@@ -182,9 +186,9 @@ impl ShardedDetector {
     /// The query runs the same capture, per-shard scan and merge as
     /// [`detect_round`](Self::detect_round), except that each shard's scan
     /// keeps only the pairs containing `source`
-    /// ([`collect_shard_evidence_for`]); the merged outcomes are then ranked
-    /// by [`topk::rank_topk`]. Every kept pair folds the same observations
-    /// in the same order as in the full round, so the ranked answer is
+    /// ([`collect_shard_partials_for`]); the merged outcomes are then ranked
+    /// by [`topk::rank_topk`]. Every kept pair merges the same partials as
+    /// in the full round, so the ranked answer is
     /// bit-identical to the top-k extracted from a full round (ascending
     /// posterior, ties by ascending pair id). A query does not count in
     /// [`rounds`](Self::rounds).
@@ -293,15 +297,12 @@ impl ShardedDetector {
         let prepare_span = Span::start();
         let maps: Vec<ShardMaps> =
             captures.iter().map(|(snapshot, _)| store.maps_for(snapshot)).collect();
-        // Sized after the maps are built, so every mapped id is covered.
-        let accuracies =
-            SourceAccuracies::uniform(store.num_sources(), self.config.initial_accuracy)?;
         let vote_config = VoteConfig::new(self.config.params);
         let initial_accuracy = self.config.initial_accuracy;
         let params = self.config.params;
         trace.stage("prepare", prepare_span.elapsed_nanos());
         let fanout_span = Span::start();
-        type ScanResult = Result<(copydet_detect::ShardRoundEvidence, u64), DetectError>;
+        type ScanResult = Result<(ShardPartials, u64), DetectError>;
         let scans: Vec<ScanResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = captures
                 .iter()
@@ -331,13 +332,13 @@ impl ShardedDetector {
                             params,
                             delta: None,
                         };
-                        let evidence = collect_shard_evidence_for(
+                        let partials = collect_shard_partials_for(
                             &input.as_round_input(),
                             counts,
                             &map.ids,
                             target,
                         )?;
-                        Ok((evidence, scan_span.elapsed_nanos()))
+                        Ok((partials, scan_span.elapsed_nanos()))
                     })
                 })
                 .collect();
@@ -350,17 +351,16 @@ impl ShardedDetector {
                 .collect()
         });
         trace.stage("fanout", fanout_span.elapsed_nanos());
-        let mut evidence = Vec::with_capacity(scans.len());
+        let mut shards = Vec::with_capacity(scans.len());
         for (i, scan) in scans.into_iter().enumerate() {
-            let (shard_evidence, nanos) = scan?;
-            let observations = usize_to_u64(shard_evidence.num_observations());
-            trace.stage_count(&format!("shard{i}.scan"), nanos, observations);
-            evidence.push(shard_evidence);
+            let (partials, nanos) = scan?;
+            let scored: usize = partials.iter().map(|(_, evidence)| evidence.shared_items()).sum();
+            trace.stage_count(&format!("shard{i}.scan"), nanos, usize_to_u64(scored));
+            shards.push(partials);
         }
         let workers = self.merge_parallelism();
         let merge_span = Span::start();
-        let (result, timings, reports) =
-            merge_shard_rounds_parallel(evidence, &accuracies, params, workers);
+        let (result, timings, reports) = merge_shard_partials(shards, params, workers);
         let merge_nanos = merge_span.elapsed_nanos();
         // Wall intervals only: `timings.fold_nanos` / `vote_nanos` are summed
         // over merge workers (CPU time) and would overrun the round.

@@ -148,7 +148,7 @@ pub struct ShardMaps {
 /// stable FNV-1a hash of the item name), so shards are item-disjoint: each
 /// shard's inverted index, shared-item counts and per-pair evidence cover a
 /// disjoint slice of the item space, and cross-shard detection is an exact
-/// merge (see `copydet_detect::merge_shard_rounds_parallel`). Sources are
+/// merge (see `copydet_detect::merge_shard_partials`). Sources are
 /// *not* partitioned — one source's claims spread over many shards — which
 /// is what the global name registry reconciles.
 ///
