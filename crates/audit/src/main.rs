@@ -5,15 +5,16 @@
 //! hand-rolled token scan (no `syn`, no network, no dependencies):
 //!
 //! * **no-panic** — the recovery-, wire- and hot-path-facing modules
-//!   (`serve::{frontend, registry_log}`, `store::{wal, durable, format}`,
+//!   (all of `crates/serve/src`, `store::{wal, durable, format}`,
 //!   `model::codec`, `obs::{metrics, trace}`) must not call `.unwrap()` /
 //!   `.expect(..)`, invoke `panic!`-family macros, or index/slice with
 //!   `[..]` outside `#[cfg(test)]` code. These modules parse whatever a
 //!   crash or a remote peer left behind — or run inside every instrumented
 //!   ingest/detect operation; every failure must surface as a typed error
 //!   (or, for instrumentation, degrade silently).
-//! * **lossy-cast** — the codec/format/wire/observability modules, plus the
-//!   cross-shard merge (`detect::sharded`), must not use bare `as` integer
+//! * **lossy-cast** — the codec/format/wire/observability modules (all of
+//!   `crates/serve/src` among them), plus the cross-shard merge
+//!   (`detect::sharded`), must not use bare `as` integer
 //!   casts; widths change via `try_from` (or the checked helpers in
 //!   `copydet_model::codec`), so truncation is a typed error, not silence.
 //! * **lock-rank** — every `Mutex`/`RwLock`/`RankedMutex`/`RankedRwLock`
@@ -355,16 +356,19 @@ const LINT_LOSSY_CAST: &str = "lossy-cast";
 const LINT_LOCK_RANK: &str = "lock-rank";
 const LINT_HEADER: &str = "lint-header";
 
-/// Modules that parse crash or network input — or run on every hot path
-/// (the observability layer instruments ingest/detect/serve, so a panic in
-/// it takes the instrumented operation down with it; the sharded round and
-/// the top-k ranking run per request) — and must stay panic-free.
+/// The serving crate: every file under it parses network or crash input or
+/// runs per request, so it is in the no-panic and lossy-cast scopes whole —
+/// a file added or split there is covered without being listed.
+const SERVE_SCOPE: &str = "crates/serve/src/";
+
+/// Modules outside `SERVE_SCOPE` that parse crash or network input — or
+/// run on every hot path (the observability layer instruments
+/// ingest/detect/serve, so a panic in it takes the instrumented operation
+/// down with it; the sharded round and the top-k ranking run per request)
+/// — and must stay panic-free.
 const PANIC_SCOPE: &[&str] = &[
     "crates/detect/src/sharded.rs",
     "crates/detect/src/topk.rs",
-    "crates/serve/src/detector.rs",
-    "crates/serve/src/frontend.rs",
-    "crates/serve/src/registry_log.rs",
     "crates/store/src/wal.rs",
     "crates/store/src/durable.rs",
     "crates/store/src/format.rs",
@@ -375,16 +379,14 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/obs/src/health.rs",
 ];
 
-/// Codec/format/wire modules — plus the cross-shard merge, which folds
-/// evidence counts across id spaces, and the fixed-point score type, which
-/// converts between `f64` and `i128` — where `as` integer casts hide
-/// truncation.
+/// Codec/format/wire modules outside `SERVE_SCOPE` — plus the cross-shard
+/// merge, which folds evidence counts across id spaces, and the fixed-point
+/// score type, which converts between `f64` and `i128` — where `as` integer
+/// casts hide truncation.
 const CAST_SCOPE: &[&str] = &[
     "crates/bayes/src/fixed.rs",
     "crates/model/src/codec.rs",
     "crates/store/src/format.rs",
-    "crates/serve/src/frontend.rs",
-    "crates/serve/src/registry_log.rs",
     "crates/detect/src/sharded.rs",
     "crates/detect/src/topk.rs",
     "crates/obs/src/metrics.rs",
@@ -455,8 +457,9 @@ fn audit_source(
     };
 
     let tokens = &lexed.tokens;
-    let in_panic_scope = PANIC_SCOPE.contains(&rel);
-    let in_cast_scope = CAST_SCOPE.contains(&rel);
+    let in_serve_scope = rel.starts_with(SERVE_SCOPE);
+    let in_panic_scope = in_serve_scope || PANIC_SCOPE.contains(&rel);
+    let in_cast_scope = in_serve_scope || CAST_SCOPE.contains(&rel);
     for (i, token) in tokens.iter().enumerate() {
         let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
         let next = tokens.get(i + 1);

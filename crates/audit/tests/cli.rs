@@ -49,6 +49,15 @@ fn lossy_cast_fixture_fails_deny() {
 }
 
 #[test]
+fn serve_directory_is_in_scope_without_being_listed() {
+    let output = audit(&fixture("serve_scope"), &["--deny"]);
+    assert_eq!(output.status.code(), Some(1));
+    let report = stdout_of(&output);
+    assert!(report.contains("pool.rs:5: [no-panic]"), "unwrap flagged: {report}");
+    assert!(report.contains("pool.rs:10: [lossy-cast]"), "cast flagged: {report}");
+}
+
+#[test]
 fn missing_rank_fixture_fails_deny() {
     let output = audit(&fixture("missing_rank"), &["--deny"]);
     assert_eq!(output.status.code(), Some(1));

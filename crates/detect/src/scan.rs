@@ -121,7 +121,7 @@ pub struct ScanRecords {
     pub order_keys: Vec<(ItemId, ValueId)>,
 }
 
-/// Result of [`index_scan`]: the detection result plus optional bookkeeping.
+/// Result of an index scan: the detection result plus optional bookkeeping.
 #[derive(Debug, Clone)]
 pub struct ScanOutput {
     /// The per-pair outcomes and efficiency accounting.

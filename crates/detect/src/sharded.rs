@@ -333,7 +333,7 @@ fn merge_bucket(mut bucket: ShardPartials, params: &CopyParams) -> MergePartial 
 /// The cross-shard merge, fanned out across `parallelism` workers.
 ///
 /// Pairs are partitioned deterministically by a stable hash of the global
-/// pair ids ([`pair_partition`]); each worker adds its pairs' per-shard
+/// pair ids (`pair_partition`); each worker adds its pairs' per-shard
 /// partials ([`PairEvidence::merge`], exact) and votes their posteriors.
 /// The workers' results combine through disjoint map union and exact integer
 /// sums, so the returned [`DetectionResult`] is **bit-identical** for every

@@ -1,7 +1,7 @@
 //! One driver per table / figure of the paper's evaluation (Section VI).
 //!
 //! Every function takes an [`ExperimentConfig`] (workload scale + seed) and
-//! returns one or more [`TextTable`]s shaped like the corresponding table or
+//! returns one or more [`TextTable`](crate::TextTable)s shaped like the corresponding table or
 //! figure in the paper. The binaries in `src/bin/` print these tables; the
 //! numbers recorded in `EXPERIMENTS.md` were produced by exactly these
 //! drivers.

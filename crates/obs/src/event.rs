@@ -20,10 +20,9 @@
 //! outcome events sit on the serve path at `Debug` severity.
 //!
 //! **Capacity.** The global ring retains [`EVENT_RING_CAPACITY`] events by
-//! default; `COPYDET_EVENT_CAPACITY` (clamped to `1..=65536`) or
-//! [`set_default_event_capacity`] (first use wins — the ring cannot be
-//! resized once built) override it. The same plumbing backs the trace
-//! ring's `COPYDET_TRACE_CAPACITY` knob.
+//! default; `COPYDET_EVENT_CAPACITY` (clamped to `1..=65536`, read at the
+//! ring's first use) overrides it. The same parser backs the trace ring's
+//! `COPYDET_TRACE_CAPACITY` knob.
 //!
 //! **Sink.** [`set_event_sink`] attaches a host-provided file; every
 //! recorded event is appended as one NDJSON line. Sink write failures
@@ -34,7 +33,7 @@ use crate::trace::RoundTrace;
 use copydet_model::sync::RankedMutex;
 use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -302,50 +301,13 @@ pub(crate) fn env_ring_capacity(var: &str, default: usize) -> usize {
     }
 }
 
-/// A process-global capacity default that a host may set **before** the
-/// ring's first use (`0` = unset); later stores are ignored because the
-/// ring cannot be resized once built.
-pub(crate) struct CapacityDefault(AtomicUsize);
-
-impl CapacityDefault {
-    pub(crate) const fn new() -> Self {
-        Self(AtomicUsize::new(0))
-    }
-
-    /// Records a host-chosen default (clamped like the env knob).
-    pub(crate) fn set(&self, capacity: usize) {
-        self.0.store(capacity.clamp(1, MAX_RING_CAPACITY), Ordering::Relaxed);
-    }
-
-    /// Resolves the capacity: host default if set, else `env_var`, else
-    /// `fallback`.
-    pub(crate) fn resolve(&self, env_var: &str, fallback: usize) -> usize {
-        match self.0.load(Ordering::Relaxed) {
-            0 => env_ring_capacity(env_var, fallback),
-            set => set,
-        }
-    }
-}
-
-static EVENT_CAPACITY_DEFAULT: CapacityDefault = CapacityDefault::new();
-
-/// Sets the default capacity of the global event ring. Only effective
-/// before the ring's first use (the frontend applies its
-/// `FrontendConfig::event_capacity` at startup); the first resolution wins.
-pub fn set_default_event_capacity(capacity: usize) {
-    EVENT_CAPACITY_DEFAULT.set(capacity);
-}
-
 /// The process-global event ring the instrumented paths push into and the
 /// `EVENTS` wire verb reads from. Capacity resolves once, at first use:
-/// host default ([`set_default_event_capacity`]) over `COPYDET_EVENT_CAPACITY`
-/// over [`EVENT_RING_CAPACITY`].
+/// `COPYDET_EVENT_CAPACITY` over [`EVENT_RING_CAPACITY`].
 pub fn event_ring() -> &'static EventRing {
     static RING: OnceLock<EventRing> = OnceLock::new();
     RING.get_or_init(|| {
-        EventRing::with_capacity(
-            EVENT_CAPACITY_DEFAULT.resolve("COPYDET_EVENT_CAPACITY", EVENT_RING_CAPACITY),
-        )
+        EventRing::with_capacity(env_ring_capacity("COPYDET_EVENT_CAPACITY", EVENT_RING_CAPACITY))
     })
 }
 

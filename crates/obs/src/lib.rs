@@ -56,9 +56,9 @@ pub mod metrics;
 pub mod trace;
 
 pub use event::{
-    emit, event_ring, min_severity, set_default_event_capacity, set_event_sink,
-    set_slow_op_threshold, slow_op_exceeded, slow_op_threshold_nanos, take_event_sink,
-    trace_fields, Event, EventRing, FieldValue, Severity, EVENT_RING_CAPACITY,
+    emit, event_ring, min_severity, set_event_sink, set_slow_op_threshold, slow_op_exceeded,
+    slow_op_threshold_nanos, take_event_sink, trace_fields, Event, EventRing, FieldValue, Severity,
+    EVENT_RING_CAPACITY,
 };
 pub use health::{
     evaluate_process_health, publish_lock_metrics, HealthReason, HealthReasonCode,
@@ -68,6 +68,5 @@ pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS,
 };
 pub use trace::{
-    set_default_trace_capacity, trace_ring, RoundTrace, RoundTraceBuilder, Span, TraceRing,
-    TraceStage, TRACE_RING_CAPACITY,
+    trace_ring, RoundTrace, RoundTraceBuilder, Span, TraceRing, TraceStage, TRACE_RING_CAPACITY,
 };

@@ -16,6 +16,7 @@
 //! `merge.<phase>` for merge stages, bare names (`capture`, `fanout`) for
 //! whole-round sections.
 
+use crate::event::env_ring_capacity;
 use copydet_model::sync::RankedMutex;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -27,8 +28,7 @@ const RING_RANK: u32 = 50;
 
 /// Default number of traces the global ring retains; older traces are
 /// evicted. Overridable via `COPYDET_TRACE_CAPACITY` (clamped to
-/// `1..=65536`) or [`set_default_trace_capacity`], resolved once at the
-/// ring's first use.
+/// `1..=65536`), read once at the ring's first use.
 pub const TRACE_RING_CAPACITY: usize = 64;
 
 /// A started monotonic-clock timer.
@@ -207,25 +207,13 @@ impl TraceRing {
     }
 }
 
-static TRACE_CAPACITY_DEFAULT: crate::event::CapacityDefault = crate::event::CapacityDefault::new();
-
-/// Sets the default capacity of the global trace ring. Only effective
-/// before the ring's first use (the frontend applies its
-/// `FrontendConfig::trace_capacity` at startup); the first resolution wins.
-pub fn set_default_trace_capacity(capacity: usize) {
-    TRACE_CAPACITY_DEFAULT.set(capacity);
-}
-
 /// The process-global trace ring the instrumented round producers push into
 /// and the `TRACE` wire verb reads from. Capacity resolves once, at first
-/// use: host default ([`set_default_trace_capacity`]) over
-/// `COPYDET_TRACE_CAPACITY` over [`TRACE_RING_CAPACITY`].
+/// use: `COPYDET_TRACE_CAPACITY` over [`TRACE_RING_CAPACITY`].
 pub fn trace_ring() -> &'static TraceRing {
     static RING: OnceLock<TraceRing> = OnceLock::new();
     RING.get_or_init(|| {
-        TraceRing::with_capacity(
-            TRACE_CAPACITY_DEFAULT.resolve("COPYDET_TRACE_CAPACITY", TRACE_RING_CAPACITY),
-        )
+        TraceRing::with_capacity(env_ring_capacity("COPYDET_TRACE_CAPACITY", TRACE_RING_CAPACITY))
     })
 }
 
@@ -280,23 +268,6 @@ mod tests {
         ring.clear();
         assert!(ring.is_empty());
         assert_eq!(ring.push(RoundTraceBuilder::new("next").finish()), 6, "sequence survives");
-    }
-
-    #[test]
-    fn capacity_knob_prefers_host_default_then_env() {
-        let knob = crate::event::CapacityDefault::new();
-        // Unset: the env/fallback path decides (var name unique to this test).
-        std::env::set_var("COPYDET_TEST_TRACE_CAPACITY", "17");
-        assert_eq!(knob.resolve("COPYDET_TEST_TRACE_CAPACITY", 64), 17);
-        std::env::remove_var("COPYDET_TEST_TRACE_CAPACITY");
-        assert_eq!(knob.resolve("COPYDET_TEST_TRACE_CAPACITY", 64), 64);
-        // A host default wins over both, clamped to the ring bounds.
-        knob.set(0);
-        assert_eq!(knob.resolve("COPYDET_TEST_TRACE_CAPACITY", 64), 1, "clamped up");
-        knob.set(12);
-        std::env::set_var("COPYDET_TEST_TRACE_CAPACITY", "17");
-        assert_eq!(knob.resolve("COPYDET_TEST_TRACE_CAPACITY", 64), 12, "host default wins");
-        std::env::remove_var("COPYDET_TEST_TRACE_CAPACITY");
     }
 
     #[test]

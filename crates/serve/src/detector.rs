@@ -552,7 +552,11 @@ mod tests {
                 assert_eq!(got.ranked, expected, "{shards} shard(s), k={k}");
                 // The filtered round evaluates exactly the target's pairs.
                 let with_target = full.outcomes.keys().filter(|p| p.contains(target)).count();
-                assert_eq!(got.stats.candidates as usize, with_target, "{shards} shard(s), k={k}");
+                assert_eq!(
+                    got.stats.candidates,
+                    usize_to_u64(with_target),
+                    "{shards} shard(s), k={k}"
+                );
                 assert_eq!(got.stats.evaluated, got.stats.candidates);
                 assert_eq!(got.stats.pruned, 0);
             }

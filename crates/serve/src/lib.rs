@@ -56,11 +56,12 @@
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
 #![warn(missing_docs)]
+// Clippy's side of copydet-audit's no-panic and lossy-cast scope, which
+// takes in this whole crate.
+#![warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 mod detector;
-#[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 pub mod frontend;
-#[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod registry_log;
 mod shard;
 

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
-        hash ^= b as u64;
+        hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
@@ -30,7 +30,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The shard an item name lands on, out of `num_shards`.
 pub fn partition_of(item: &str, num_shards: usize) -> usize {
-    (fnv1a64(item.as_bytes()) % num_shards as u64) as usize
+    let partition = fnv1a64(item.as_bytes()) % usize_to_u64(num_shards);
+    // Below `num_shards`, so it always fits back into a `usize`.
+    usize::try_from(partition).unwrap_or_default()
 }
 
 /// Name of the shard-count file inside a durable sharded-store root.
@@ -217,7 +219,7 @@ impl ShardedStore {
     /// which shard holds which claims) depends on it.
     ///
     /// On recovery the global name registry replays the `REGISTRY`
-    /// arrival-order log first (see [`crate::registry_log`]), so every name
+    /// arrival-order log first (see `registry_log`), so every name
     /// gets its pre-restart global id back and detection results — down to
     /// the last-ulp floating-point rounding of every posterior — are
     /// **byte-identical** across restarts. Names present in some shard but
@@ -458,17 +460,19 @@ impl ShardedStore {
             global.flush_log();
             self.note_ingest_error(global.log_error.as_ref());
         }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (idx, &(_, d, _)) in claims.iter().enumerate() {
-            by_shard[partition_of(d, self.shards.len())].push(idx);
+        let mut by_shard: Vec<Vec<(&str, &str, &str)>> = vec![Vec::new(); self.shards.len()];
+        for &claim in &claims {
+            // `partition_of` is below the shard count, so every claim lands.
+            if let Some(slice) = by_shard.get_mut(partition_of(claim.1, self.shards.len())) {
+                slice.push(claim);
+            }
         }
-        for (shard, indices) in self.shards.iter().zip(by_shard) {
-            if indices.is_empty() {
+        for (shard, slice) in self.shards.iter().zip(by_shard) {
+            if slice.is_empty() {
                 continue;
             }
             let mut guard = shard.lock();
-            for idx in indices {
-                let (s, d, v) = claims[idx];
+            for (s, d, v) in slice {
                 guard.ingest(s, d, v);
             }
             self.note_ingest_error(guard.io_error());
@@ -601,11 +605,12 @@ impl ShardedStore {
         merged.grow(self.num_sources());
         for ((_, counts), map) in captures.iter().zip(&maps) {
             for (pair, n) in counts.iter_nonzero() {
-                let global = SourcePair::new(
-                    map.ids.sources[pair.first().index()],
-                    map.ids.sources[pair.second().index()],
-                );
-                merged.increment(global, n);
+                // The map covers every source of the snapshot it was built
+                // from, which is the snapshot these counts describe.
+                let global = |local: SourceId| map.ids.sources.get(local.index()).copied();
+                if let (Some(first), Some(second)) = (global(pair.first()), global(pair.second())) {
+                    merged.increment(SourcePair::new(first, second), n);
+                }
             }
         }
         merged
@@ -735,6 +740,10 @@ mod tests {
             }
         }
         assert_eq!(partition_of("anything", 1), 0);
+        // Pinned routing at 4 shards: which shard holds an item is on disk.
+        for (item, shard) in [("D3", 0), ("NJ", 1), ("AZ", 2), ("首都", 3)] {
+            assert_eq!(partition_of(item, 4), shard, "{item}");
+        }
     }
 
     #[test]
@@ -752,7 +761,7 @@ mod tests {
         assert_eq!(store.num_items(), 3);
         // All claims of one item live on one shard.
         let shard = store.shard_of_item("D0");
-        let snap = store.shards()[shard].snapshot();
+        let snap = store.shards().get(shard).expect("shard_of_item is in range").snapshot();
         assert_eq!(
             snap.dataset.item_by_name("D0").map(|d| snap.dataset.item_provider_count(d)),
             Some(2)

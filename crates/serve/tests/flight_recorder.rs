@@ -4,7 +4,7 @@
 //! store records a sticky I/O error, and `INGEST` stops acknowledging
 //! batches from then on.
 
-use copydet_serve::frontend::{self, Client, FrontendConfig};
+use copydet_serve::frontend::{self, Client};
 use copydet_serve::{HealthReasonCode, Severity, ShardedStore, StoreConfig};
 use std::time::Duration;
 
@@ -43,9 +43,8 @@ fn ingest_all(client: &mut Client, claims: &[(String, String, String)]) {
 #[test]
 fn slow_round_lands_in_events_with_stage_breakdown() {
     let store = ShardedStore::new(1);
-    let config =
-        FrontendConfig { slow_op_threshold: Some(Duration::ZERO), ..FrontendConfig::default() };
-    let server = frontend::serve_with_config(store, "127.0.0.1:0", config).expect("bind loopback");
+    copydet_obs::set_slow_op_threshold(Some(Duration::ZERO));
+    let server = frontend::serve(store, "127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
     ingest_all(&mut client, &heavy_corpus());
     client.detect().expect("detect");
@@ -222,7 +221,7 @@ fn ingest_is_not_acknowledged_once_persistence_breaks() {
     assert!(message.contains("INGEST not acknowledged"), "typed refusal: {message}");
 
     let stats = client.stats().expect("the connection survives the ERR frames");
-    assert_eq!(stats.requests.ingest, 65);
+    assert_eq!(stats.requests.get(frontend::REQ_INGEST), 65);
     assert_eq!(stats.shards[0].live_claims, 65, "refused batches were applied in memory");
 
     client.shutdown().expect("shutdown");

@@ -44,9 +44,9 @@ fn ingest_stats_detect_shutdown_roundtrip() {
     let live: u64 = stats.shards.iter().map(|s| s.live_claims).sum();
     assert_eq!(live, claims.len() as u64);
     assert!(stats.shards.iter().all(|s| !s.durable), "in-memory fleet");
-    assert_eq!(stats.requests.ingest, 1);
-    assert_eq!(stats.requests.stats, 1);
-    assert_eq!(stats.requests.detect, 0);
+    assert_eq!(stats.requests.get(frontend::REQ_INGEST), 1);
+    assert_eq!(stats.requests.get(frontend::REQ_STATS), 1);
+    assert_eq!(stats.requests.get(frontend::REQ_DETECT), 0);
 
     // A detection round over the wire equals an in-process sharded round.
     let detection = client.detect().expect("detect");
@@ -244,8 +244,8 @@ fn topk_roundtrip_matches_in_process_query_bitwise() {
 
     // The new verb is accounted in STATS like every other.
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.requests.detect_topk, 2);
-    assert_eq!(stats.requests.detect, 1);
+    assert_eq!(stats.requests.get(frontend::REQ_DETECT_TOPK), 2);
+    assert_eq!(stats.requests.get(frontend::REQ_DETECT), 1);
 
     client.shutdown().expect("shutdown");
     server.shutdown();
@@ -319,7 +319,74 @@ fn malformed_topk_and_detect_requests_are_typed_errors_not_fatal() {
     let (kind, _) = read_raw_frame(&mut raw);
     assert_eq!(kind, frontend::RESP_OK, "connection survives the malformed frames");
 
+    // Every empty-request verb refuses a stray byte the same way — SHUTDOWN
+    // included, which must not stop the server.
+    for (verb, name) in [
+        (frontend::REQ_STATS, "STATS"),
+        (frontend::REQ_METRICS, "METRICS"),
+        (frontend::REQ_SHUTDOWN, "SHUTDOWN"),
+    ] {
+        raw.write_all(&copydet_model::codec::encode_wire_frame(verb, &[0xEF]).expect("tiny frame"))
+            .unwrap();
+        let (kind, payload) = read_raw_frame(&mut raw);
+        assert_eq!(kind, frontend::RESP_ERR, "{name} with a stray byte");
+        let message = error_message(&payload);
+        assert!(message.contains(name), "names the request: {message}");
+        assert!(message.contains("trailing"), "names the defect: {message}");
+        raw.write_all(
+            &copydet_model::codec::encode_wire_frame(frontend::REQ_STATS, &[]).expect("tiny frame"),
+        )
+        .unwrap();
+        let (kind, _) = read_raw_frame(&mut raw);
+        assert_eq!(kind, frontend::RESP_OK, "connection survives a stray byte on {name}");
+    }
+    assert!(!server.is_stopped(), "a refused SHUTDOWN does not stop the server");
+    let stats = client.stats().expect("the server is still serving");
+    assert_eq!(stats.requests.get(frontend::REQ_SHUTDOWN), 1, "refused, but counted");
+
     client.shutdown().expect("shutdown");
+    server.shutdown();
+}
+
+/// One request of every verb, SHUTDOWN last: each is counted once in the
+/// server's STATS trailer and exposed as its own `verb` series in METRICS.
+#[test]
+fn every_verb_is_counted_and_exposed() {
+    use copydet_serve::Severity;
+    let store = ShardedStore::new(2);
+    let server = frontend::serve(store, "127.0.0.1:0").expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ingest(&[("alice", "D0", "v"), ("bob", "D0", "v")]).expect("ingest");
+    client.detect().expect("detect");
+    client.detect_topk(None, 1).expect("detect_topk");
+    client.trace(1).expect("trace");
+    client.health().expect("health");
+    client.events(1, Severity::Info, "").expect("events");
+    let exposition = client.metrics().expect("metrics");
+    let stats = client.stats().expect("stats");
+
+    let verbs = [
+        (frontend::REQ_INGEST, "INGEST"),
+        (frontend::REQ_STATS, "STATS"),
+        (frontend::REQ_DETECT, "DETECT"),
+        (frontend::REQ_SHUTDOWN, "SHUTDOWN"),
+        (frontend::REQ_METRICS, "METRICS"),
+        (frontend::REQ_TRACE, "TRACE"),
+        (frontend::REQ_DETECT_TOPK, "DETECT_TOPK"),
+        (frontend::REQ_HEALTH, "HEALTH"),
+        (frontend::REQ_EVENTS, "EVENTS"),
+    ];
+    for (kind, name) in verbs {
+        // SHUTDOWN has not been sent yet.
+        let expected = u64::from(kind != frontend::REQ_SHUTDOWN);
+        assert_eq!(stats.requests.get(kind), expected, "{name}");
+        let series = format!("copydet_frontend_requests_total{{verb=\"{name}\"}}");
+        assert!(exposition.contains(&series), "METRICS exposes {series}");
+    }
+    assert_eq!(stats.requests.get(0x7F), 0, "no count for a kind outside the protocol");
+
+    client.shutdown().expect("shutdown");
+    assert!(server.is_stopped());
     server.shutdown();
 }
 
@@ -328,10 +395,7 @@ fn idle_connection_is_reaped_while_server_keeps_serving() {
     use std::io::Read;
     use std::time::Duration;
     let store = ShardedStore::new(2);
-    let config = frontend::FrontendConfig {
-        idle_timeout: Some(Duration::from_millis(300)),
-        ..Default::default()
-    };
+    let config = frontend::FrontendConfig { idle_timeout: Some(Duration::from_millis(300)) };
     let server = frontend::serve_with_config(store, "127.0.0.1:0", config).expect("bind loopback");
     let addr = server.addr();
 

@@ -21,7 +21,7 @@
 //!   (ids in first-seen ingest order), so every existing detector, index
 //!   builder and fusion loop runs on it unchanged. From the second snapshot
 //!   on it also carries the
-//!   [`DatasetDelta`](copydet_model::DatasetDelta) against the previous
+//!   [`DatasetDelta`] against the previous
 //!   snapshot. Snapshots are **zero-copy in the corpus**: name tables and
 //!   interner are shared `Arc` handles and consecutive snapshots alias every
 //!   untouched claim list and value group, so snapshot cost is O(delta).

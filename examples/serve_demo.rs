@@ -44,7 +44,9 @@ fn drive_round(addr: std::net::SocketAddr) -> std::io::Result<Vec<(String, Strin
         stats.shards.len(),
         stats.shards.iter().map(|s| s.num_items).collect::<Vec<_>>(),
         stats.uptime_micros,
-        stats.requests.ingest + stats.requests.stats + stats.requests.detect,
+        stats.requests.get(frontend::REQ_INGEST)
+            + stats.requests.get(frontend::REQ_STATS)
+            + stats.requests.get(frontend::REQ_DETECT),
     );
     let detection = client.detect()?;
     println!("  detection considered {} pair(s):", detection.pairs_considered);
