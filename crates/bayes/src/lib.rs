@@ -30,7 +30,9 @@
 //!   to every inverted-index entry,
 //! * [`PairEvidence`] / [`pairwise_scores`] — full per-pair evidence
 //!   accumulation (the inner loop of the PAIRWISE baseline), as exact
-//!   fixed-point sums that do not depend on the order items are added in,
+//!   fixed-point sums that do not depend on the order items are added in;
+//!   [`SameValueScore`] is one shared value's score, rounded once and
+//!   reusable for every pair with the same accuracies,
 //! * [`posterior_independence`] and [`CopyDecision`] — Eq. 2 and the decision
 //!   rule.
 
@@ -50,7 +52,8 @@ mod truth;
 pub use accuracy::SourceAccuracies;
 pub use error::BayesError;
 pub use pair::{
-    pairwise_scores, posterior_independence, CopyDecision, PairEvidence, ScoringContext,
+    pairwise_scores, posterior_independence, CopyDecision, PairEvidence, SameValueScore,
+    ScoringContext,
 };
 pub use params::{CopyParams, DecisionPolicy, DecisionThresholds};
 pub use truth::ValueProbabilities;

@@ -50,6 +50,37 @@ pub fn posterior_independence(c_to: f64, c_from: f64, params: &CopyParams) -> f6
     1.0 / (1.0 + ratio * (c_to.exp() + c_from.exp()))
 }
 
+/// The directional scores `(C→(D), C←(D))` of one shared value (Eq. 6),
+/// each rounded once to the exact-sum grid of [`PairEvidence`].
+///
+/// The score depends on the value's truth probability and on the two
+/// sources' accuracies only, so a scan can compute it once and add it for
+/// every pair whose accuracies are the same: at the bootstrap's uniform
+/// accuracy, once per index entry. Adding it with
+/// [`PairEvidence::add_same_value_score`] gives the bits
+/// [`PairEvidence::add_same_value`] gives for the same inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SameValueScore {
+    to: FixedScore,
+    from: FixedScore,
+}
+
+impl SameValueScore {
+    /// Scores a value with truth probability `p` shared by a pair whose
+    /// first and second sources have accuracies `a_first` and `a_second`.
+    #[inline]
+    pub fn new(p: f64, a_first: f64, a_second: f64, params: &CopyParams) -> Self {
+        let (to, from) = same_value_scores_both(p, a_first, a_second, params);
+        Self::from_scores(to, from)
+    }
+
+    /// Rounds two directional scores the caller already computed.
+    #[inline]
+    pub fn from_scores(to: f64, from: f64) -> Self {
+        Self { to: FixedScore::from_f64(to), from: FixedScore::from_f64(from) }
+    }
+}
+
 /// Accumulated evidence about one pair of sources.
 ///
 /// [`c_to`](Self::c_to) is `C→` ("first copies from second") and
@@ -98,11 +129,19 @@ impl PairEvidence {
     }
 
     /// Folds in one shared value whose directional scores `(C→(D), C←(D))`
-    /// the caller already computed (the index scan scores an entry once).
+    /// the caller already computed as `f64`s.
     #[inline]
     pub fn add_scores(&mut self, to: f64, from: f64) {
-        self.to += FixedScore::from_f64(to);
-        self.from += FixedScore::from_f64(from);
+        self.add_same_value_score(SameValueScore::from_scores(to, from));
+    }
+
+    /// Folds in one shared value whose rounded score the caller already
+    /// holds — the scans that score an index entry or a claim once and add
+    /// it for every pair sharing it. Two integer additions, no rounding.
+    #[inline]
+    pub fn add_same_value_score(&mut self, score: SameValueScore) {
+        self.to += score.to;
+        self.from += score.from;
         self.shared_values += 1;
     }
 
@@ -110,8 +149,7 @@ impl PairEvidence {
     /// truth probability `p`; `a_first`/`a_second` are the accuracies of the
     /// pair's first and second source.
     pub fn add_same_value(&mut self, p: f64, a_first: f64, a_second: f64, params: &CopyParams) {
-        let (to, from) = same_value_scores_both(p, a_first, a_second, params);
-        self.add_scores(to, from);
+        self.add_same_value_score(SameValueScore::new(p, a_first, a_second, params));
     }
 
     /// Folds in an item on which the two sources provide different values.
@@ -375,6 +413,28 @@ mod tests {
         let p = posterior_independence(1e6, 0.0, &params);
         assert_eq!(p, 0.0);
         assert!(posterior_independence(0.0, 0.0, &params) > 0.0);
+    }
+
+    /// A score computed once and added many times is bit-identical to
+    /// scoring the value afresh for every pair, in either orientation.
+    #[test]
+    fn same_value_score_matches_add_same_value() {
+        let params = CopyParams::paper_defaults();
+        for (p, a1, a2) in [(0.4, 0.8, 0.8), (0.01, 0.2, 0.9), (0.97, 0.6, 0.3)] {
+            let score = SameValueScore::new(p, a1, a2, &params);
+            let mut fresh = PairEvidence::empty();
+            let mut reused = PairEvidence::empty();
+            for _ in 0..5 {
+                fresh.add_same_value(p, a1, a2, &params);
+                reused.add_same_value_score(score);
+            }
+            assert_eq!(fresh, reused);
+            let mut mirrored = PairEvidence::empty();
+            mirrored.add_same_value(p, a2, a1, &params);
+            let mut once = PairEvidence::empty();
+            once.add_same_value_score(score);
+            assert_eq!(mirrored, once.swapped());
+        }
     }
 
     #[test]

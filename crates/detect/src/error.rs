@@ -27,7 +27,9 @@ pub enum DetectError {
     InvalidSamplingRate(f64),
     /// A shard's incrementally-maintained shared-item counts disagree with
     /// the snapshot they were handed to
-    /// [`collect_shard_evidence`](crate::collect_shard_evidence) with. The
+    /// [`collect_shard_partials_for`](crate::collect_shard_partials_for) or
+    /// [`collect_shard_evidence`](crate::collect_shard_evidence) with: a
+    /// pair's counted shared items differ from the items the scan found. The
     /// two are only consistent when captured together under one store lock;
     /// a mismatch means the caller raced a capture, and the round should be
     /// failed and retried, not the thread killed.
@@ -38,6 +40,17 @@ pub enum DetectError {
         counted: usize,
         /// Shared items actually observed in the snapshot.
         observed: usize,
+    },
+    /// A shard scan emitted a different number of pairs than the shard's
+    /// shared-item counts list as sharing an item (all of them, or the
+    /// target's in a top-k scan): the counts name a pair the snapshot does
+    /// not share. Like [`DetectError::ShardEvidenceMismatch`], a sign that
+    /// counts and snapshot were not captured together.
+    ShardPairCountMismatch {
+        /// Sharing pairs the counts list.
+        counted: usize,
+        /// Pairs the scan found sharing an item.
+        scanned: usize,
     },
     /// A top-k query named a source the fleet has never seen. Surfaced as a
     /// typed error so the serving layer can answer with an ERR frame rather
@@ -100,6 +113,11 @@ impl fmt::Display for DetectError {
                 "shard evidence for pair {pair} observed {observed} shared items but the \
                  counts index claims {counted}; counts and snapshot were not captured together"
             ),
+            DetectError::ShardPairCountMismatch { counted, scanned } => write!(
+                f,
+                "shard scan found {scanned} sharing pairs but the counts index lists \
+                 {counted}; counts and snapshot were not captured together"
+            ),
             DetectError::UnknownSourceName { name } => {
                 write!(f, "unknown source name {name:?}")
             }
@@ -140,6 +158,8 @@ mod tests {
         };
         let text = e.to_string();
         assert!(text.contains("(S0, S1)") && text.contains('3') && text.contains('2'));
+        let e = DetectError::ShardPairCountMismatch { counted: 5, scanned: 4 };
+        assert!(e.to_string().contains("found 4") && e.to_string().contains("lists 5"));
         let e = DetectError::UnknownSourceName { name: "ghost".into() };
         assert!(e.to_string().contains("ghost"));
         let e = DetectError::from(BayesError::InvalidProbability { what: "x", value: 1.5 });

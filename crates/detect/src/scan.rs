@@ -20,8 +20,7 @@
 
 use crate::api::{CopyDetector, RoundInput};
 use crate::result::{DetectionResult, PairOutcome};
-use copydet_bayes::contribution::same_value_scores_both;
-use copydet_bayes::{CopyDecision, PairEvidence};
+use copydet_bayes::{CopyDecision, PairEvidence, SameValueScore};
 use copydet_index::{EntryOrdering, InvertedIndex};
 use copydet_model::{ItemId, SourcePair, ValueId};
 use std::collections::HashMap;
@@ -203,6 +202,9 @@ pub fn index_scan(
         for &s in &entry.providers {
             n_seen[s.index()] += 1;
         }
+        // The entry's score, and the pair accuracies it was scored at: reused
+        // while they repeat (every pair at a uniform accuracy).
+        let mut cached: Option<((u64, u64), SameValueScore)> = None;
 
         for i in 0..entry.providers.len() {
             for j in (i + 1)..entry.providers.len() {
@@ -241,13 +243,17 @@ pub fn index_scan(
                 }
 
                 // Fold the shared value into both directional scores.
-                let (to, from) = same_value_scores_both(
-                    entry.probability,
-                    accuracies.get(pair.first()),
-                    accuracies.get(pair.second()),
-                    params,
-                );
-                state.evidence.add_scores(to, from);
+                let (a1, a2) = (accuracies.get(pair.first()), accuracies.get(pair.second()));
+                let bits = (a1.to_bits(), a2.to_bits());
+                let score = match cached {
+                    Some((cached_bits, score)) if cached_bits == bits => score,
+                    _ => {
+                        let score = SameValueScore::new(entry.probability, a1, a2, params);
+                        cached = Some((bits, score));
+                        score
+                    }
+                };
+                state.evidence.add_same_value_score(score);
                 result.counter.score_updates += 2;
 
                 if state.mode != PairMode::Bounded {

@@ -7,13 +7,16 @@
 //! shared item lives in precisely one shard, so the global scores of Eq. 2
 //! are the sums of per-shard sums — no cross-shard interaction terms exist.
 //!
-//! Each shard scores its own pairs ([`collect_shard_partials_for`]): for
-//! every pair its counts say shares an item in the shard, it walks the
-//! pair's shared claims, scores each item (Eq. 6 / Eq. 8) and returns one
-//! [`PairEvidence`] partial, keyed — and oriented — by the **global** pair.
-//! [`PairEvidence`] sums are exact fixed-point integers, so adding the
-//! partials in any order ([`merge_shard_partials`]) gives the bits one pass
-//! of `ScoringContext::score_pair` over a single store gives. The merge is
+//! Each shard scores its own pairs ([`collect_shard_partials_for`]) with a
+//! **row scan**: each source walks its own claims into a per-neighbour
+//! accumulator, scoring a claim's shared value (Eq. 6) once for all the
+//! neighbours that share it, and emits one [`PairEvidence`] partial per
+//! neighbour, keyed — and oriented — by the **global** pair. The scan
+//! cross-checks every pair and the number of pairs against the shard's
+//! [`SharedItemCounts`]. [`PairEvidence`] sums are exact fixed-point
+//! integers, so adding the partials in any order
+//! ([`merge_shard_partials`]) gives the bits one pass of
+//! `ScoringContext::score_pair` over a single store gives. The merge is
 //! **bit-identical** to `pairwise_detection` without replaying any item
 //! order.
 //!
@@ -42,7 +45,7 @@
 use crate::api::RoundInput;
 use crate::error::DetectError;
 use crate::result::{DetectionResult, PairOutcome};
-use copydet_bayes::{CopyDecision, CopyParams, PairEvidence, SourceAccuracies};
+use copydet_bayes::{CopyDecision, CopyParams, PairEvidence, SameValueScore, SourceAccuracies};
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::{u32_to_usize, usize_to_u64};
 use copydet_model::{ItemId, SourceId, SourcePair};
@@ -83,11 +86,9 @@ impl ShardIdMap {
         })
     }
 
-    /// The global pair of a local pair, and whether the global order of the
-    /// two sources is the reverse of their local order.
-    fn pair(&self, local: SourcePair) -> Result<(SourcePair, bool), DetectError> {
-        let (first, second) = (self.source(local.first())?, self.source(local.second())?);
-        Ok((SourcePair::new(first, second), first > second))
+    /// The global pair of a local pair.
+    fn pair(&self, local: SourcePair) -> Result<SourcePair, DetectError> {
+        Ok(SourcePair::new(self.source(local.first())?, self.source(local.second())?))
     }
 }
 
@@ -100,41 +101,182 @@ pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 /// shard and — when `target` is set — contains `target`, the pair's partial
 /// evidence over the shard's items.
 ///
-/// Candidate pairs come from the shard's incrementally-maintained
-/// [`SharedItemCounts`], so the scan is `O(Σ pair overlaps)` claim-walk
-/// work. Each pair is scored by `ScoringContext::score_pair` over
-/// [`Dataset::shared_claims`](copydet_model::Dataset::shared_claims), with
-/// `input`'s shard-local accuracies and probabilities. The partial is then
-/// oriented by the **global** pair: when the global ids order the two
-/// sources the other way round, `C→` and `C←` are swapped. A filtered-out
-/// pair is skipped before its claims are walked; a kept pair gets exactly
-/// the partial the unfiltered scan gives it.
+/// The scan walks **rows**, not pairs. The full round takes every local
+/// source `s` as a row; a top-k query takes only the target's local id (a
+/// shard that never saw the target contributes nothing). For each claim
+/// `(d, v)` of `s` the row visits the providers `t` of every value group of
+/// `d` — only `t > s` in the full round, so each pair is scanned once, and
+/// every `t ≠ s` in a top-k row — and accumulates into an O(sources)
+/// scratch indexed by `t`: a same-value provider gets the claim's rounded
+/// [`SameValueScore`] (Eq. 6), every provider a shared-item count. The
+/// score is computed once per claim and reused while the neighbours'
+/// accuracy bits repeat (always at the bootstrap's uniform accuracy), so a
+/// round evaluates Eq. 6 at most once per claim instead of once per shared
+/// value per pair. After each row, every touched `t` yields one partial:
+/// the different-value items (shared minus same-value) are added in one
+/// exact multiply (Eq. 8), as `ScoringContext::score_pair` does, and the
+/// partial — accumulated with `s` first — is oriented by the **global**
+/// pair, `C→` and `C←` trading places when the global ids order the two
+/// sources the other way round. Integer sums make it bit-identical to
+/// `score_pair` over the same state.
+///
+/// `input` carries the shard-local accuracies and probabilities. `partials`
+/// is reserved at its expected length, the count of sharing pairs
+/// [`SharedItemCounts`] lists (O(1) for the full round).
 ///
 /// # Errors
-/// [`DetectError::ShardEvidenceMismatch`] if `counts` disagrees with the
-/// snapshot in `input` (a listed pair must share exactly the counted number
-/// of items). The two are only consistent when captured together under one
-/// store lock; on the serving path a mismatch is a recoverable request
-/// failure, not a dead round thread. [`DetectError::ShardIdMapMismatch`] if
-/// `map` does not cover a source of `counts`.
+/// The scan cross-checks `counts`, which are only consistent with the
+/// snapshot in `input` when captured together under one store lock; on the
+/// serving path a mismatch is a recoverable request failure, not a dead
+/// round thread.
+/// [`DetectError::ShardEvidenceMismatch`] if a scanned pair's shared-item
+/// count differs from its count in `counts` — including a pair the snapshot
+/// shares but `counts` lacks or does not cover.
+/// [`DetectError::ShardPairCountMismatch`] if the scan emits a different
+/// number of pairs than `counts` lists (all sharing pairs, or the target's
+/// in a top-k row) — a counted pair the snapshot does not share.
+/// [`DetectError::ShardIdMapMismatch`] if `map` does not cover a scanned
+/// source.
 pub fn collect_shard_partials_for(
     input: &RoundInput<'_>,
     counts: &SharedItemCounts,
     map: &ShardIdMap,
     target: Option<SourceId>,
 ) -> Result<ShardPartials, DetectError> {
-    let scoring = input.scoring_context();
-    let mut partials = Vec::new();
-    for (local, count) in counts.iter_nonzero() {
-        let (global, reversed) = map.pair(local)?;
-        if target.is_some_and(|t| !global.contains(t)) {
-            continue;
+    let (rows, counted) = match target {
+        None => (input.dataset.sources().collect(), counts.num_sharing_pairs()),
+        Some(target) => {
+            let Some(row) =
+                input.dataset.sources().find(|&s| map.sources.get(s.index()) == Some(&target))
+            else {
+                return Ok(Vec::new());
+            };
+            (vec![row], sharing_pairs_of(counts, row))
         }
-        let evidence = scoring.score_pair(local.first(), local.second());
-        check_count(global, count, evidence.shared_items())?;
-        partials.push((global, if reversed { evidence.swapped() } else { evidence }));
+    };
+    let mut scan = RowScan::new(input, counts, map, counted);
+    for row in rows {
+        scan.row(row, target.is_none())?;
     }
-    Ok(partials)
+    let scanned = scan.partials.len();
+    if scanned == counted {
+        Ok(scan.partials)
+    } else {
+        Err(DetectError::ShardPairCountMismatch { counted, scanned })
+    }
+}
+
+/// The scratch of one shard's row scan, indexed by local source id.
+struct RowScan<'a> {
+    input: &'a RoundInput<'a>,
+    counts: &'a SharedItemCounts,
+    map: &'a ShardIdMap,
+    /// Per neighbour `t` of the current row: same-value evidence (the row's
+    /// source first) and the number of items shared with it.
+    neighbours: Vec<(PairEvidence, u32)>,
+    /// The neighbours the current row touched, in first-touch order.
+    touched: Vec<SourceId>,
+    partials: ShardPartials,
+}
+
+impl<'a> RowScan<'a> {
+    fn new(
+        input: &'a RoundInput<'a>,
+        counts: &'a SharedItemCounts,
+        map: &'a ShardIdMap,
+        expected: usize,
+    ) -> Self {
+        Self {
+            input,
+            counts,
+            map,
+            neighbours: vec![(PairEvidence::empty(), 0); input.dataset.num_sources()],
+            touched: Vec::new(),
+            partials: Vec::with_capacity(expected),
+        }
+    }
+
+    /// Scans row `s` against the providers above it (`only_higher`) or
+    /// against every other provider, then emits its partials.
+    fn row(&mut self, s: SourceId, only_higher: bool) -> Result<(), DetectError> {
+        let RoundInput { dataset, accuracies, probabilities, params, .. } = *self.input;
+        let a_s = accuracies.get(s);
+        for &(d, v) in dataset.claims_of(s) {
+            // The claim's score, and the neighbour accuracy it was scored at.
+            let mut cached: Option<(u64, SameValueScore)> = None;
+            for group in dataset.values_of_item(d) {
+                let skip =
+                    if only_higher { group.providers.partition_point(|&t| t <= s) } else { 0 };
+                let same = group.value == v;
+                for &t in group.providers.get(skip..).unwrap_or_default() {
+                    if t == s {
+                        continue;
+                    }
+                    let Some((evidence, shared)) = self.neighbours.get_mut(t.index()) else {
+                        continue;
+                    };
+                    if *shared == 0 {
+                        self.touched.push(t);
+                    }
+                    *shared += 1;
+                    if same {
+                        let a_t = accuracies.get(t).to_bits();
+                        let score = match cached {
+                            Some((bits, score)) if bits == a_t => score,
+                            _ => {
+                                let p = probabilities.get(d, v);
+                                let score =
+                                    SameValueScore::new(p, a_s, f64::from_bits(a_t), &params);
+                                cached = Some((a_t, score));
+                                score
+                            }
+                        };
+                        evidence.add_same_value_score(score);
+                    }
+                }
+            }
+        }
+        self.emit(s, &params)
+    }
+
+    /// One partial per neighbour the row `s` touched; resets the scratch.
+    fn emit(&mut self, s: SourceId, params: &CopyParams) -> Result<(), DetectError> {
+        if self.touched.is_empty() {
+            return Ok(());
+        }
+        let global_s = self.map.source(s)?;
+        for t in self.touched.drain(..) {
+            let Some(slot) = self.neighbours.get_mut(t.index()) else { continue };
+            let (mut evidence, shared) = std::mem::take(slot);
+            let shared = u32_to_usize(shared);
+            evidence.add_different_values(shared.saturating_sub(evidence.shared_values), params);
+            let global_t = self.map.source(t)?;
+            let global = SourcePair::new(global_s, global_t);
+            check_count(global, counted(self.counts, SourcePair::new(s, t)), shared)?;
+            self.partials
+                .push((global, if global_s > global_t { evidence.swapped() } else { evidence }));
+        }
+        Ok(())
+    }
+}
+
+/// The shared-item count of a local pair; 0 for a pair `counts` does not
+/// cover (so the scan reports it as a mismatch instead of indexing past
+/// the table).
+fn counted(counts: &SharedItemCounts, pair: SourcePair) -> u32 {
+    if pair.second().index() < counts.num_sources() {
+        counts.get(pair)
+    } else {
+        0
+    }
+}
+
+/// Number of pairs containing `s` that `counts` lists as sharing an item.
+fn sharing_pairs_of(counts: &SharedItemCounts, s: SourceId) -> usize {
+    (0..counts.num_sources())
+        .map(SourceId::from_index)
+        .filter(|&t| t != s && counted(counts, SourcePair::new(s, t)) > 0)
+        .count()
 }
 
 fn check_count(pair: SourcePair, counted: u32, observed: usize) -> Result<(), DetectError> {
@@ -191,7 +333,7 @@ pub fn collect_shard_evidence(
 ) -> Result<ShardRoundEvidence, DetectError> {
     let mut evidence = ShardRoundEvidence::default();
     for (local, count) in counts.iter_nonzero() {
-        let (global, _) = map.pair(local)?;
+        let global = map.pair(local)?;
         let mut observations = Vec::with_capacity(u32_to_usize(count));
         for (d, v1, v2) in input.dataset.shared_claims(local.first(), local.second()) {
             observations.push(SharedItemObservation {
@@ -507,11 +649,18 @@ mod tests {
         parity: u32,
         reverse_sources: bool,
     ) -> Shard {
-        let mut claims: Vec<_> = CLAIMS
-            .iter()
-            .filter(|(_, d, _)| global.item_by_name(d).unwrap().raw() % 2 == parity)
-            .copied()
-            .collect();
+        let keep = |d: &str| global.item_by_name(d).unwrap().raw() % 2 == parity;
+        shard_of(global, accuracies, &keep, reverse_sources)
+    }
+
+    /// The shard of `CLAIMS` holding the items `keep` accepts.
+    fn shard_of(
+        global: &Dataset,
+        accuracies: &SourceAccuracies,
+        keep: &dyn Fn(&str) -> bool,
+        reverse_sources: bool,
+    ) -> Shard {
+        let mut claims: Vec<_> = CLAIMS.iter().filter(|(_, d, _)| keep(d)).copied().collect();
         if reverse_sources {
             // Local ids follow first appearance: highest global source first.
             claims.sort_by_key(|(s, _, _)| std::cmp::Reverse(global.source_by_name(s).unwrap()));
@@ -753,6 +902,130 @@ mod tests {
         assert!(matches!(err, DetectError::ShardIdMapMismatch { kind: "item", mapped: 0, .. }));
         // The partial scan never reads the item map.
         assert!(collect_shard_partials_for(&input, &counts, &short_items, None).is_ok());
+    }
+
+    /// Uniform bootstrap state and the identity id map of a single-shard
+    /// dataset.
+    fn whole(global: &Dataset) -> (SourceAccuracies, ValueProbabilities, ShardIdMap) {
+        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
+        let probabilities = ValueProbabilities::uniform_over_dataset(global, 0.4).unwrap();
+        let map =
+            ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
+        (accuracies, probabilities, map)
+    }
+
+    /// A pair the snapshot shares but the counts lack is a typed error, not
+    /// a pair silently left out of the round.
+    #[test]
+    fn a_shared_pair_the_counts_lack_is_a_typed_error() {
+        let claims = [("A", "D0", "x"), ("B", "D0", "x"), ("C", "D1", "y"), ("A", "D1", "y")];
+        let snapshot = dataset(&claims);
+        let (accuracies, probabilities, map) = whole(&snapshot);
+        let params = CopyParams::paper_defaults();
+        let input = RoundInput::new(&snapshot, &accuracies, &probabilities, params);
+        // Captured before A claimed D1: same sources, but (A, C) shares nothing.
+        let counts = SharedItemCounts::build(&dataset(&claims[..3]));
+        let a_c = SourcePair::new(SourceId::new(0), SourceId::new(2));
+        assert_eq!(counts.get(a_c), 0);
+        for target in [None, Some(SourceId::new(0)), Some(SourceId::new(2))] {
+            let err = collect_shard_partials_for(&input, &counts, &map, target)
+                .expect_err("an uncounted shared pair must fail the scan");
+            assert_eq!(
+                err,
+                DetectError::ShardEvidenceMismatch { pair: a_c, counted: 0, observed: 1 },
+                "target {target:?}"
+            );
+        }
+        // The pair of B and C shares nothing either way: a top-k row of B
+        // only meets its counted pair.
+        assert!(collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(1))).is_ok());
+    }
+
+    /// A pair the counts list but the snapshot does not share is a typed
+    /// error, in the full round and in the row of either of its sources.
+    #[test]
+    fn a_counted_pair_the_snapshot_lacks_is_a_typed_error() {
+        let mut claims = CLAIMS.to_vec();
+        claims.push(("S3", "D9", "k"));
+        let snapshot = dataset(&claims);
+        let (accuracies, probabilities, map) = whole(&snapshot);
+        let input =
+            RoundInput::new(&snapshot, &accuracies, &probabilities, CopyParams::paper_defaults());
+        let mut counts = SharedItemCounts::build(&snapshot);
+        let consistent = collect_shard_partials_for(&input, &counts, &map, None).unwrap();
+        assert_eq!(consistent.len(), 3);
+        counts.increment(SourcePair::new(SourceId::new(1), SourceId::new(3)), 1);
+        let err = collect_shard_partials_for(&input, &counts, &map, None).unwrap_err();
+        assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 4, scanned: 3 });
+        let err =
+            collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(3))).unwrap_err();
+        assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 1, scanned: 0 });
+        let err =
+            collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(1))).unwrap_err();
+        assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 3, scanned: 2 });
+    }
+
+    /// Counts covering fewer sources than the snapshot are a typed error,
+    /// never an index past the counts table.
+    #[test]
+    fn counts_over_fewer_sources_are_a_typed_error() {
+        let snapshot = dataset(CLAIMS);
+        let (accuracies, probabilities, map) = whole(&snapshot);
+        let input =
+            RoundInput::new(&snapshot, &accuracies, &probabilities, CopyParams::paper_defaults());
+        // Two sources only: S2 is beyond the table.
+        let counts = SharedItemCounts::build(&dataset(&CLAIMS[..2]));
+        assert_eq!(counts.num_sources(), 2);
+        for target in [None, Some(SourceId::new(2))] {
+            let err = collect_shard_partials_for(&input, &counts, &map, target).unwrap_err();
+            assert!(
+                matches!(err, DetectError::ShardEvidenceMismatch { .. }),
+                "target {target:?}: {err:?}"
+            );
+        }
+        let err =
+            collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(2))).unwrap_err();
+        let s0_s2 = SourcePair::new(SourceId::new(0), SourceId::new(2));
+        assert_eq!(
+            err,
+            DetectError::ShardEvidenceMismatch { pair: s0_s2, counted: 0, observed: 2 }
+        );
+    }
+
+    /// A shard that never saw the target contributes no partials; one that
+    /// did contributes exactly the full scan's partials of the target's
+    /// pairs.
+    #[test]
+    fn a_target_absent_from_the_shard_yields_no_partials() {
+        let global = dataset(CLAIMS);
+        let accuracies = SourceAccuracies::from_vec(vec![0.9, 0.3, 0.6]).unwrap();
+        // S2 claims D0 and D3 only.
+        let s2 = global.source_by_name("S2").unwrap();
+        let without = shard_of(&global, &accuracies, &|d| d == "D1" || d == "D2", true);
+        assert!(!without.map.sources.contains(&s2));
+        let with = shard_of(&global, &accuracies, &|d| d == "D0" || d == "D3", true);
+        let counts = SharedItemCounts::build(&without.dataset);
+        let partials =
+            collect_shard_partials_for(&without.input(), &counts, &without.map, Some(s2)).unwrap();
+        assert!(partials.is_empty());
+        // A global id beyond every shard's map is absent too.
+        let ghost = Some(SourceId::new(7));
+        assert!(collect_shard_partials_for(&without.input(), &counts, &without.map, ghost)
+            .unwrap()
+            .is_empty());
+        for sh in [&without, &with] {
+            let counts = SharedItemCounts::build(&sh.dataset);
+            for target in global.sources() {
+                let mut rows =
+                    collect_shard_partials_for(&sh.input(), &counts, &sh.map, Some(target))
+                        .unwrap();
+                let mut full: ShardPartials =
+                    sh.partials().into_iter().filter(|(pair, _)| pair.contains(target)).collect();
+                rows.sort_unstable_by_key(|(pair, _)| *pair);
+                full.sort_unstable_by_key(|(pair, _)| *pair);
+                assert_eq!(rows, full, "target {target}");
+            }
+        }
     }
 
     /// The pair partition is stable (pinned FNV-1a values) and total.

@@ -23,6 +23,9 @@ const DENSE_LIMIT: usize = 4096;
 pub struct SharedItemCounts {
     repr: Repr,
     num_sources: usize,
+    /// Pairs with a non-zero count, kept current by every write so
+    /// [`SharedItemCounts::num_sharing_pairs`] is O(1).
+    sharing_pairs: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -37,11 +40,12 @@ impl SharedItemCounts {
     /// Counts shared items for every pair of sources in `ds`.
     pub fn build(ds: &Dataset) -> Self {
         let n = ds.num_sources();
-        let mut counts = if n <= DENSE_LIMIT {
+        let repr = if n <= DENSE_LIMIT {
             Repr::Dense(vec![0u32; n * n.saturating_sub(1) / 2])
         } else {
             Repr::Sparse(HashMap::new())
         };
+        let mut counts = Self { repr, num_sources: n, sharing_pairs: 0 };
         // One provider list per item, merged across that item's value groups.
         let mut providers: Vec<SourceId> = Vec::new();
         for d in ds.items() {
@@ -52,15 +56,11 @@ impl SharedItemCounts {
             providers.sort_unstable();
             for i in 0..providers.len() {
                 for j in (i + 1)..providers.len() {
-                    let pair = SourcePair::new(providers[i], providers[j]);
-                    match &mut counts {
-                        Repr::Dense(m) => m[dense_slot(pair)] += 1,
-                        Repr::Sparse(m) => *m.entry(pair).or_insert(0) += 1,
-                    }
+                    counts.increment(SourcePair::new(providers[i], providers[j]), 1);
                 }
             }
         }
-        Self { repr: counts, num_sources: n }
+        counts
     }
 
     /// Grows the table to cover `num_sources` sources (keeping all existing
@@ -105,10 +105,17 @@ impl SharedItemCounts {
     /// the covered range; call [`SharedItemCounts::grow`] first.
     #[inline]
     pub fn increment(&mut self, pair: SourcePair, by: u32) {
-        match &mut self.repr {
-            Repr::Dense(m) => m[dense_slot(pair)] += by,
-            Repr::Sparse(m) => *m.entry(pair).or_insert(0) += by,
+        if by == 0 {
+            return;
         }
+        let slot = match &mut self.repr {
+            Repr::Dense(m) => &mut m[dense_slot(pair)],
+            Repr::Sparse(m) => m.entry(pair).or_insert(0),
+        };
+        // Branch-free: on sparse data a slot often leaves zero (a pair's
+        // first shared item), so a branch here would mispredict.
+        self.sharing_pairs += usize::from(*slot == 0);
+        *slot += by;
     }
 
     /// Number of items shared by the pair (`l(S1, S2)`), zero if they share
@@ -126,12 +133,10 @@ impl SharedItemCounts {
         self.num_sources
     }
 
-    /// Number of pairs with at least one shared item.
+    /// Number of pairs with at least one shared item (O(1): a counter that
+    /// [`SharedItemCounts::increment`] keeps current).
     pub fn num_sharing_pairs(&self) -> usize {
-        match &self.repr {
-            Repr::Dense(m) => m.iter().filter(|&&c| c > 0).count(),
-            Repr::Sparse(m) => m.len(),
-        }
+        self.sharing_pairs
     }
 
     /// Iterates over every pair with a non-zero count.
@@ -275,6 +280,35 @@ mod tests {
         }
         assert_eq!(counts.num_sharing_pairs(), rebuilt.num_sharing_pairs());
         assert_eq!(counts.num_sources(), 3);
+    }
+
+    /// The O(1) sharing-pair counter survives `build`, growth past the
+    /// dense limit (the switch to the sparse map) and mixed increments:
+    /// it always equals a full walk of the non-zero counts.
+    #[test]
+    fn sharing_pair_counter_matches_a_full_walk() {
+        let walk = |c: &SharedItemCounts| c.iter_nonzero().count();
+        let pair =
+            |a: usize, b: usize| SourcePair::new(SourceId::from_index(a), SourceId::from_index(b));
+        let ex = motivating_example();
+        let mut counts = SharedItemCounts::build(&ex.dataset);
+        assert_eq!(counts.num_sharing_pairs(), walk(&counts));
+        counts.grow(12);
+        counts.increment(pair(3, 11), 1);
+        counts.increment(pair(3, 11), 2);
+        counts.increment(pair(0, 1), 1);
+        counts.increment(pair(10, 11), 0);
+        assert_eq!(counts.num_sharing_pairs(), 46);
+        assert_eq!(counts.num_sharing_pairs(), walk(&counts));
+        counts.grow(DENSE_LIMIT + 2);
+        assert!(matches!(counts.repr, Repr::Sparse(_)));
+        assert_eq!(counts.num_sharing_pairs(), walk(&counts));
+        counts.increment(pair(4, DENSE_LIMIT + 1), 1);
+        counts.increment(pair(4, DENSE_LIMIT + 1), 1);
+        counts.increment(pair(3, 11), 1);
+        counts.increment(pair(5, DENSE_LIMIT), 0);
+        assert_eq!(counts.num_sharing_pairs(), 47);
+        assert_eq!(counts.num_sharing_pairs(), walk(&counts));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Fan-out detection rounds over a [`ShardedStore`]: every shard scores its
-//! own pairs into exact evidence partials on its own thread, and the
+//! Fan-out detection rounds over a [`ShardedStore`]: every shard builds its
+//! id maps and scores its own pairs into exact evidence partials on its own
+//! thread — one row scan per source, each claim scored once — and the
 //! cross-shard merge adds the partials into global copy decisions.
 
 use crate::shard::{ShardMaps, ShardedStore};
@@ -63,8 +64,10 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    together under that shard's lock
 ///    ([`ShardedStore::capture_shards`]); everything after runs without any
 ///    store lock, so writers keep streaming while the round computes.
-/// 2. **Fan-out** — per shard, in a [`std::thread::scope`]: the round state
-///    is bootstrapped like
+/// 2. **Fan-out** — per shard, in a [`std::thread::scope`] (the calling
+///    thread scans the last shard itself): the shard's local→global id
+///    maps are built ([`ShardedStore::maps_for`], traced as
+///    `shard<i>.maps`), then the round state is bootstrapped like
 ///    [`LiveDetector::prepare`](copydet_store::LiveDetector::prepare)
 ///    (uniform accuracies over a self-contained
 ///    [`OwnedRoundInput`](copydet_detect::OwnedRoundInput) dataset handle),
@@ -72,10 +75,11 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    **global** value id (see below) — voting locally first and redoing it
 ///    would double the bootstrap cost for a result that gets discarded.
 ///    Then the shard scores its own pairs ([`collect_shard_partials_for`]):
-///    only pairs the shard's counts say share an item are visited, and each
-///    yields one exact [`PairEvidence`](copydet_bayes::PairEvidence)
-///    partial keyed by the global pair. No per-item observation leaves the
-///    scan thread.
+///    each source's row walks its own claims, scores each claim's shared
+///    value once for every neighbour sharing it, and yields one exact
+///    [`PairEvidence`](copydet_bayes::PairEvidence) partial per neighbour,
+///    keyed by the global pair and checked against the shard's counts. No
+///    per-item observation leaves the scan thread.
 /// 3. **Merge** — each pair's per-shard partials are added and the
 ///    posterior of Eq. 2 decides ([`merge_shard_partials`]). Pairs are
 ///    partitioned by a stable hash across merge workers (see
@@ -149,7 +153,8 @@ impl ShardedDetector {
     /// merge run entirely unlocked.
     ///
     /// # Errors
-    /// [`DetectError::ShardEvidenceMismatch`] if a shard's counts disagree
+    /// [`DetectError::ShardEvidenceMismatch`] or
+    /// [`DetectError::ShardPairCountMismatch`] if a shard's counts disagree
     /// with its snapshot — impossible for captures taken by this method
     /// (each shard's pair is captured under one lock), so an error here
     /// indicates store corruption; [`DetectError::Bayes`] if the configured
@@ -169,9 +174,10 @@ impl ShardedDetector {
     /// has no `capture` stages (the capture happened outside this call).
     ///
     /// # Errors
-    /// [`DetectError::ShardEvidenceMismatch`] if a capture's counts disagree
-    /// with its snapshot — e.g. a counts handle captured at a different time
-    /// than the snapshot it is paired with.
+    /// [`DetectError::ShardEvidenceMismatch`] or
+    /// [`DetectError::ShardPairCountMismatch`] if a capture's counts
+    /// disagree with its snapshot — e.g. a counts handle captured at a
+    /// different time than the snapshot it is paired with.
     pub fn detect_captured(
         &mut self,
         store: &ShardedStore,
@@ -184,11 +190,11 @@ impl ShardedDetector {
     /// filtered round.
     ///
     /// The query runs the same capture, per-shard scan and merge as
-    /// [`detect_round`](Self::detect_round), except that each shard's scan
-    /// keeps only the pairs containing `source`
-    /// ([`collect_shard_partials_for`]); the merged outcomes are then ranked
-    /// by [`topk::rank_topk`]. Every kept pair merges the same partials as
-    /// in the full round, so the ranked answer is
+    /// [`detect_round`](Self::detect_round), except that each shard scans
+    /// only `source`'s row — its own claims — so only the pairs containing
+    /// it are scored ([`collect_shard_partials_for`]); the merged outcomes
+    /// are then ranked by [`topk::rank_topk`]. Every kept pair merges the
+    /// same partials as in the full round, so the ranked answer is
     /// bit-identical to the top-k extracted from a full round (ascending
     /// posterior, ties by ascending pair id). A query does not count in
     /// [`rounds`](Self::rounds).
@@ -295,67 +301,67 @@ impl ShardedDetector {
         trace: &mut RoundTraceBuilder,
     ) -> Result<DetectionResult, DetectError> {
         let prepare_span = Span::start();
-        let maps: Vec<ShardMaps> =
-            captures.iter().map(|(snapshot, _)| store.maps_for(snapshot)).collect();
         let vote_config = VoteConfig::new(self.config.params);
         let initial_accuracy = self.config.initial_accuracy;
         let params = self.config.params;
         trace.stage("prepare", prepare_span.elapsed_nanos());
         let fanout_span = Span::start();
-        type ScanResult = Result<(ShardPartials, u64), DetectError>;
+        /// One shard's partials, with its `maps` and `scan` stage times.
+        type ScanResult = Result<(ShardPartials, u64, u64), DetectError>;
+        let vote_config = &vote_config;
+        let scan_shard = move |(snapshot, counts): &Capture| -> ScanResult {
+            let maps_span = Span::start();
+            let map = store.maps_for(snapshot);
+            let maps_nanos = maps_span.elapsed_nanos();
+            // The same bootstrap `LiveDetector::prepare` builds, assembled
+            // directly so the vote is computed once — in global value order
+            // (prepare's locally-ordered vote would just be discarded).
+            let scan_span = Span::start();
+            let shard_accuracies =
+                SourceAccuracies::uniform(snapshot.dataset.num_sources(), initial_accuracy)?;
+            let probabilities =
+                globally_ordered_vote(&snapshot.dataset, &shard_accuracies, &map, vote_config)?;
+            let input = copydet_detect::OwnedRoundInput {
+                dataset: snapshot.dataset.clone(),
+                accuracies: shard_accuracies,
+                probabilities,
+                params,
+                delta: None,
+            };
+            let partials =
+                collect_shard_partials_for(&input.as_round_input(), counts, &map.ids, target)?;
+            Ok((partials, maps_nanos, scan_span.elapsed_nanos()))
+        };
         let scans: Vec<ScanResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = captures
-                .iter()
-                .zip(&maps)
-                .map(|((snapshot, counts), map)| {
-                    let vote_config = &vote_config;
-                    scope.spawn(move || -> ScanResult {
-                        // The same bootstrap `LiveDetector::prepare` builds,
-                        // assembled directly so the vote is computed once —
-                        // in global value order (prepare's locally-ordered
-                        // vote would just be discarded).
-                        let scan_span = Span::start();
-                        let shard_accuracies = SourceAccuracies::uniform(
-                            snapshot.dataset.num_sources(),
-                            initial_accuracy,
-                        )?;
-                        let probabilities = globally_ordered_vote(
-                            &snapshot.dataset,
-                            &shard_accuracies,
-                            map,
-                            vote_config,
-                        )?;
-                        let input = copydet_detect::OwnedRoundInput {
-                            dataset: snapshot.dataset.clone(),
-                            accuracies: shard_accuracies,
-                            probabilities,
-                            params,
-                            delta: None,
-                        };
-                        let partials = collect_shard_partials_for(
-                            &input.as_round_input(),
-                            counts,
-                            &map.ids,
-                            target,
-                        )?;
-                        Ok((partials, scan_span.elapsed_nanos()))
-                    })
-                })
-                .collect();
+            // The calling thread scans the last shard itself: one spawn and
+            // one join fewer (none on a one-shard fleet), with the same
+            // panic containment as the spawned scans.
+            let (last, spawned) = match captures.split_last() {
+                Some((last, rest)) => (Some(last), rest),
+                None => (None, captures),
+            };
+            let handles: Vec<_> =
+                spawned.iter().map(|capture| scope.spawn(move || scan_shard(capture))).collect();
+            let inline = last.map(|capture| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scan_shard(capture)))
+                    .unwrap_or(Err(DetectError::ShardScanPanicked { shard: spawned.len() }))
+            });
             handles
                 .into_iter()
                 .enumerate()
                 .map(|(shard, handle)| {
                     handle.join().unwrap_or(Err(DetectError::ShardScanPanicked { shard }))
                 })
+                .chain(inline)
                 .collect()
         });
         trace.stage("fanout", fanout_span.elapsed_nanos());
         let mut shards = Vec::with_capacity(scans.len());
         for (i, scan) in scans.into_iter().enumerate() {
-            let (partials, nanos) = scan?;
+            let (partials, maps_nanos, scan_nanos) = scan?;
+            trace.stage(&format!("shard{i}.maps"), maps_nanos);
             let scored: usize = partials.iter().map(|(_, evidence)| evidence.shared_items()).sum();
-            trace.stage_count(&format!("shard{i}.scan"), nanos, usize_to_u64(scored));
+            trace.stage_count(&format!("shard{i}.scan"), scan_nanos, usize_to_u64(scored));
             shards.push(partials);
         }
         let workers = self.merge_parallelism();
