@@ -364,10 +364,11 @@ const SERVE_SCOPE: &str = "crates/serve/src/";
 /// Modules outside `SERVE_SCOPE` that parse crash or network input — or
 /// run on every hot path (the observability layer instruments
 /// ingest/detect/serve, so a panic in it takes the instrumented operation
-/// down with it; the sharded round and the top-k ranking run per request)
-/// — and must stay panic-free.
+/// down with it; the sharded round, the top-k ranking and every shard's
+/// value vote run per request) — and must stay panic-free.
 const PANIC_SCOPE: &[&str] = &[
     "crates/detect/src/sharded.rs",
+    "crates/fusion/src/accu.rs",
     "crates/detect/src/topk.rs",
     "crates/store/src/wal.rs",
     "crates/store/src/durable.rs",

@@ -59,17 +59,9 @@ pub enum DetectError {
         /// The name the query asked for.
         name: String,
     },
-    /// A round's bootstrap state was invalid: an initial accuracy or a
-    /// value probability outside `[0, 1]`.
+    /// A round's bootstrap state was invalid: an initial accuracy outside
+    /// `[0, 1]`.
     Bayes(BayesError),
-    /// A shard's local-to-global value map covers fewer values than the
-    /// shard's snapshot interns — the map was built for another snapshot.
-    ShardValueMapMismatch {
-        /// Distinct values in the shard snapshot.
-        values: usize,
-        /// Values the map translates.
-        mapped: usize,
-    },
     /// A shard's local-to-global id map does not cover an id of the
     /// shard's snapshot — the map was built for another snapshot.
     ShardIdMapMismatch {
@@ -122,10 +114,6 @@ impl fmt::Display for DetectError {
                 write!(f, "unknown source name {name:?}")
             }
             DetectError::Bayes(e) => write!(f, "invalid round state: {e}"),
-            DetectError::ShardValueMapMismatch { values, mapped } => write!(
-                f,
-                "shard value map translates {mapped} values but the snapshot interns {values}"
-            ),
             DetectError::ShardIdMapMismatch { kind, local, mapped } => write!(
                 f,
                 "shard id map translates {mapped} {kind} ids but the snapshot uses local \
@@ -164,8 +152,6 @@ mod tests {
         assert!(e.to_string().contains("ghost"));
         let e = DetectError::from(BayesError::InvalidProbability { what: "x", value: 1.5 });
         assert!(e.to_string().contains("1.5"));
-        let e = DetectError::ShardValueMapMismatch { values: 7, mapped: 4 };
-        assert!(e.to_string().contains('7') && e.to_string().contains('4'));
         let e = DetectError::ShardIdMapMismatch { kind: "item", local: 9, mapped: 2 };
         assert!(e.to_string().contains("item id 9") && e.to_string().contains('2'));
         assert!(DetectError::ShardScanPanicked { shard: 3 }.to_string().contains('3'));

@@ -32,11 +32,10 @@
 //! shard scan never emits one, since it only visits pairs that share an
 //! item, but hand-assembled input can carry them).
 //!
-//! One order still matters: the per-value truth probability comes from a
-//! vote that normalizes over an item's value groups in sequence. Shard
-//! drivers obtain bit-identical probabilities by voting each item's groups
-//! in global value-id order via `copydet_fusion::vote_group_probabilities`
-//! — see `copydet-serve`.
+//! The per-value truth probabilities the scan reads are order-free too:
+//! `copydet_fusion::value_probabilities` depends on each item's set of value
+//! groups, not on their (shard-local) order, so a shard driver votes its own
+//! snapshot and gets the bits a single store would — see `copydet-serve`.
 //!
 //! [`collect_shard_evidence`] and [`merge_shard_rounds_parallel`] keep the
 //! older observation-shipping shape — one [`SharedItemObservation`] per

@@ -4,7 +4,7 @@
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
 use copydet_detect::DetectionResult;
-use copydet_model::{Dataset, SourceId, SourcePair};
+use copydet_model::{Dataset, ItemValueGroup, SourceId, SourcePair};
 
 /// Configuration of the voting step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +58,12 @@ fn copy_probability(
 /// provided values plus the `n + 1 − k` unprovided candidate values of the
 /// item's domain (each carrying vote weight 0), using a log-sum-exp so large
 /// vote counts cannot overflow.
+///
+/// The result depends on each item's *set* of value groups, not on their
+/// order: two datasets built from the same claims in different arrival
+/// orders (so with different value ids) get the same probability bits for
+/// every (item, value) name, which is what lets every shard of a sharded
+/// store vote its own snapshot.
 pub fn value_probabilities(
     dataset: &Dataset,
     accuracies: &SourceAccuracies,
@@ -72,6 +78,9 @@ pub fn value_probabilities(
         }
         let probs = vote_group_probabilities(groups, accuracies, copy_result, config);
         for (group, p) in groups.iter().zip(probs) {
+            // `p` is clamped into [1e-9, 1 − 1e-9] and is never NaN (see
+            // `vote_group_probabilities`), and `dataset` sized the table.
+            // audit: allow(no-panic) — the probability is always in range
             probabilities
                 .set(group.item, group.value, p)
                 .expect("probability is clamped into range");
@@ -80,42 +89,36 @@ pub fn value_probabilities(
     probabilities
 }
 
-/// The vote-based truth probabilities of one item's value groups, **in the
-/// order given** (one probability per group).
+/// The vote-based truth probabilities of one item's value groups, one per
+/// group, in the order given. All groups must belong to the same item and
+/// cover every provided value of it, since the normalization counts the
+/// item's unprovided candidate values as `n + 1 − k`.
 ///
-/// This is the per-item inner step of [`value_probabilities`], exposed on its
-/// own because the normalization sums over the groups in slice order and
-/// floating-point addition is order-sensitive: a caller that needs its
-/// probabilities to agree *bitwise* with another computation over the same
-/// groups (the cross-shard merge layer of `copydet-serve`, whose shard-local
-/// value ids order groups differently than a single global store's) can pass
-/// the groups in the reference order and obtain identical results.
+/// The result does not depend on the order of `groups`: the normalizer sums
+/// its exp terms in ascending order (`total_cmp`), and a group's vote is a sum
+/// over providers sorted by accuracy, whose ties carry equal weights when
+/// there is no copy result to discount them.
 ///
-/// All groups must belong to the same item; the caller is responsible for
-/// passing every provided value of that item, since the normalization counts
-/// the item's unprovided candidate values as `n + 1 − k`. The slice is
-/// generic over [`Borrow`](std::borrow::Borrow) so the single-store loop
-/// passes `&[ItemValueGroup]` directly while a reordering caller passes
-/// `&[&ItemValueGroup]` — neither side allocates to adapt.
-pub fn vote_group_probabilities<G: std::borrow::Borrow<copydet_model::ItemValueGroup>>(
-    groups: &[G],
+/// Every vote is finite: accuracies are clamped into `[ε, 1 − ε]` and
+/// `CopyParams` keeps `n ≥ 1` and `s < 1`, so each weight and each copy
+/// discount is finite. The offset is the largest exponent in the
+/// normalizer, so that term is exactly 1, the sum is at least 1, and every
+/// probability lies in `[0, 1]`.
+fn vote_group_probabilities(
+    groups: &[ItemValueGroup],
     accuracies: &SourceAccuracies,
     copy_result: Option<&DetectionResult>,
     config: &VoteConfig,
 ) -> Vec<f64> {
-    let n_plus_one = config.params.n() + 1.0;
     // Vote count per provided value.
     let mut votes: Vec<f64> = Vec::with_capacity(groups.len());
     for group in groups {
-        let group = group.borrow();
         let mut providers: Vec<SourceId> = group.providers.clone();
-        providers.sort_by(|&a, &b| {
-            accuracies.get(b).partial_cmp(&accuracies.get(a)).expect("accuracies are never NaN")
-        });
+        providers.sort_by(|&a, &b| accuracies.get(b).total_cmp(&accuracies.get(a)));
         let mut vote = 0.0;
         for (idx, &s) in providers.iter().enumerate() {
             let mut independence = 1.0;
-            for &earlier in &providers[..idx] {
+            for &earlier in providers.iter().take(idx) {
                 let p_copy = copy_probability(copy_result, SourcePair::new(s, earlier), config);
                 independence *= 1.0 - config.params.selectivity * p_copy;
             }
@@ -125,10 +128,12 @@ pub fn vote_group_probabilities<G: std::borrow::Borrow<copydet_model::ItemValueG
     }
     // Normalize: provided values have weight e^vote, the remaining
     // (n + 1 − k) candidate values have weight e^0 = 1.
-    let unseen = (n_plus_one - groups.len() as f64).max(0.0);
-    let max_vote = votes.iter().copied().fold(0.0f64, f64::max);
-    let denom: f64 =
-        votes.iter().map(|v| (v - max_vote).exp()).sum::<f64>() + unseen * (-max_vote).exp();
+    let unseen = (config.params.n() + 1.0 - groups.len() as f64).max(0.0);
+    let floor = if unseen > 0.0 { 0.0 } else { f64::NEG_INFINITY };
+    let max_vote = votes.iter().copied().fold(floor, f64::max);
+    let mut terms: Vec<f64> = votes.iter().map(|v| (v - max_vote).exp()).collect();
+    terms.sort_by(f64::total_cmp);
+    let denom = terms.iter().sum::<f64>() + unseen * (-max_vote).exp();
     votes.iter().map(|vote| ((vote - max_vote).exp() / denom).clamp(1e-9, 1.0 - 1e-9)).collect()
 }
 
@@ -150,6 +155,9 @@ pub fn accuracy_from_probabilities(
             sum / claims.len() as f64
         })
         .collect();
+    // audit: allow(no-panic) — every stored probability and the table's
+    // default are validated into [0, 1], and a rounded mean of such values
+    // stays in [0, 1].
     SourceAccuracies::from_vec(accs).expect("mean probabilities are in [0, 1]")
 }
 
@@ -202,6 +210,63 @@ mod tests {
             with.get(ny, newyork) < without.get(ny, newyork) + 1e-12,
             "discounted probability should not exceed the undiscounted one"
         );
+    }
+
+    /// The same claims arriving in two orders intern their values, and so
+    /// order each item's groups, differently; the vote must not notice.
+    #[test]
+    fn vote_is_independent_of_value_group_order() {
+        let mut claims = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for item in 0..60 {
+            for source in 0..16 {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let value = state >> 61;
+                claims.push((format!("S{source}"), format!("D{item}"), format!("v{value}")));
+            }
+        }
+        let build = |claims: &mut dyn Iterator<Item = &(String, String, String)>| {
+            let mut b = copydet_model::DatasetBuilder::new();
+            for (source, item, value) in claims {
+                b.add_claim(source, item, value);
+            }
+            b.build()
+        };
+        let forward = build(&mut claims.iter());
+        let backward = build(&mut claims.iter().rev());
+        assert_ne!(forward.value_by_str("v0"), backward.value_by_str("v0"));
+        let accuracies = |ds: &Dataset, uniform: bool| {
+            let accs = ds
+                .sources()
+                .map(|s| {
+                    let index: f64 = ds.source_name(s)[1..].parse().unwrap();
+                    if uniform {
+                        0.8
+                    } else {
+                        0.5 + 0.45 * (index * 0.618_034).fract()
+                    }
+                })
+                .collect();
+            SourceAccuracies::from_vec(accs).unwrap()
+        };
+        for uniform in [true, false] {
+            let a = value_probabilities(&forward, &accuracies(&forward, uniform), None, &config());
+            let b =
+                value_probabilities(&backward, &accuracies(&backward, uniform), None, &config());
+            for item in forward.items() {
+                let other = backward.item_by_name(forward.item_name(item)).unwrap();
+                for group in forward.values_of_item(item) {
+                    let value = backward.value_by_str(forward.value_str(group.value)).unwrap();
+                    assert_eq!(
+                        a.get(item, group.value).to_bits(),
+                        b.get(other, value).to_bits(),
+                        "{} / {} (uniform: {uniform})",
+                        forward.item_name(item),
+                        forward.value_str(group.value),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,7 @@ mod error;
 mod round;
 mod vote;
 
-pub use accu::{
-    accuracy_from_probabilities, value_probabilities, vote_group_probabilities, VoteConfig,
-};
+pub use accu::{accuracy_from_probabilities, value_probabilities, VoteConfig};
 pub use accucopy::{accu_fusion, AccuCopy, FusionConfig, FusionOutcome};
 pub use error::FusionError;
 pub use round::{FusionRoundStats, RoundTimings};

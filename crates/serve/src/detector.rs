@@ -3,16 +3,16 @@
 //! thread — one row scan per source, each claim scored once — and the
 //! cross-shard merge adds the partials into global copy decisions.
 
-use crate::shard::{ShardMaps, ShardedStore};
-use copydet_bayes::{SourceAccuracies, ValueProbabilities};
+use crate::shard::ShardedStore;
+use copydet_bayes::SourceAccuracies;
 use copydet_detect::{
     collect_shard_partials_for, merge_shard_partials, topk, DetectError, DetectionResult,
-    ShardPartials, TopKResult,
+    RoundInput, ShardPartials, TopKResult,
 };
-use copydet_fusion::{vote_group_probabilities, VoteConfig};
+use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::usize_to_u64;
-use copydet_model::{Dataset, ItemValueGroup, SourceId};
+use copydet_model::SourceId;
 use copydet_obs::event::field;
 use copydet_obs::{
     emit, registry, slow_op_exceeded, trace_fields, trace_ring, Counter, Histogram,
@@ -66,15 +66,12 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    store lock, so writers keep streaming while the round computes.
 /// 2. **Fan-out** — per shard, in a [`std::thread::scope`] (the calling
 ///    thread scans the last shard itself): the shard's local→global id
-///    maps are built ([`ShardedStore::maps_for`], traced as
-///    `shard<i>.maps`), then the round state is bootstrapped like
-///    [`LiveDetector::prepare`](copydet_store::LiveDetector::prepare)
-///    (uniform accuracies over a self-contained
-///    [`OwnedRoundInput`](copydet_detect::OwnedRoundInput) dataset handle),
-///    except that the value vote runs with each item's groups ordered by
-///    **global** value id (see below) — voting locally first and redoing it
-///    would double the bootstrap cost for a result that gets discarded.
-///    Then the shard scores its own pairs ([`collect_shard_partials_for`]):
+///    source and item maps are built ([`ShardedStore::maps_for`], traced
+///    as `shard<i>.maps`), then the round state is bootstrapped like
+///    [`LiveDetector::prepare`](copydet_store::LiveDetector::prepare):
+///    uniform accuracies and the value vote over the shard's own snapshot,
+///    borrowed, not cloned. Then the shard scores its own pairs
+///    ([`collect_shard_partials_for`]):
 ///    each source's row walks its own claims, scores each claim's shared
 ///    value once for every neighbour sharing it, and yields one exact
 ///    [`PairEvidence`](copydet_bayes::PairEvidence) partial per neighbour,
@@ -91,11 +88,10 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 /// running the exact PAIRWISE baseline on a single store fed the same
 /// stream — not merely equal in decisions, equal in every score and
 /// posterior bit. Evidence sums are exact integers, so the order in which
-/// shards and items add up does not matter. One order still does: each
-/// item's vote normalization sums its value groups in floating point, so
-/// the groups are voted in global value-id order (shard-local interning
-/// orders them differently). The equivalence proptest in
-/// `tests/shard_equivalence.rs` asserts exactly this against
+/// shards and items add up does not matter, and the value vote depends on
+/// each item's set of value groups, not on their order, so a shard's local
+/// value ids vote exactly as the global ones do. The equivalence proptest
+/// in `tests/shard_equivalence.rs` asserts exactly this against
 /// `pairwise_detection`.
 #[derive(Debug, Default)]
 pub struct ShardedDetector {
@@ -313,23 +309,14 @@ impl ShardedDetector {
             let maps_span = Span::start();
             let map = store.maps_for(snapshot);
             let maps_nanos = maps_span.elapsed_nanos();
-            // The same bootstrap `LiveDetector::prepare` builds, assembled
-            // directly so the vote is computed once — in global value order
-            // (prepare's locally-ordered vote would just be discarded).
+            // The bootstrap `LiveDetector::prepare` builds, over a borrowed
+            // snapshot.
             let scan_span = Span::start();
-            let shard_accuracies =
-                SourceAccuracies::uniform(snapshot.dataset.num_sources(), initial_accuracy)?;
-            let probabilities =
-                globally_ordered_vote(&snapshot.dataset, &shard_accuracies, &map, vote_config)?;
-            let input = copydet_detect::OwnedRoundInput {
-                dataset: snapshot.dataset.clone(),
-                accuracies: shard_accuracies,
-                probabilities,
-                params,
-                delta: None,
-            };
-            let partials =
-                collect_shard_partials_for(&input.as_round_input(), counts, &map.ids, target)?;
+            let dataset = &snapshot.dataset;
+            let accuracies = SourceAccuracies::uniform(dataset.num_sources(), initial_accuracy)?;
+            let probabilities = value_probabilities(dataset, &accuracies, None, vote_config);
+            let input = RoundInput::new(dataset, &accuracies, &probabilities, params);
+            let partials = collect_shard_partials_for(&input, counts, &map.ids, target)?;
             Ok((partials, maps_nanos, scan_span.elapsed_nanos()))
         };
         let scans: Vec<ScanResult> = std::thread::scope(|scope| {
@@ -398,55 +385,11 @@ fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<Ca
     captures
 }
 
-/// The vote bootstrap over one shard's snapshot, with each item's value
-/// groups voted in **global value-id order**.
-///
-/// The vote normalizes an item's group weights by summing them in sequence;
-/// a single global store iterates groups in global value-id order, while a
-/// shard's local ids can order the same groups differently (a value string's
-/// local id depends on which *other* items the shard saw first). Reordering
-/// by global id before the fold makes the probabilities — and everything
-/// downstream of them — bit-identical to the single-store run.
-///
-/// # Errors
-/// [`DetectError::ShardValueMapMismatch`] if `map` does not translate every
-/// value of `dataset`; [`DetectError::Bayes`] if the vote yields a value
-/// outside `[0, 1]`.
-fn globally_ordered_vote(
-    dataset: &Dataset,
-    accuracies: &SourceAccuracies,
-    map: &ShardMaps,
-    config: &VoteConfig,
-) -> Result<ValueProbabilities, DetectError> {
-    if map.values.len() < dataset.num_distinct_values() {
-        return Err(DetectError::ShardValueMapMismatch {
-            values: dataset.num_distinct_values(),
-            mapped: map.values.len(),
-        });
-    }
-    let mut probabilities = ValueProbabilities::new(dataset.num_items());
-    for item in dataset.items() {
-        let groups = dataset.values_of_item(item);
-        if groups.is_empty() {
-            continue;
-        }
-        let mut ordered: Vec<&ItemValueGroup> = groups.iter().collect();
-        // Every value id is below the checked map length, so no key is `None`.
-        ordered.sort_by_key(|g| map.values.get(g.value.index()));
-        let probs = vote_group_probabilities(&ordered, accuracies, None, config);
-        for (group, p) in ordered.iter().zip(probs) {
-            probabilities.set(group.item, group.value, p)?;
-        }
-    }
-    Ok(probabilities)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use copydet_bayes::CopyParams;
-    use copydet_detect::{pairwise_detection, RoundInput};
-    use copydet_fusion::value_probabilities;
+    use copydet_detect::pairwise_detection;
     use copydet_model::{DatasetBuilder, SourcePair};
 
     /// A small planted-copier stream: S0 and S3 share distinctive false

@@ -132,15 +132,15 @@ impl GlobalTables {
     }
 }
 
-/// Local-to-global id translation for one shard snapshot, extending the
-/// detect-layer [`ShardIdMap`](copydet_detect::ShardIdMap) with the value
-/// map the globally-ordered vote needs.
+/// Local-to-global id translation for one shard snapshot: the detect-layer
+/// [`ShardIdMap`](copydet_detect::ShardIdMap) of sources and items. The vote
+/// needs no value translation, since it does not depend on value-group
+/// order; the wrapper remains only because the wire-level benchmark's
+/// replay names it and reads `ids`.
 #[derive(Debug, Clone, Default)]
 pub struct ShardMaps {
     /// Source and item translation (the merge-layer input).
     pub ids: copydet_detect::ShardIdMap,
-    /// Global value index of each local value id.
-    pub values: Vec<usize>,
 }
 
 /// A store hash-partitioned by **data item** across N [`SharedClaimStore`]
@@ -538,9 +538,10 @@ impl ShardedStore {
         (captures, nanos)
     }
 
-    /// Builds the local→global id maps for a shard snapshot. Names not yet
-    /// in the registry (impossible through the router, possible for a store
-    /// assembled by hand) are interned on the fly.
+    /// Builds the local→global source and item maps for a shard snapshot;
+    /// values are never looked up. Names not yet in the registry
+    /// (impossible through the router, possible for a store assembled by
+    /// hand) are interned on the fly.
     ///
     /// Names that reached a shard went through the registry first, so the
     /// steady state resolves everything under the shared **read** lock —
@@ -558,10 +559,8 @@ impl ShardedStore {
                 .items()
                 .map(|d| global.items.get(ds.item_name(d)).map(ItemId::from_index))
                 .collect();
-            let values: Option<Vec<usize>> =
-                ds.values_interner().iter().map(|(_, v)| global.values.get(v)).collect();
-            if let (Some(sources), Some(items), Some(values)) = (sources, items, values) {
-                return ShardMaps { ids: copydet_detect::ShardIdMap { sources, items }, values };
+            if let (Some(sources), Some(items)) = (sources, items) {
+                return ShardMaps { ids: copydet_detect::ShardIdMap { sources, items } };
             }
         }
         let mut global = self.global.write();
@@ -582,11 +581,6 @@ impl ShardedStore {
                     })
                     .collect(),
             },
-            values: ds
-                .values_interner()
-                .iter()
-                .map(|(_, v)| global.intern_logged(NameKind::Value, v))
-                .collect(),
         };
         global.flush_log();
         maps
