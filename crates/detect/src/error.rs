@@ -62,14 +62,12 @@ pub enum DetectError {
     /// A round's bootstrap state was invalid: an initial accuracy outside
     /// `[0, 1]`.
     Bayes(BayesError),
-    /// A shard's local-to-global id map does not cover an id of the
+    /// A shard's local-to-global source map does not cover a source of the
     /// shard's snapshot — the map was built for another snapshot.
     ShardIdMapMismatch {
-        /// Which id space ran short: `"source"` or `"item"`.
-        kind: &'static str,
-        /// The local id the map could not translate.
+        /// The local source id the map could not translate.
         local: usize,
-        /// Ids of that kind the map translates.
+        /// Source ids the map translates.
         mapped: usize,
     },
     /// The thread scanning one shard's evidence panicked; the round fails
@@ -114,10 +112,10 @@ impl fmt::Display for DetectError {
                 write!(f, "unknown source name {name:?}")
             }
             DetectError::Bayes(e) => write!(f, "invalid round state: {e}"),
-            DetectError::ShardIdMapMismatch { kind, local, mapped } => write!(
+            DetectError::ShardIdMapMismatch { local, mapped } => write!(
                 f,
-                "shard id map translates {mapped} {kind} ids but the snapshot uses local \
-                 {kind} id {local}"
+                "shard id map translates {mapped} source ids but the snapshot uses local \
+                 source id {local}"
             ),
             DetectError::ShardScanPanicked { shard } => {
                 write!(f, "the evidence scan of shard {shard} panicked")
@@ -152,8 +150,8 @@ mod tests {
         assert!(e.to_string().contains("ghost"));
         let e = DetectError::from(BayesError::InvalidProbability { what: "x", value: 1.5 });
         assert!(e.to_string().contains("1.5"));
-        let e = DetectError::ShardIdMapMismatch { kind: "item", local: 9, mapped: 2 };
-        assert!(e.to_string().contains("item id 9") && e.to_string().contains('2'));
+        let e = DetectError::ShardIdMapMismatch { local: 9, mapped: 2 };
+        assert!(e.to_string().contains("source id 9") && e.to_string().contains('2'));
         assert!(DetectError::ShardScanPanicked { shard: 3 }.to_string().contains('3'));
     }
 }

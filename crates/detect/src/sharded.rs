@@ -47,7 +47,7 @@ use crate::result::{DetectionResult, PairOutcome};
 use copydet_bayes::{CopyDecision, CopyParams, PairEvidence, SameValueScore, SourceAccuracies};
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::{u32_to_usize, usize_to_u64};
-use copydet_model::{ItemId, SourceId, SourcePair};
+use copydet_model::{SourceId, SourcePair};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -55,33 +55,25 @@ use std::time::Instant;
 /// threads than this only buys scheduler overhead.
 const MAX_MERGE_PARALLELISM: usize = 64;
 
-/// Translation from one shard's dense ids to the global id space.
+/// Translation from one shard's dense source ids to the global source id
+/// space — the only global id space: items and values keep shard-local ids,
+/// since no pair's evidence depends on them.
 ///
-/// Index `i` holds the global id of the shard's local id `i`. The maps are
-/// built by the shard router, which interns every name globally in arrival
-/// order, so a fresh store fed the same claim stream assigns the same ids.
+/// Index `i` holds the global id of the shard's local source `i`. The map
+/// is built by the shard router, which interns every source globally in
+/// arrival order, so a fresh store fed the same claim stream assigns the
+/// same ids.
 #[derive(Debug, Clone, Default)]
 pub struct ShardIdMap {
     /// Global source id of each local source id.
     pub sources: Vec<SourceId>,
-    /// Global item id of each local item id.
-    pub items: Vec<ItemId>,
 }
 
 impl ShardIdMap {
     fn source(&self, local: SourceId) -> Result<SourceId, DetectError> {
         self.sources.get(local.index()).copied().ok_or(DetectError::ShardIdMapMismatch {
-            kind: "source",
             local: local.index(),
             mapped: self.sources.len(),
-        })
-    }
-
-    fn item(&self, local: ItemId) -> Result<ItemId, DetectError> {
-        self.items.get(local.index()).copied().ok_or(DetectError::ShardIdMapMismatch {
-            kind: "item",
-            local: local.index(),
-            mapped: self.items.len(),
         })
     }
 
@@ -287,11 +279,9 @@ fn check_count(pair: SourcePair, counted: u32, observed: usize) -> Result<(), De
     }
 }
 
-/// One shared data item observed for a pair of sources, in global ids.
+/// One shared data item observed for a pair of sources.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedItemObservation {
-    /// The shared item (global id).
-    pub item: ItemId,
     /// `Some(p)` when both sources provide the same value for the item,
     /// where `p` is that value's truth probability; `None` when their
     /// values differ.
@@ -305,8 +295,7 @@ pub struct SharedItemObservation {
 /// [`ShardPartials`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct ShardRoundEvidence {
-    /// Per-pair shared-item observations (ascending global item id, since a
-    /// shard's local item order is the global order restricted to it).
+    /// Per-pair shared-item observations, in the shard's local item order.
     pub pairs: HashMap<SourcePair, Vec<SharedItemObservation>>,
 }
 
@@ -320,11 +309,10 @@ impl ShardRoundEvidence {
 /// Collects one shard's overlap evidence as observations: the pairs
 /// [`collect_shard_partials_for`] visits, with each shared item left
 /// unscored as a [`SharedItemObservation`] carrying the truth probability of
-/// the agreed value, translated to global ids via `map`.
+/// the agreed value, keyed by the global pair `map` translates.
 ///
 /// # Errors
-/// As [`collect_shard_partials_for`]; [`DetectError::ShardIdMapMismatch`]
-/// also if `map` does not cover a shared item.
+/// As [`collect_shard_partials_for`].
 pub fn collect_shard_evidence(
     input: &RoundInput<'_>,
     counts: &SharedItemCounts,
@@ -336,7 +324,6 @@ pub fn collect_shard_evidence(
         let mut observations = Vec::with_capacity(u32_to_usize(count));
         for (d, v1, v2) in input.dataset.shared_claims(local.first(), local.second()) {
             observations.push(SharedItemObservation {
-                item: map.item(d)?,
                 same_value_probability: (v1 == v2).then(|| input.probabilities.get(d, v1)),
             });
         }
@@ -670,10 +657,6 @@ mod tests {
                 .sources()
                 .map(|s| global.source_by_name(dataset.source_name(s)).unwrap())
                 .collect(),
-            items: dataset
-                .items()
-                .map(|d| global.item_by_name(dataset.item_name(d)).unwrap())
-                .collect(),
         };
         let local_accuracies =
             SourceAccuracies::from_vec(map.sources.iter().map(|&g| accuracies.get(g)).collect())
@@ -789,8 +772,7 @@ mod tests {
         let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
         let input = RoundInput::new(&global, &accuracies, &probabilities, params);
         let baseline = pairwise_detection(&input);
-        let map =
-            ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
+        let map = ShardIdMap { sources: global.sources().collect() };
         let counts = SharedItemCounts::build(&global);
         let partials =
             collect_shard_partials_for(&input, &counts, &map, None).expect("consistent counts");
@@ -858,8 +840,7 @@ mod tests {
         let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
         let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
         let input = RoundInput::new(&global, &accuracies, &probabilities, params);
-        let map =
-            ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
+        let map = ShardIdMap { sources: global.sources().collect() };
         // Counts captured from a *smaller* snapshot: S0/S1 share one item
         // fewer than the dataset in `input` says.
         let stale = dataset(&CLAIMS[..CLAIMS.len() - 4]);
@@ -888,19 +869,10 @@ mod tests {
         let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
         let input = RoundInput::new(&global, &accuracies, &probabilities, params);
         let counts = SharedItemCounts::build(&global);
-        let short_sources = ShardIdMap {
-            sources: global.sources().take(1).collect(),
-            items: global.items().collect(),
-        };
+        let short_sources = ShardIdMap { sources: global.sources().take(1).collect() };
         let err = collect_shard_partials_for(&input, &counts, &short_sources, None)
             .expect_err("a short source map must fail the scan");
-        assert_eq!(err, DetectError::ShardIdMapMismatch { kind: "source", local: 1, mapped: 1 });
-        let short_items = ShardIdMap { sources: global.sources().collect(), items: Vec::new() };
-        let err = collect_shard_evidence(&input, &counts, &short_items)
-            .expect_err("a short item map must fail the scan");
-        assert!(matches!(err, DetectError::ShardIdMapMismatch { kind: "item", mapped: 0, .. }));
-        // The partial scan never reads the item map.
-        assert!(collect_shard_partials_for(&input, &counts, &short_items, None).is_ok());
+        assert_eq!(err, DetectError::ShardIdMapMismatch { local: 1, mapped: 1 });
     }
 
     /// Uniform bootstrap state and the identity id map of a single-shard
@@ -908,8 +880,7 @@ mod tests {
     fn whole(global: &Dataset) -> (SourceAccuracies, ValueProbabilities, ShardIdMap) {
         let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
         let probabilities = ValueProbabilities::uniform_over_dataset(global, 0.4).unwrap();
-        let map =
-            ShardIdMap { sources: global.sources().collect(), items: global.items().collect() };
+        let map = ShardIdMap { sources: global.sources().collect() };
         (accuracies, probabilities, map)
     }
 

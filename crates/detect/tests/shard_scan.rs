@@ -73,10 +73,6 @@ fn shard(
             .sources()
             .map(|s| global.source_by_name(dataset.source_name(s)).unwrap())
             .collect(),
-        items: dataset
-            .items()
-            .map(|d| global.item_by_name(dataset.item_name(d)).unwrap())
-            .collect(),
     };
     let accuracies = SourceAccuracies::from_vec(
         dataset.sources().map(|s| accuracy_of(dataset.source_name(s), accuracies)).collect(),

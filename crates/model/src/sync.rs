@@ -1,7 +1,7 @@
 //! Rank-disciplined lock wrappers: [`RankedMutex`] and [`RankedRwLock`].
 //!
 //! The serving stack holds a small lock hierarchy — the sharded store's
-//! global name registry over per-shard store mutexes, plus the frontend's
+//! global source registry over per-shard store mutexes, plus the frontend's
 //! connection registry — and the only thing standing between "works today"
 //! and "deadlocks under next month's refactor" is the *order* those locks
 //! are taken in. This module turns that order from a convention into a

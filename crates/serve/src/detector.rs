@@ -1,5 +1,5 @@
 //! Fan-out detection rounds over a [`ShardedStore`]: every shard builds its
-//! id maps and scores its own pairs into exact evidence partials on its own
+//! source map and scores its own pairs into exact evidence partials on its own
 //! thread — one row scan per source, each claim scored once — and the
 //! cross-shard merge adds the partials into global copy decisions.
 
@@ -65,9 +65,11 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    ([`ShardedStore::capture_shards`]); everything after runs without any
 ///    store lock, so writers keep streaming while the round computes.
 /// 2. **Fan-out** — per shard, in a [`std::thread::scope`] (the calling
-///    thread scans the last shard itself): the shard's local→global id
-///    source and item maps are built ([`ShardedStore::maps_for`], traced
-///    as `shard<i>.maps`), then the round state is bootstrapped like
+///    thread scans the last shard itself): the shard's local→global source
+///    map is built ([`ShardedStore::maps_for`], traced as `shard<i>.maps`
+///    with the number of registry names it resolved — one per local
+///    source; items and values keep shard-local ids and are never looked
+///    up), then the round state is bootstrapped like
 ///    [`LiveDetector::prepare`](copydet_store::LiveDetector::prepare):
 ///    uniform accuracies and the value vote over the shard's own snapshot,
 ///    borrowed, not cloned. Then the shard scores its own pairs
@@ -302,13 +304,14 @@ impl ShardedDetector {
         let params = self.config.params;
         trace.stage("prepare", prepare_span.elapsed_nanos());
         let fanout_span = Span::start();
-        /// One shard's partials, with its `maps` and `scan` stage times.
-        type ScanResult = Result<(ShardPartials, u64, u64), DetectError>;
+        /// One shard's partials, with its `maps` stage time and count and
+        /// its `scan` stage time.
+        type ScanResult = Result<(ShardPartials, (u64, usize), u64), DetectError>;
         let vote_config = &vote_config;
         let scan_shard = move |(snapshot, counts): &Capture| -> ScanResult {
             let maps_span = Span::start();
             let map = store.maps_for(snapshot);
-            let maps_nanos = maps_span.elapsed_nanos();
+            let maps = (maps_span.elapsed_nanos(), map.ids.sources.len());
             // The bootstrap `LiveDetector::prepare` builds, over a borrowed
             // snapshot.
             let scan_span = Span::start();
@@ -317,7 +320,7 @@ impl ShardedDetector {
             let probabilities = value_probabilities(dataset, &accuracies, None, vote_config);
             let input = RoundInput::new(dataset, &accuracies, &probabilities, params);
             let partials = collect_shard_partials_for(&input, counts, &map.ids, target)?;
-            Ok((partials, maps_nanos, scan_span.elapsed_nanos()))
+            Ok((partials, maps, scan_span.elapsed_nanos()))
         };
         let scans: Vec<ScanResult> = std::thread::scope(|scope| {
             // The calling thread scans the last shard itself: one spawn and
@@ -345,8 +348,8 @@ impl ShardedDetector {
         trace.stage("fanout", fanout_span.elapsed_nanos());
         let mut shards = Vec::with_capacity(scans.len());
         for (i, scan) in scans.into_iter().enumerate() {
-            let (partials, maps_nanos, scan_nanos) = scan?;
-            trace.stage(&format!("shard{i}.maps"), maps_nanos);
+            let (partials, (maps_nanos, resolved), scan_nanos) = scan?;
+            trace.stage_count(&format!("shard{i}.maps"), maps_nanos, usize_to_u64(resolved));
             let scored: usize = partials.iter().map(|(_, evidence)| evidence.shared_items()).sum();
             trace.stage_count(&format!("shard{i}.scan"), scan_nanos, usize_to_u64(scored));
             shards.push(partials);
@@ -460,6 +463,34 @@ mod tests {
             assert_eq!(detector.merge_parallelism(), workers);
             let got = detector.detect_round(&store).expect("consistent capture");
             assert_eq!(got.outcomes, baseline.outcomes, "{workers} merge workers");
+        }
+    }
+
+    /// `shard<i>.maps` counts the registry names each shard's map resolved:
+    /// one per source of the captured snapshot, none per item or value — on
+    /// full rounds and top-k queries alike.
+    #[test]
+    fn maps_stage_counts_one_lookup_per_shard_source() {
+        let claims = stream();
+        let store = ShardedStore::new(3);
+        store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
+        let detector = ShardedDetector::new();
+        for target in [None, store.global_source_id("S0")] {
+            let mut trace = RoundTraceBuilder::new("maps_count");
+            let captures = capture_traced(&store, &mut trace);
+            detector
+                .scan_and_merge(&store, &captures, target, &mut trace)
+                .expect("consistent capture");
+            let trace = trace.finish();
+            for (i, (snapshot, _)) in captures.iter().enumerate() {
+                let name = format!("shard{i}.maps");
+                let stage = trace.stages.iter().find(|stage| stage.name == name);
+                assert_eq!(
+                    stage.map(|stage| stage.count),
+                    Some(usize_to_u64(snapshot.dataset.num_sources())),
+                    "{name}, target {target:?}"
+                );
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //!   FNV-1a on the item name, pinned in the durable layout). Every claim
 //!   about one item lands on one shard, so shards are item-disjoint; each
 //!   has its own mutex, WAL, segments and directory, and recovery is
-//!   per-shard. A global name registry reconciles the id spaces.
+//!   per-shard. A global source registry reconciles the source ids — the
+//!   only global id space; items and values keep shard-local ids.
 //! * **[`Router`]** — splits incoming claim batches by item partition and
 //!   applies each shard's slice under a single shard-lock acquisition, so
 //!   concurrent writers amortize lock traffic instead of convoying.

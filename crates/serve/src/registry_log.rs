@@ -1,14 +1,17 @@
-//! The `REGISTRY` file: an append-only arrival-order log of the global name
-//! registry, kept next to the `SHARDS` pin in a durable fleet root.
+//! The `REGISTRY` file: an append-only arrival-order log of the global
+//! source registry, kept next to the `SHARDS` pin in a durable fleet root.
 //!
-//! PR 5's shard-major registry recovery rebuilds deterministic global ids on
-//! restart, but not necessarily the *original arrival order* — and the
-//! cross-shard merge folds floating-point evidence in global id order, so a
-//! reordered registry can move the last ulp of a posterior. Persisting the
-//! arrival order makes restarts **bit-stable**: a reopened fleet replays
-//! this log before looking at any shard, so every name gets its original
-//! global id back and DETECT responses are byte-identical across restarts
-//! (asserted in `tests/registry_restart.rs`).
+//! Sources are the fleet's only global id space. The evidence of a pair no
+//! longer depends on any id — sums are exact integers and the value vote is
+//! order-free — so items and values have shard-local ids only. Source ids
+//! still decide what a client sees: they key and orient every pair (`C→` is
+//! "the pair's first source copies from its second"), order DETECT's
+//! response and break top-k ties. A shard-major rebuild on restart yields
+//! deterministic source ids, but not necessarily the *original arrival
+//! order*, so a reopened fleet replays this log before looking at any
+//! shard: every source gets its original global id back and DETECT
+//! responses are byte-identical across restarts (asserted in
+//! `tests/registry_restart.rs`).
 //!
 //! ## Record format
 //!
@@ -16,22 +19,24 @@
 //! [kind: u8][len: u32 LE][name: len UTF-8 bytes][crc32(kind..name): u32 LE]
 //! ```
 //!
-//! `kind` tags the table (0 = source, 1 = item, 2 = value). The trailing
-//! CRC makes a torn tail detectable: replay keeps the longest intact record
-//! prefix and truncates the rest (a crash happened mid-append; the names a
-//! torn record carried cannot have reached any shard WAL, because appends
+//! `kind` 0 tags a source. Roots written before items and values lost their
+//! global ids also hold kind 1 (item) and kind 2 (value) records: replay
+//! parses and drops them, and appends write sources only. The trailing CRC
+//! makes a torn tail detectable: replay keeps the longest intact record
+//! prefix and truncates the rest (a crash happened mid-append; the sources
+//! a torn record carried cannot have reached any shard WAL, because appends
 //! are fsynced under the registry lock *before* the batch touches a shard)
 //! and re-appends from there. Records are not individually addressable
 //! after a bad one (boundaries are data-dependent), so a checksum failure
-//! anywhere ends the intact prefix; names lost that way are re-interned
+//! anywhere ends the intact prefix; sources lost that way are re-interned
 //! shard-major by the open-time rebuild — detection stays exact, only the
 //! pre-crash arrival order degrades. A structurally intact record with an
 //! *unknown kind*, by contrast, is unambiguous corruption and refuses the
 //! open.
 //!
 //! The log is written under the existing rank-10 registry write lock — no
-//! new lock, no rank-table change: batches that only reference known names
-//! (the steady state) never take the write lock and never touch the log.
+//! new lock, no rank-table change: batches whose sources are all known (the
+//! steady state) never take the write lock and never touch the log.
 
 use copydet_model::codec::{self, crc32_ieee, CodecError, Reader};
 use copydet_store::StoreIoError;
@@ -42,39 +47,16 @@ use std::path::{Path, PathBuf};
 pub(crate) const REGISTRY_FILE: &str = "REGISTRY";
 
 /// Byte bound on the `REGISTRY` log (1 GiB). The log holds every distinct
-/// name once (~tens of bytes each); a file near this bound is corruption,
-/// rejected before any allocation.
+/// source name once (~tens of bytes each); a file near this bound is
+/// corruption, rejected before any allocation.
 const MAX_REGISTRY_LOG_LEN: u64 = 1 << 30;
 
-/// Which global table a logged name belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NameKind {
-    /// A source name.
-    Source,
-    /// A data-item name.
-    Item,
-    /// A value string.
-    Value,
-}
+/// Record kind of a source name, the only kind appended.
+const SOURCE_TAG: u8 = 0;
 
-impl NameKind {
-    fn tag(self) -> u8 {
-        match self {
-            NameKind::Source => 0,
-            NameKind::Item => 1,
-            NameKind::Value => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(NameKind::Source),
-            1 => Some(NameKind::Item),
-            2 => Some(NameKind::Value),
-            _ => None,
-        }
-    }
-}
+/// Record kinds of the item (1) and value (2) names older roots logged;
+/// replay skips them.
+const LEGACY_TAGS: [u8; 2] = [1, 2];
 
 /// An open handle on the arrival-order log, appending records durably.
 #[derive(Debug)]
@@ -85,15 +67,14 @@ pub(crate) struct RegistryLog {
 
 impl RegistryLog {
     /// Opens (creating if absent) the `REGISTRY` log under `root` and
-    /// replays the longest intact record prefix, truncating anything after
-    /// it (a torn tail from a crashed append). An intact record with an
-    /// unknown kind is [`StoreIoError::Corrupt`].
-    pub(crate) fn open_and_replay(
-        root: &Path,
-    ) -> Result<(Self, Vec<(NameKind, String)>), StoreIoError> {
+    /// replays the source names of its longest intact record prefix, in
+    /// arrival order, truncating anything after it (a torn tail from a
+    /// crashed append). An intact record with an unknown kind is
+    /// [`StoreIoError::Corrupt`].
+    pub(crate) fn open_and_replay(root: &Path) -> Result<(Self, Vec<String>), StoreIoError> {
         let path = root.join(REGISTRY_FILE);
         let bytes = copydet_store::read_bounded(&path, MAX_REGISTRY_LOG_LEN)?.unwrap_or_default();
-        let (records, intact_len) = Self::parse(&path, &bytes)?;
+        let (sources, intact_len) = Self::parse(&path, &bytes)?;
         let file = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
@@ -107,14 +88,15 @@ impl RegistryLog {
                 .map_err(|e| StoreIoError::io(&path, &e))?;
             file.sync_data().map_err(|e| StoreIoError::io(&path, &e))?;
         }
-        Ok((Self { path, file }, records))
+        Ok((Self { path, file }, sources))
     }
 
-    /// Parses `bytes` into records, returning them plus the byte length of
-    /// the intact prefix (shorter than `bytes.len()` only for a torn tail).
-    fn parse(path: &Path, bytes: &[u8]) -> Result<(Vec<(NameKind, String)>, usize), StoreIoError> {
+    /// Parses `bytes` into source names, returning them plus the byte
+    /// length of the intact prefix (shorter than `bytes.len()` only for a
+    /// torn tail).
+    fn parse(path: &Path, bytes: &[u8]) -> Result<(Vec<String>, usize), StoreIoError> {
         let mut reader = Reader::new(bytes);
-        let mut records = Vec::new();
+        let mut sources = Vec::new();
         while !reader.is_empty() {
             let start = reader.pos();
             let parsed = (|r: &mut Reader<'_>| -> Result<(u8, String), CodecError> {
@@ -134,36 +116,37 @@ impl RegistryLog {
                 Ok((tag, name))
             })(&mut reader);
             match parsed {
-                Ok((tag, name)) => {
-                    let kind = NameKind::from_tag(tag).ok_or_else(|| StoreIoError::Corrupt {
+                Ok((SOURCE_TAG, name)) => sources.push(name),
+                Ok((tag, _)) if LEGACY_TAGS.contains(&tag) => {}
+                Ok((tag, _)) => {
+                    return Err(StoreIoError::Corrupt {
                         path: path.to_path_buf(),
                         detail: format!(
                             "registry log record at offset {start} has unknown kind {tag:#04x}"
                         ),
-                    })?;
-                    records.push((kind, name));
+                    })
                 }
                 // An unreadable record that reaches the end of the file is a
                 // torn tail from a crashed append: truncate and move on.
-                Err(_) => return Ok((records, start)),
+                Err(_) => return Ok((sources, start)),
             }
         }
-        Ok((records, bytes.len()))
+        Ok((sources, bytes.len()))
     }
 
-    /// Appends `records` and fsyncs. Called under the registry write lock,
-    /// *before* the batch that introduced these names reaches any shard —
-    /// so a crash can never leave durable claims whose names are missing
-    /// from the log. New names are rare in the steady state, so the
-    /// per-append fsync is off the hot path.
-    pub(crate) fn append(&mut self, records: &[(NameKind, String)]) -> Result<(), StoreIoError> {
-        if records.is_empty() {
+    /// Appends one source record per name and fsyncs. Called under the
+    /// registry write lock, *before* the batch that introduced these
+    /// sources reaches any shard — so a crash can never leave durable
+    /// claims whose sources are missing from the log. New sources are rare
+    /// in the steady state, so the per-append fsync is off the hot path.
+    pub(crate) fn append(&mut self, sources: &[String]) -> Result<(), StoreIoError> {
+        if sources.is_empty() {
             return Ok(());
         }
         let mut out = Vec::new();
-        for (kind, name) in records {
+        for name in sources {
             let start = out.len();
-            codec::put_u8(&mut out, kind.tag());
+            codec::put_u8(&mut out, SOURCE_TAG);
             codec::put_str(&mut out, name).map_err(|e| StoreIoError::Corrupt {
                 path: self.path.clone(),
                 detail: format!("unloggable registry name: {e}"),
@@ -192,15 +175,23 @@ mod tests {
         root
     }
 
+    fn names(names: &[&str]) -> Vec<String> {
+        names.iter().map(|&name| name.to_owned()).collect()
+    }
+
+    /// One intact record of `kind`, appended to `bytes` by hand.
+    fn put_record(bytes: &mut Vec<u8>, kind: u8, name: &str) {
+        let start = bytes.len();
+        codec::put_u8(bytes, kind);
+        codec::put_str(bytes, name).expect("short name");
+        let crc = crc32_ieee(&bytes[start..]);
+        codec::put_u32(bytes, crc);
+    }
+
     #[test]
     fn roundtrip_preserves_arrival_order() {
         let root = scratch("roundtrip");
-        let records = vec![
-            (NameKind::Item, "NJ".to_owned()),
-            (NameKind::Source, "alice".to_owned()),
-            (NameKind::Value, "Trenton".to_owned()),
-            (NameKind::Source, "bob".to_owned()),
-        ];
+        let records = names(&["NJ", "alice", "Trenton", "bob"]);
         {
             let (mut log, replayed) = RegistryLog::open_and_replay(&root).expect("open fresh");
             assert!(replayed.is_empty());
@@ -216,25 +207,48 @@ mod tests {
         let root = scratch("torn");
         {
             let (mut log, _) = RegistryLog::open_and_replay(&root).expect("open fresh");
-            log.append(&[(NameKind::Source, "alice".to_owned())]).expect("append");
+            log.append(&names(&["alice"])).expect("append");
         }
         // Simulate a crash mid-append: half a record at the tail.
         let path = root.join(REGISTRY_FILE);
         let mut bytes = std::fs::read(&path).expect("read log");
         let intact = bytes.len();
-        bytes.extend_from_slice(&[NameKind::Item.tag(), 200, 0, 0]);
+        bytes.extend_from_slice(&[SOURCE_TAG, 200, 0, 0]);
         std::fs::write(&path, &bytes).expect("write torn log");
 
         let (mut log, replayed) = RegistryLog::open_and_replay(&root).expect("heal torn tail");
-        assert_eq!(replayed, vec![(NameKind::Source, "alice".to_owned())]);
-        log.append(&[(NameKind::Item, "NJ".to_owned())]).expect("append after heal");
+        assert_eq!(replayed, names(&["alice"]));
+        log.append(&names(&["NJ"])).expect("append after heal");
         drop(log);
         assert!(std::fs::metadata(&path).expect("stat").len() > codec::usize_to_u64(intact));
         let (_, replayed) = RegistryLog::open_and_replay(&root).expect("reopen");
-        assert_eq!(
-            replayed,
-            vec![(NameKind::Source, "alice".to_owned()), (NameKind::Item, "NJ".to_owned())]
-        );
+        assert_eq!(replayed, names(&["alice", "NJ"]));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A root written when items and values were logged too still opens:
+    /// only its sources come back, in arrival order, and the next append
+    /// lands on a record boundary.
+    #[test]
+    fn legacy_item_and_value_records_are_skipped() {
+        let root = scratch("legacy");
+        let path = root.join(REGISTRY_FILE);
+        let mut bytes = Vec::new();
+        put_record(&mut bytes, 1, "NJ");
+        put_record(&mut bytes, 0, "alice");
+        put_record(&mut bytes, 2, "Trenton");
+        put_record(&mut bytes, 2, "Newark");
+        put_record(&mut bytes, 0, "bob");
+        put_record(&mut bytes, 1, "AZ");
+        std::fs::write(&path, &bytes).expect("write legacy log");
+
+        let (mut log, replayed) = RegistryLog::open_and_replay(&root).expect("legacy roots open");
+        assert_eq!(replayed, names(&["alice", "bob"]));
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), codec::usize_to_u64(bytes.len()));
+        log.append(&names(&["carol"])).expect("append after legacy records");
+        drop(log);
+        let (_, replayed) = RegistryLog::open_and_replay(&root).expect("reopen");
+        assert_eq!(replayed, names(&["alice", "bob", "carol"]));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -245,16 +259,8 @@ mod tests {
         // A structurally valid record (good CRC) with an unassigned kind,
         // followed by a valid one: not a torn tail, refused.
         let mut bytes = Vec::new();
-        let start = bytes.len();
-        codec::put_u8(&mut bytes, 9);
-        codec::put_str(&mut bytes, "ghost").expect("short name");
-        let crc = crc32_ieee(&bytes[start..]);
-        codec::put_u32(&mut bytes, crc);
-        let start = bytes.len();
-        codec::put_u8(&mut bytes, 0);
-        codec::put_str(&mut bytes, "alice").expect("short name");
-        let crc = crc32_ieee(&bytes[start..]);
-        codec::put_u32(&mut bytes, crc);
+        put_record(&mut bytes, 9, "ghost");
+        put_record(&mut bytes, SOURCE_TAG, "alice");
         std::fs::write(&path, &bytes).expect("write log");
 
         let err = RegistryLog::open_and_replay(&root).expect_err("unknown kind is corruption");

@@ -1,11 +1,11 @@
 //! The sharded store: item-partitioned [`SharedClaimStore`] shards behind a
-//! global name registry, plus the [`Router`] that batches claims per shard.
+//! global source registry, plus the [`Router`] that batches claims per shard.
 
-use crate::registry_log::{NameKind, RegistryLog};
+use crate::registry_log::RegistryLog;
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::usize_to_u64;
 use copydet_model::sync::RankedRwLock;
-use copydet_model::{ItemId, NameTable, SourceId, SourcePair};
+use copydet_model::{NameTable, SourceId, SourcePair};
 use copydet_obs::event::field;
 use copydet_obs::{emit, Severity, Span};
 use copydet_store::{
@@ -42,7 +42,7 @@ const SHARDS_FILE: &str = "SHARDS";
 /// anything larger is corruption — rejected before it is read, not parsed.
 const MAX_SHARDS_FILE_LEN: u64 = 64;
 
-/// Rank of the global name-registry lock — the **lowest** in the process
+/// Rank of the global source-registry lock — the **lowest** in the process
 /// (see `DESIGN.md` §8): it is acquired before any shard mutex and released
 /// before shard work begins.
 const GLOBAL_REGISTRY_RANK: u32 = 10;
@@ -56,50 +56,46 @@ fn new_global_registry() -> Arc<RankedRwLock<GlobalTables>> {
     ))
 }
 
-/// The global name registry: every source, item and value name seen by the
-/// router, interned in arrival order.
+/// The global source registry: every source name seen by the router,
+/// interned in arrival order.
 ///
-/// Shards intern independently (each is a self-contained [`ClaimStore`]
-/// with dense local ids); the registry provides the *global* id space the
-/// cross-shard merge ranks by. Because names are interned here before the
-/// claim reaches its shard, a fresh single store fed the same claim stream
-/// assigns identical ids — the property the bit-identical shard-equivalence
-/// tests rest on.
+/// Sources are the fleet's only global id space. Shards intern items and
+/// values (and their own copy of the sources) independently, each a
+/// self-contained [`ClaimStore`] with dense local ids; a pair's evidence
+/// depends on no item or value id, so only sources need a global id. Those
+/// ids key and orient every pair, order DETECT's response and break top-k
+/// ties. Because sources are interned here before the claim reaches its
+/// shard, a fresh single store fed the same claim stream assigns identical
+/// source ids — the property the bit-identical shard-equivalence tests rest
+/// on.
 ///
-/// Durable fleets additionally log every first-seen name to the `REGISTRY`
-/// file ([`RegistryLog`]) under this same write lock, so a restart replays
-/// the exact arrival order and reassigns identical global ids — which is
-/// what makes DETECT responses byte-identical across restarts.
+/// Durable fleets additionally log every first-seen source to the
+/// `REGISTRY` file ([`RegistryLog`]) under this same write lock, so a
+/// restart replays the exact arrival order and reassigns identical global
+/// ids — which is what makes DETECT responses byte-identical across
+/// restarts.
 #[derive(Debug, Default)]
 struct GlobalTables {
     sources: NameTable,
-    items: NameTable,
-    values: NameTable,
     /// Arrival-order log of a durable fleet; `None` for in-memory stores.
     log: Option<RegistryLog>,
-    /// Names interned since the last [`flush_log`](Self::flush_log), in
+    /// Sources interned since the last [`flush_log`](Self::flush_log), in
     /// arrival order, awaiting one batched durable append.
-    pending: Vec<(NameKind, String)>,
+    pending: Vec<String>,
     /// First log-append failure, sticky — surfaced via
     /// [`ShardedStore::io_error`] like any shard persistence failure.
     log_error: Option<StoreIoError>,
 }
 
 impl GlobalTables {
-    /// Interns `name` into the table `kind` selects, buffering it for the
-    /// log if it is new and a [`RegistryLog`] is attached. The caller must
+    /// Interns source `name`, buffering it for the log if it is new and a
+    /// [`RegistryLog`] is attached. The caller must
     /// [`flush_log`](Self::flush_log) before releasing the write lock.
-    fn intern_logged(&mut self, kind: NameKind, name: &str) -> usize {
-        let table = match kind {
-            NameKind::Source => &mut self.sources,
-            NameKind::Item => &mut self.items,
-            NameKind::Value => &mut self.values,
-        };
-        let before = table.len();
-        let id = table.intern(name);
-        let is_new = table.len() > before;
-        if is_new && self.log.is_some() {
-            self.pending.push((kind, name.to_owned()));
+    fn intern_logged(&mut self, name: &str) -> usize {
+        let before = self.sources.len();
+        let id = self.sources.intern(name);
+        if self.sources.len() > before && self.log.is_some() {
+            self.pending.push(name.to_owned());
         }
         id
     }
@@ -133,13 +129,13 @@ impl GlobalTables {
 }
 
 /// Local-to-global id translation for one shard snapshot: the detect-layer
-/// [`ShardIdMap`](copydet_detect::ShardIdMap) of sources and items. The vote
-/// needs no value translation, since it does not depend on value-group
-/// order; the wrapper remains only because the wire-level benchmark's
-/// replay names it and reads `ids`.
+/// [`ShardIdMap`](copydet_detect::ShardIdMap) of sources. Items and values
+/// have shard-local ids only — no pair's evidence depends on them. The
+/// wrapper remains only because the wire-level benchmark's replay names it
+/// and reads `ids`.
 #[derive(Debug, Clone, Default)]
 pub struct ShardMaps {
-    /// Source and item translation (the merge-layer input).
+    /// Source translation (the merge-layer input).
     pub ids: copydet_detect::ShardIdMap,
 }
 
@@ -152,13 +148,13 @@ pub struct ShardMaps {
 /// disjoint slice of the item space, and cross-shard detection is an exact
 /// merge (see `copydet_detect::merge_shard_partials`). Sources are
 /// *not* partitioned — one source's claims spread over many shards — which
-/// is what the global name registry reconciles.
+/// is what the global source registry reconciles.
 ///
 /// Handles are cheap clones sharing the shards and the registry. Each shard
 /// has its own mutex, so writers touching different shards proceed in
-/// parallel; the global registry is read-mostly — a batch whose names are
+/// parallel; the global registry is read-mostly — a batch whose sources are
 /// all already registered (the steady state) only takes the shared read
-/// lock, so name bookkeeping does not serialize concurrent writers.
+/// lock, so source bookkeeping does not serialize concurrent writers.
 ///
 /// A sharded store is in-memory ([`new`](Self::new)) or durable
 /// ([`open`](Self::open)): durable shards live in `shard-000/`, `shard-001/`,
@@ -168,7 +164,7 @@ pub struct ShardMaps {
 #[derive(Debug, Clone)]
 pub struct ShardedStore {
     shards: Arc<Vec<SharedClaimStore>>,
-    /// Read-mostly: batches whose names are all already registered (the
+    /// Read-mostly: batches whose sources are all already registered (the
     /// steady state of a serving workload) take only the shared read lock,
     /// so concurrent writers contend on their shard mutexes, not here.
     // lock-rank: 10 (serve.shard.global_registry)
@@ -218,14 +214,14 @@ impl ShardedStore {
     /// different count is refused, because the item partitioning (and hence
     /// which shard holds which claims) depends on it.
     ///
-    /// On recovery the global name registry replays the `REGISTRY`
-    /// arrival-order log first (see `registry_log`), so every name
-    /// gets its pre-restart global id back and detection results — down to
-    /// the last-ulp floating-point rounding of every posterior — are
-    /// **byte-identical** across restarts. Names present in some shard but
-    /// missing from the log (a root from before the log existed, or a log
-    /// tail lost to a crash) are then re-interned shard-major and appended,
-    /// repairing the log for subsequent restarts.
+    /// On recovery the global source registry replays the `REGISTRY`
+    /// arrival-order log first (see `registry_log`), so every source gets
+    /// its pre-restart global id back: pair keys and orientation, response
+    /// order and top-k ties all follow, so DETECT responses are
+    /// **byte-identical** across restarts. Sources present in some shard
+    /// but missing from the log (a root from before the log existed, or a
+    /// log tail lost to a crash) are then re-interned shard-major and
+    /// appended, repairing the log for subsequent restarts.
     ///
     /// # Errors
     /// Any shard's [`StoreIoError`] propagates, as does a shard-count
@@ -253,13 +249,8 @@ impl ShardedStore {
             // Replay the arrival order before looking at any shard: these
             // records are already durable, so they intern without re-logging.
             let mut global = store.global.write();
-            for (kind, name) in &replayed {
-                let table = match kind {
-                    NameKind::Source => &mut global.sources,
-                    NameKind::Item => &mut global.items,
-                    NameKind::Value => &mut global.values,
-                };
-                table.intern(name);
+            for name in &replayed {
+                global.sources.intern(name);
             }
             global.log = Some(log);
         }
@@ -346,9 +337,9 @@ impl ShardedStore {
         }
     }
 
-    /// Re-interns every recovered shard's names into the global registry,
+    /// Re-interns every recovered shard's sources into the global registry,
     /// shard-major. Used at open, after the `REGISTRY` replay: the steady
-    /// state re-interns existing names (no-ops); anything genuinely new
+    /// state re-interns existing sources (no-ops); anything genuinely new
     /// means the log is behind the shards (a legacy root, or a tail lost to
     /// a crash) and gets appended so the *next* restart replays it.
     ///
@@ -361,13 +352,7 @@ impl ShardedStore {
             let snapshot = shard.snapshot();
             let ds = &snapshot.dataset;
             for s in ds.sources() {
-                global.intern_logged(NameKind::Source, ds.source_name(s));
-            }
-            for d in ds.items() {
-                global.intern_logged(NameKind::Item, ds.item_name(d));
-            }
-            for (_, v) in ds.values_interner().iter() {
-                global.intern_logged(NameKind::Value, v);
+                global.intern_logged(ds.source_name(s));
             }
         }
         global.flush_log();
@@ -411,9 +396,10 @@ impl ShardedStore {
         self.global.read().sources.get(name).map(SourceId::from_index)
     }
 
-    /// Distinct item names seen across all shards.
+    /// Distinct item names seen across all shards: the sum of the shards'
+    /// counts, exact because items are partitioned.
     pub fn num_items(&self) -> usize {
-        self.global.read().items.len()
+        self.shards.iter().map(|shard| shard.lock().num_items()).sum()
     }
 
     /// Ingests one claim, routing it by item partition.
@@ -421,7 +407,7 @@ impl ShardedStore {
         self.ingest_batch([(source, item, value)]);
     }
 
-    /// Ingests a batch of claims: names are interned into the global
+    /// Ingests a batch of claims: sources are interned into the global
     /// registry in arrival order (one registry lock for the whole batch),
     /// the batch is split by item partition, and each shard's slice is
     /// applied under **one** shard-lock acquisition — the amortization that
@@ -435,27 +421,22 @@ impl ShardedStore {
         if claims.is_empty() {
             return 0;
         }
-        // Registry fast path: a batch whose names are all known (the steady
-        // state — vocabularies grow sublinearly in traffic) verifies that
-        // under the shared read lock and skips the exclusive one entirely.
+        // Registry fast path: a batch whose sources are all known (the
+        // steady state — the source set grows far slower than traffic)
+        // verifies that under the shared read lock and skips the exclusive
+        // one, and the log, entirely.
         let all_known = {
             let global = self.global.read();
             self.note_ingest_error(global.log_error.as_ref());
-            claims.iter().all(|&(s, d, v)| {
-                global.sources.get(s).is_some()
-                    && global.items.get(d).is_some()
-                    && global.values.get(v).is_some()
-            })
+            claims.iter().all(|&(s, _, _)| global.sources.get(s).is_some())
         };
         if !all_known {
             let mut global = self.global.write();
-            for &(s, d, v) in &claims {
-                global.intern_logged(NameKind::Source, s);
-                global.intern_logged(NameKind::Item, d);
-                global.intern_logged(NameKind::Value, v);
+            for &(s, _, _) in &claims {
+                global.intern_logged(s);
             }
             // Made durable before the batch reaches any shard WAL, so a
-            // crash can never leave durable claims whose names are missing
+            // crash can never leave durable claims whose sources are missing
             // from the arrival-order log.
             global.flush_log();
             self.note_ingest_error(global.log_error.as_ref());
@@ -538,52 +519,33 @@ impl ShardedStore {
         (captures, nanos)
     }
 
-    /// Builds the local→global source and item maps for a shard snapshot;
-    /// values are never looked up. Names not yet in the registry
-    /// (impossible through the router, possible for a store assembled by
-    /// hand) are interned on the fly.
+    /// Builds the local→global source map for a shard snapshot: one
+    /// registry lookup per local source, none per item or value. Sources
+    /// not yet in the registry (impossible through the router, possible for
+    /// a store assembled by hand) are interned on the fly.
     ///
-    /// Names that reached a shard went through the registry first, so the
+    /// Sources that reached a shard went through the registry first, so the
     /// steady state resolves everything under the shared **read** lock —
     /// detection rounds do not stall concurrent ingest batches; the
-    /// exclusive lock is taken only if some name is genuinely missing.
+    /// exclusive lock is taken only if some source is genuinely missing.
     pub fn maps_for(&self, snapshot: &StoreSnapshot) -> ShardMaps {
         let ds = &snapshot.dataset;
-        {
+        let known: Option<Vec<SourceId>> = {
             let global = self.global.read();
-            let sources: Option<Vec<SourceId>> = ds
-                .sources()
+            ds.sources()
                 .map(|s| global.sources.get(ds.source_name(s)).map(SourceId::from_index))
-                .collect();
-            let items: Option<Vec<ItemId>> = ds
-                .items()
-                .map(|d| global.items.get(ds.item_name(d)).map(ItemId::from_index))
-                .collect();
-            if let (Some(sources), Some(items)) = (sources, items) {
-                return ShardMaps { ids: copydet_detect::ShardIdMap { sources, items } };
-            }
-        }
-        let mut global = self.global.write();
-        let maps = ShardMaps {
-            ids: copydet_detect::ShardIdMap {
-                sources: ds
-                    .sources()
-                    .map(|s| {
-                        SourceId::from_index(
-                            global.intern_logged(NameKind::Source, ds.source_name(s)),
-                        )
-                    })
-                    .collect(),
-                items: ds
-                    .items()
-                    .map(|d| {
-                        ItemId::from_index(global.intern_logged(NameKind::Item, ds.item_name(d)))
-                    })
-                    .collect(),
-            },
+                .collect()
         };
-        global.flush_log();
-        maps
+        let sources = known.unwrap_or_else(|| {
+            let mut global = self.global.write();
+            let sources = ds
+                .sources()
+                .map(|s| SourceId::from_index(global.intern_logged(ds.source_name(s))))
+                .collect();
+            global.flush_log();
+            sources
+        });
+        ShardMaps { ids: copydet_detect::ShardIdMap { sources } }
     }
 
     /// Merges every shard's incrementally-maintained shared-item counts into
@@ -662,7 +624,7 @@ impl ShardedStore {
 /// convenience for **in-process** producers that emit one claim at a time.
 ///
 /// Callers push claims in arrival order; [`flush`](Router::flush) interns
-/// the whole buffer into the global registry under one lock, splits it by
+/// the buffer's sources into the global registry under one lock, splits it by
 /// item partition, and applies each shard's slice under a single shard-lock
 /// acquisition. Pushes auto-flush once `flush_at` claims are buffered. (The
 /// TCP frontend gets the same amortization without a router: each wire

@@ -110,6 +110,36 @@ fn restart_replays_arrival_order_and_detection_is_bit_identical() {
     assert_eq!(again.global_source_names(), names_before);
 }
 
+/// Only sources have global ids: a batch whose sources are all known but
+/// whose items and values are new appends nothing to `REGISTRY`, and a
+/// restart still reproduces DETECT bit for bit.
+#[test]
+fn known_sources_with_new_items_and_values_leave_the_log_untouched() {
+    let scratch = Scratch::new("sources_only");
+    let registry_len = || std::fs::metadata(scratch.0.join("REGISTRY")).expect("stat log").len();
+    let (names_before, bits_before) = {
+        let store = ShardedStore::open(&scratch.0, 3).expect("open fresh");
+        ingest_in_batches(&store, &scrambled_corpus());
+        let logged = registry_len();
+        let fresh: Vec<_> = (12..20)
+            .flat_map(|j| {
+                (0..5).map(move |k| (format!("S{k}"), format!("D{j}"), format!("v{j}-{}", k % 2)))
+            })
+            .collect();
+        ingest_in_batches(&store, &fresh);
+        store.sync().expect("flush every shard's WAL");
+        assert!(store.io_error().is_none(), "registry log and shards are healthy");
+        assert_eq!(registry_len(), logged, "new items and values are not logged");
+        let result = ShardedDetector::new().detect_round(&store).expect("consistent capture");
+        (store.global_source_names(), outcome_bits(&result))
+    };
+
+    let recovered = ShardedStore::open(&scratch.0, 3).expect("reopen");
+    assert_eq!(recovered.global_source_names(), names_before);
+    let result = ShardedDetector::new().detect_round(&recovered).expect("consistent capture");
+    assert_eq!(outcome_bits(&result), bits_before, "DETECT survives the restart bit for bit");
+}
+
 /// A root from before the log existed (simulated by deleting `REGISTRY`)
 /// still opens: the rebuild falls back to the deterministic shard-major
 /// order — which genuinely differs from arrival order for this stream —
