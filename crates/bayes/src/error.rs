@@ -21,8 +21,6 @@ pub enum BayesError {
         /// The offending value.
         value: f64,
     },
-    /// State was requested for a source the accuracy table does not know.
-    UnknownSource(usize),
 }
 
 impl fmt::Display for BayesError {
@@ -34,7 +32,6 @@ impl fmt::Display for BayesError {
             BayesError::InvalidProbability { what, value } => {
                 write!(f, "invalid probability for {what}: {value} is not in [0, 1]")
             }
-            BayesError::UnknownSource(idx) => write!(f, "unknown source index {idx}"),
         }
     }
 }
@@ -56,6 +53,5 @@ mod tests {
         assert!(e.to_string().contains("0.7"));
         let e = BayesError::InvalidProbability { what: "value probability", value: 1.5 };
         assert!(e.to_string().contains("1.5"));
-        assert!(BayesError::UnknownSource(3).to_string().contains('3'));
     }
 }

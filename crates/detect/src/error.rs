@@ -7,22 +7,6 @@ use std::fmt;
 /// Errors from configuring or running detection algorithms.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectError {
-    /// The supplied accuracy table does not cover every source of the
-    /// dataset.
-    AccuracyTableMismatch {
-        /// Sources in the dataset.
-        sources: usize,
-        /// Entries in the accuracy table.
-        accuracies: usize,
-    },
-    /// The supplied value-probability table covers a different number of
-    /// items than the dataset.
-    ProbabilityTableMismatch {
-        /// Items in the dataset.
-        items: usize,
-        /// Items covered by the probability table.
-        covered: usize,
-    },
     /// A sampling strategy was configured with an invalid rate.
     InvalidSamplingRate(f64),
     /// A shard's incrementally-maintained shared-item counts disagree with
@@ -59,8 +43,8 @@ pub enum DetectError {
         /// The name the query asked for.
         name: String,
     },
-    /// A round's bootstrap state was invalid: an initial accuracy outside
-    /// `[0, 1]`.
+    /// A [`BayesError`] from building a round's bootstrap state (the
+    /// `From<BayesError>` target of the bootstrap's `?`).
     Bayes(BayesError),
     /// A shard's local-to-global source map does not cover a source of the
     /// shard's snapshot — the map was built for another snapshot.
@@ -87,14 +71,6 @@ impl From<BayesError> for DetectError {
 impl fmt::Display for DetectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DetectError::AccuracyTableMismatch { sources, accuracies } => write!(
-                f,
-                "accuracy table covers {accuracies} sources but the dataset has {sources}"
-            ),
-            DetectError::ProbabilityTableMismatch { items, covered } => write!(
-                f,
-                "value-probability table covers {covered} items but the dataset has {items}"
-            ),
             DetectError::InvalidSamplingRate(r) => {
                 write!(f, "sampling rate {r} is not in (0, 1]")
             }
@@ -132,11 +108,7 @@ mod tests {
 
     #[test]
     fn display() {
-        let e = DetectError::AccuracyTableMismatch { sources: 5, accuracies: 3 };
-        assert!(e.to_string().contains('5'));
         assert!(DetectError::InvalidSamplingRate(1.5).to_string().contains("1.5"));
-        let e = DetectError::ProbabilityTableMismatch { items: 2, covered: 1 };
-        assert!(e.to_string().contains("2"));
         let e = DetectError::ShardEvidenceMismatch {
             pair: SourcePair::new(copydet_model::SourceId::new(0), copydet_model::SourceId::new(1)),
             counted: 3,

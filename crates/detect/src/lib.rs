@@ -13,7 +13,6 @@
 //! | [`HybridDetector`] (HYBRID) | IV (end) | INDEX for pairs sharing few items, BOUND+ for the rest |
 //! | [`IncrementalDetector`] (INCREMENTAL) | V | refines the previous round's decisions instead of recomputing |
 //! | [`SampledDetector`] + [`SamplingStrategy`] (SAMPLE1 / SAMPLE2 / SCALESAMPLE) | VI-A / VI-E | any of the above over a sampled subset of data items |
-//! | [`FaginInputDetector`] (FAGININPUT) | II-B | generates the sorted per-value score lists Fagin's NRA would need, then aggregates them |
 //!
 //! All single-round algorithms implement the [`CopyDetector`] trait so the
 //! iterative truth-finding loop in `copydet-fusion` can drive any of them,
@@ -27,7 +26,6 @@
 mod api;
 mod counters;
 mod error;
-mod fagin;
 mod incremental;
 mod pairwise;
 mod result;
@@ -39,7 +37,6 @@ pub mod topk;
 pub use api::{CopyDetector, OwnedRoundInput, RoundInput};
 pub use counters::ComputationCounter;
 pub use error::DetectError;
-pub use fagin::{FaginInput, FaginInputDetector};
 pub use incremental::{IncrementalConfig, IncrementalDetector, IncrementalRoundStats};
 pub use pairwise::{pairwise_detection, PairwiseDetector};
 pub use result::{DetectionResult, PairOutcome};
@@ -53,4 +50,4 @@ pub use sharded::{
     merge_shard_rounds_parallel, MergeTimings, MergeWorkerReport, ShardIdMap, ShardPartials,
     ShardRoundEvidence, SharedItemObservation,
 };
-pub use topk::{TopKResult, TopKStats};
+pub use topk::TopKResult;

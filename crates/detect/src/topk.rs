@@ -18,28 +18,17 @@ use crate::result::PairOutcome;
 use copydet_model::codec::usize_to_u64;
 use copydet_model::SourcePair;
 
-/// Work counters of one top-k query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TopKStats {
-    /// Pairs the query's filtered round materialized — every pair of the
-    /// full round the query can rank.
-    pub candidates: u64,
-    /// Pairs whose exact evidence was merged: always `candidates`.
-    pub evaluated: u64,
-    /// Pairs ruled out without evaluation: always 0 (kept for the
-    /// `DETECT_TOPK` response layout).
-    pub pruned: u64,
-}
-
-/// A ranked top-k answer plus its work counters.
+/// A ranked top-k answer plus its candidate count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopKResult {
     /// At most `k` pairs, most suspicious first: ascending posterior, ties
     /// broken by ascending pair id — the same order a full round's top-k
     /// extraction yields.
     pub ranked: Vec<(SourcePair, PairOutcome)>,
-    /// Work counters for observability and acceptance checks.
-    pub stats: TopKStats,
+    /// Pairs the query's filtered round materialized — every pair of the
+    /// full round the query can rank, each one evaluated (nothing is
+    /// pruned).
+    pub candidates: u64,
 }
 
 /// Ranks evaluated pairs by ascending posterior of independence (most
@@ -56,7 +45,7 @@ pub fn rank_topk(
         posterior(&a.1).total_cmp(&posterior(&b.1)).then_with(|| a.0.cmp(&b.0))
     });
     ranked.truncate(k);
-    TopKResult { ranked, stats: TopKStats { candidates, evaluated: candidates, pruned: 0 } }
+    TopKResult { ranked, candidates }
 }
 
 #[cfg(test)]
@@ -92,13 +81,13 @@ mod tests {
         // Posterior ties fall back to ascending pair id.
         let top = rank_topk(outcomes, 3);
         assert_eq!(keys(&top), vec![pair(0, 3), pair(0, 1), pair(0, 2)]);
-        assert_eq!(top.stats, TopKStats { candidates: 4, evaluated: 4, pruned: 0 });
+        assert_eq!(top.candidates, 4);
         // k larger than the set returns every pair.
         let all = rank_topk(outcomes, usize::MAX);
         assert_eq!(keys(&all), vec![pair(0, 3), pair(0, 1), pair(0, 2), pair(0, 4)]);
         // k = 0 returns nothing but still counts the candidates.
         let none = rank_topk(outcomes, 0);
         assert!(none.ranked.is_empty());
-        assert_eq!(none.stats.candidates, 4);
+        assert_eq!(none.candidates, 4);
     }
 }

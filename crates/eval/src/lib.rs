@@ -14,6 +14,10 @@
 //!   reference method (the paper compares against PAIRWISE), fusion
 //!   accuracy against a gold standard, fusion difference, and accuracy
 //!   variance;
+//! * [`FaginInputDetector`] (FAGININPUT, Section II-B) — the Table X
+//!   baseline: generates the sorted per-value score lists Fagin's NRA
+//!   would need ([`FaginInput`]), then aggregates them. It lives here, with
+//!   its one caller, so the serving crates do not link `copydet-nra`;
 //! * [`experiments`] — one function per table/figure that assembles
 //!   workloads from `copydet-synth` presets, runs the relevant methods, and
 //!   renders a [`TextTable`] in the same shape as the paper's table.
@@ -28,12 +32,14 @@
 
 mod config;
 pub mod experiments;
+mod fagin;
 mod methods;
 pub mod metrics;
 mod runner;
 mod table;
 
 pub use config::ExperimentConfig;
+pub use fagin::{FaginInput, FaginInputDetector};
 pub use methods::Method;
 pub use runner::{run_fusion, run_single_round, FusionRun};
 pub use table::TextTable;

@@ -1,9 +1,10 @@
 //! The named method configurations the paper compares (Section VI-A,
 //! "Implementation").
 
+use crate::FaginInputDetector;
 use copydet_detect::{
-    BoundDetector, CopyDetector, FaginInputDetector, HybridDetector, IncrementalDetector,
-    IndexDetector, PairwiseDetector, SampledDetector, SamplingStrategy,
+    BoundDetector, CopyDetector, HybridDetector, IncrementalDetector, IndexDetector,
+    PairwiseDetector, SampledDetector, SamplingStrategy,
 };
 
 /// A copy-detection method as configured for the experiments.

@@ -22,8 +22,7 @@
 //!   maintenance.
 //!
 //! Datasets are constructed through [`DatasetBuilder`] (string-based, order
-//! insensitive, duplicate tolerant) or deserialized from the simple TSV
-//! format in [`tsv`].
+//! insensitive, duplicate tolerant).
 //!
 //! ```
 //! use copydet_model::DatasetBuilder;
@@ -46,7 +45,6 @@ mod builder;
 pub mod codec;
 mod dataset;
 mod delta;
-mod error;
 mod ids;
 mod interner;
 mod motivating;
@@ -54,12 +52,10 @@ mod names;
 mod observation;
 mod stats;
 pub mod sync;
-pub mod tsv;
 
 pub use builder::DatasetBuilder;
 pub use dataset::{Dataset, ItemValueGroup};
 pub use delta::{ClaimChange, DatasetDelta};
-pub use error::ModelError;
 pub use ids::{ItemId, SourceId, SourcePair, ValueId};
 pub use interner::Interner;
 pub use motivating::{motivating_example, MotivatingExample};

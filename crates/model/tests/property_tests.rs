@@ -81,112 +81,6 @@ proptest! {
         }
     }
 
-    /// TSV round-trip preserves every claim.
-    #[test]
-    fn tsv_roundtrip(claims in claims_strategy()) {
-        let mut b = DatasetBuilder::new();
-        for (s, d, v) in &claims {
-            b.add_claim(&format!("S{s}"), &format!("D{d}"), &format!("v{v}"));
-        }
-        let ds = b.build();
-        let text = copydet_model::tsv::dataset_to_string(&ds).unwrap();
-        let back = copydet_model::tsv::parse_dataset(&text).unwrap();
-        prop_assert_eq!(back.num_claims(), ds.num_claims());
-        for c in ds.claim_refs() {
-            let s = back.source_by_name(c.source).unwrap();
-            let d = back.item_by_name(c.item).unwrap();
-            let v = back.value_of(s, d).unwrap();
-            prop_assert_eq!(back.value_str(v), c.value);
-        }
-    }
-
-    /// Feeding arbitrary text to the TSV parser returns `Ok` or a typed
-    /// parse error — never a panic. (Adversarial-input coverage for the
-    /// import path.)
-    #[test]
-    fn tsv_parse_tolerates_arbitrary_text(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let text = String::from_utf8_lossy(&bytes);
-        let _ = copydet_model::tsv::parse_dataset(&text);
-    }
-
-    /// Structured adversarial lines — random fields joined by random
-    /// separators — parse or fail cleanly, and every `Ok` dataset re-serializes
-    /// (or is refused as unrepresentable), closing the loop.
-    #[test]
-    fn tsv_parse_tolerates_adversarial_lines(
-        lines in prop::collection::vec(
-            prop::collection::vec((0u8..8, 0u8..5), 0..7),
-            0..12,
-        )
-    ) {
-        const FIELDS: [&str; 8] = ["S", "", "#x", "a b", "é雪", "v\u{0}w", "-", "0"];
-        const SEPS: [&str; 5] = ["\t", "", " ", "\t\t", "#"];
-        let text: String = lines
-            .iter()
-            .map(|line| {
-                line.iter().map(|&(f, s)| {
-                    format!("{}{}", FIELDS[f as usize], SEPS[s as usize])
-                }).collect::<String>() + "\n"
-            })
-            .collect();
-        if let Ok(ds) = copydet_model::tsv::parse_dataset(&text) {
-            match copydet_model::tsv::dataset_to_string(&ds) {
-                Ok(out) => {
-                    let back = copydet_model::tsv::parse_dataset(&out).unwrap();
-                    prop_assert_eq!(back.num_claims(), ds.num_claims());
-                }
-                Err(e) => prop_assert!(
-                    matches!(e, copydet_model::ModelError::Unrepresentable { .. }),
-                    "unexpected error {:?}", e
-                ),
-            }
-        }
-    }
-
-    /// The TSV writer either round-trips a dataset *exactly* (same claim
-    /// multiset) or refuses with `Unrepresentable` — it never emits a file
-    /// that parses back to different claims. Names mix ASCII, `#`, spaces,
-    /// tabs, newlines and non-ASCII, so both arms are exercised.
-    #[test]
-    fn tsv_write_roundtrips_exactly_or_refuses(
-        claims in prop::collection::vec((0u8..10, 0u8..10, 0u8..10), 0..30)
-    ) {
-        const NAMES: [&str; 10] =
-            ["S0", "source b", "#lead", "x#y", "é", "雪国", "tab\there", "nl\nhere", "", "S9"];
-        let mut b = DatasetBuilder::new();
-        for &(s, d, v) in &claims {
-            b.add_claim(NAMES[s as usize], NAMES[d as usize], NAMES[v as usize]);
-        }
-        let ds = b.build();
-        match copydet_model::tsv::dataset_to_string(&ds) {
-            Ok(text) => {
-                let back = copydet_model::tsv::parse_dataset(&text).unwrap();
-                let claims_of = |ds: &copydet_model::Dataset| {
-                    let mut v: Vec<(String, String, String)> = ds
-                        .claim_refs()
-                        .map(|c| (c.source.to_owned(), c.item.to_owned(), c.value.to_owned()))
-                        .collect();
-                    v.sort();
-                    v
-                };
-                prop_assert_eq!(claims_of(&back), claims_of(&ds));
-            }
-            Err(copydet_model::ModelError::Unrepresentable { what }) => {
-                // Refusal must be justified: some claim really is unwritable.
-                let offending = ds.claim_refs().any(|c| {
-                    c.source.starts_with('#')
-                        || c.source.is_empty()
-                        || c.item.is_empty()
-                        || [c.source, c.item, c.value]
-                            .iter()
-                            .any(|f| f.contains(['\t', '\n', '\r']))
-                });
-                prop_assert!(offending, "refused {:?} but every claim is writable", what);
-            }
-            Err(other) => prop_assert!(false, "unexpected error {:?}", other),
-        }
-    }
-
     /// `decode(encode(x)) == x` for the binary claim codec over arbitrary
     /// ids, and for strings over an alphabet heavy in non-ASCII.
     #[test]

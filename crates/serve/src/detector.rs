@@ -4,7 +4,7 @@
 //! cross-shard merge adds the partials into global copy decisions.
 
 use crate::shard::ShardedStore;
-use copydet_bayes::SourceAccuracies;
+use copydet_bayes::{CopyParams, SourceAccuracies};
 use copydet_detect::{
     collect_shard_partials_for, merge_shard_partials, topk, DetectError, DetectionResult,
     RoundInput, ShardPartials, TopKResult,
@@ -18,12 +18,17 @@ use copydet_obs::{
     emit, registry, slow_op_exceeded, trace_fields, trace_ring, Counter, Histogram,
     RoundTraceBuilder, Severity, Span,
 };
-use copydet_store::{LiveConfig, StoreSnapshot};
+use copydet_store::StoreSnapshot;
 use std::sync::{Arc, OnceLock};
 
 /// One shard's frozen state: its snapshot and the shared-item counts
 /// captured with it under the same lock.
 type Capture = (StoreSnapshot, Arc<SharedItemCounts>);
+
+/// The accuracy every source starts a round with, before the vote
+/// bootstraps value probabilities from it (the paper's implementations
+/// use 0.8).
+const INITIAL_ACCURACY: f64 = 0.8;
 
 /// Sharded detection rounds completed in this process.
 fn rounds_total() -> &'static Arc<Counter> {
@@ -69,10 +74,10 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    map is built ([`ShardedStore::maps_for`], traced as `shard<i>.maps`
 ///    with the number of registry names it resolved — one per local
 ///    source; items and values keep shard-local ids and are never looked
-///    up), then the round state is bootstrapped like
-///    [`LiveDetector::prepare`](copydet_store::LiveDetector::prepare):
-///    uniform accuracies and the value vote over the shard's own snapshot,
-///    borrowed, not cloned. Then the shard scores its own pairs
+///    up), then the round state is bootstrapped from the paper's defaults
+///    ([`CopyParams::paper_defaults`], every source at an accuracy of
+///    0.8): uniform accuracies and the value vote over the shard's own
+///    snapshot, borrowed, not cloned. Then the shard scores its own pairs
 ///    ([`collect_shard_partials_for`]):
 ///    each source's row walks its own claims, scores each claim's shared
 ///    value once for every neighbour sharing it, and yields one exact
@@ -97,22 +102,13 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 /// `pairwise_detection`.
 #[derive(Debug, Default)]
 pub struct ShardedDetector {
-    config: LiveConfig,
-    rounds: usize,
     merge_parallelism: usize,
 }
 
 impl ShardedDetector {
-    /// A detector with the default [`LiveConfig`].
+    /// A detector with the auto-selected merge worker count.
     pub fn new() -> Self {
-        Self::with_config(LiveConfig::default())
-    }
-
-    /// A detector with a custom configuration (`params` and
-    /// `initial_accuracy` drive the bootstrap; the incremental settings are
-    /// unused — every sharded round is exact).
-    pub fn with_config(config: LiveConfig) -> Self {
-        Self { config, rounds: 0, merge_parallelism: 0 }
+        Self::default()
     }
 
     /// Sets the number of cross-shard merge workers. `0` (the default)
@@ -141,11 +137,6 @@ impl ShardedDetector {
         std::thread::available_parallelism().map_or(1, usize::from)
     }
 
-    /// Number of detection rounds run so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
     /// One detection round over the store's current state. Snapshots are
     /// captured per shard (each under its own lock); the scans and the
     /// merge run entirely unlocked.
@@ -155,11 +146,10 @@ impl ShardedDetector {
     /// [`DetectError::ShardPairCountMismatch`] if a shard's counts disagree
     /// with its snapshot — impossible for captures taken by this method
     /// (each shard's pair is captured under one lock), so an error here
-    /// indicates store corruption; [`DetectError::Bayes`] if the configured
-    /// initial accuracy is not a probability; [`DetectError::ShardScanPanicked`]
-    /// if a shard's scan thread dies. The round fails instead of panicking
-    /// the serving thread.
-    pub fn detect_round(&mut self, store: &ShardedStore) -> Result<DetectionResult, DetectError> {
+    /// indicates store corruption; [`DetectError::ShardScanPanicked`] if a
+    /// shard's scan thread dies. The round fails instead of panicking the
+    /// serving thread.
+    pub fn detect_round(&self, store: &ShardedStore) -> Result<DetectionResult, DetectError> {
         let mut trace = RoundTraceBuilder::new("sharded_round");
         let captures = capture_traced(store, &mut trace);
         self.detect_traced(store, &captures, trace)
@@ -177,7 +167,7 @@ impl ShardedDetector {
     /// disagree with its snapshot — e.g. a counts handle captured at a
     /// different time than the snapshot it is paired with.
     pub fn detect_captured(
-        &mut self,
+        &self,
         store: &ShardedStore,
         captures: &[Capture],
     ) -> Result<DetectionResult, DetectError> {
@@ -194,8 +184,7 @@ impl ShardedDetector {
     /// are then ranked by [`topk::rank_topk`]. Every kept pair merges the
     /// same partials as in the full round, so the ranked answer is
     /// bit-identical to the top-k extracted from a full round (ascending
-    /// posterior, ties by ascending pair id). A query does not count in
-    /// [`rounds`](Self::rounds).
+    /// posterior, ties by ascending pair id).
     ///
     /// # Errors
     /// [`DetectError::UnknownSourceName`] if the fleet has never seen
@@ -239,7 +228,7 @@ impl ShardedDetector {
         let finished = trace.finish();
         topk_queries_total().inc();
         topk_query_nanos().record(finished.total_nanos);
-        topk_pairs_evaluated().add(result.stats.evaluated);
+        topk_pairs_evaluated().add(result.candidates);
         if slow_op_exceeded(finished.total_nanos) {
             emit(Severity::Warn, "detect", "topk.slow", trace_fields(&finished));
         }
@@ -249,7 +238,7 @@ impl ShardedDetector {
             "topk.finish",
             vec![
                 field::u64("k", usize_to_u64(k)),
-                field::u64("evaluated", result.stats.evaluated),
+                field::u64("evaluated", result.candidates),
                 field::u64("nanos", finished.total_nanos),
             ],
         );
@@ -262,13 +251,12 @@ impl ShardedDetector {
     /// `trace`, which is pushed into the global [`trace_ring`] before
     /// returning.
     fn detect_traced(
-        &mut self,
+        &self,
         store: &ShardedStore,
         captures: &[Capture],
         mut trace: RoundTraceBuilder,
     ) -> Result<DetectionResult, DetectError> {
         let result = self.scan_and_merge(store, captures, None, &mut trace)?;
-        self.rounds += 1;
         let finished = trace.finish();
         rounds_total().inc();
         round_nanos().record(finished.total_nanos);
@@ -299,9 +287,8 @@ impl ShardedDetector {
         trace: &mut RoundTraceBuilder,
     ) -> Result<DetectionResult, DetectError> {
         let prepare_span = Span::start();
-        let vote_config = VoteConfig::new(self.config.params);
-        let initial_accuracy = self.config.initial_accuracy;
-        let params = self.config.params;
+        let params = CopyParams::paper_defaults();
+        let vote_config = VoteConfig::new(params);
         trace.stage("prepare", prepare_span.elapsed_nanos());
         let fanout_span = Span::start();
         /// One shard's partials, with its `maps` stage time and count and
@@ -312,11 +299,10 @@ impl ShardedDetector {
             let maps_span = Span::start();
             let map = store.maps_for(snapshot);
             let maps = (maps_span.elapsed_nanos(), map.ids.sources.len());
-            // The bootstrap `LiveDetector::prepare` builds, over a borrowed
-            // snapshot.
+            // The round's bootstrap, over a borrowed snapshot.
             let scan_span = Span::start();
             let dataset = &snapshot.dataset;
-            let accuracies = SourceAccuracies::uniform(dataset.num_sources(), initial_accuracy)?;
+            let accuracies = SourceAccuracies::uniform(dataset.num_sources(), INITIAL_ACCURACY)?;
             let probabilities = value_probabilities(dataset, &accuracies, None, vote_config);
             let input = RoundInput::new(dataset, &accuracies, &probabilities, params);
             let partials = collect_shard_partials_for(&input, counts, &map.ids, target)?;
@@ -391,7 +377,6 @@ fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<Ca
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_bayes::CopyParams;
     use copydet_detect::pairwise_detection;
     use copydet_model::{DatasetBuilder, SourcePair};
 
@@ -430,9 +415,7 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let store = ShardedStore::new(shards);
             store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
-            let mut detector = ShardedDetector::new();
-            let got = detector.detect_round(&store).expect("consistent capture");
-            assert_eq!(detector.rounds(), 1);
+            let got = ShardedDetector::new().detect_round(&store).expect("consistent capture");
             assert_eq!(got.outcomes.len(), expected.outcomes.len(), "{shards} shard(s)");
             for (pair, outcome) in &expected.outcomes {
                 assert_eq!(
@@ -459,7 +442,7 @@ mod tests {
             .detect_round(&store)
             .expect("consistent capture");
         for workers in [2usize, 4, 8] {
-            let mut detector = ShardedDetector::new().with_merge_parallelism(workers);
+            let detector = ShardedDetector::new().with_merge_parallelism(workers);
             assert_eq!(detector.merge_parallelism(), workers);
             let got = detector.detect_round(&store).expect("consistent capture");
             assert_eq!(got.outcomes, baseline.outcomes, "{workers} merge workers");
@@ -532,17 +515,10 @@ mod tests {
                 assert_eq!(got.ranked, expected, "{shards} shard(s), k={k}");
                 // The filtered round evaluates exactly the target's pairs.
                 let with_target = full.outcomes.keys().filter(|p| p.contains(target)).count();
-                assert_eq!(
-                    got.stats.candidates,
-                    usize_to_u64(with_target),
-                    "{shards} shard(s), k={k}"
-                );
-                assert_eq!(got.stats.evaluated, got.stats.candidates);
-                assert_eq!(got.stats.pruned, 0);
+                assert_eq!(got.candidates, usize_to_u64(with_target), "{shards} shard(s), k={k}");
             }
             let fleet = detector.detect_topk_fleet(&store, 4).expect("fleet query");
             assert_eq!(fleet.ranked, extract_topk(&full, None, 4), "{shards} shard(s) fleet");
-            assert_eq!(detector.rounds(), 0, "top-k queries are not rounds");
         }
     }
 
@@ -557,22 +533,6 @@ mod tests {
             matches!(&err, DetectError::UnknownSourceName { name } if name == "nobody"),
             "unexpected error: {err:?}"
         );
-    }
-
-    /// An initial accuracy outside `[0, 1]` fails rounds and top-k queries
-    /// with a typed error instead of panicking the serving thread.
-    #[test]
-    fn invalid_initial_accuracy_is_a_typed_error() {
-        let claims = stream();
-        let store = ShardedStore::new(2);
-        store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
-        let config = LiveConfig { initial_accuracy: 1.5, ..LiveConfig::default() };
-        let mut detector = ShardedDetector::with_config(config);
-        let invalid = |r: Result<_, DetectError>| matches!(r, Err(DetectError::Bayes(_)));
-        assert!(invalid(detector.detect_round(&store).map(|_| ())));
-        assert!(invalid(detector.detect_topk(&store, "S0", 3).map(|_| ())));
-        assert!(invalid(detector.detect_topk_fleet(&store, 3).map(|_| ())));
-        assert_eq!(detector.rounds(), 0, "a failed round is not counted");
     }
 
     /// A counts handle captured at a different time than the snapshot it is

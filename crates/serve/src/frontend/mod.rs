@@ -670,9 +670,10 @@ fn handle_detect_topk(
         }
         other => ProtocolError::Detect { message: other.to_string() },
     })?;
-    out.u64(result.stats.candidates);
-    out.u64(result.stats.evaluated);
-    out.u64(result.stats.pruned);
+    // The v1 layout: candidates, evaluated (every candidate), pruned (none).
+    out.u64(result.candidates);
+    out.u64(result.candidates);
+    out.u64(0);
     out.pairs(
         &server.store.global_source_names(),
         result.ranked.iter().map(|(pair, outcome)| (*pair, outcome.posterior.unwrap_or(1.0))),

@@ -46,7 +46,7 @@
 //!     ("alice", "AZ", "Phoenix"),
 //!     ("bob", "AZ", "Phoenix"),
 //! ]);
-//! let mut detector = ShardedDetector::new();
+//! let detector = ShardedDetector::new();
 //! let result = detector.detect_round(&store).expect("capture is consistent");
 //! assert_eq!(result.algorithm, "SHARDED");
 //! ```
@@ -71,9 +71,9 @@ pub use shard::{fnv1a64, partition_of, Router, ShardMaps, ShardedStore};
 
 // Re-exported so serve users can name the store/detect/obs types without
 // direct dependencies.
-pub use copydet_detect::{DetectionResult, TopKResult, TopKStats};
+pub use copydet_detect::{DetectionResult, TopKResult};
 pub use copydet_obs::{
     Event, FieldValue, HealthReason, HealthReasonCode, HealthVerdict, RoundTrace, Severity,
     TraceStage,
 };
-pub use copydet_store::{LiveConfig, StoreConfig, StoreIoError, StoreStats};
+pub use copydet_store::{StoreConfig, StoreIoError, StoreStats};

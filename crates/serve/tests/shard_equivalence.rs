@@ -16,7 +16,7 @@ use copydet_detect::{
 use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
 use copydet_model::{Dataset, DatasetBuilder, SourceId, SourcePair};
-use copydet_serve::{LiveConfig, Router, ShardedDetector, ShardedStore};
+use copydet_serve::{Router, ShardedDetector, ShardedStore};
 use proptest::prelude::*;
 
 type Op = (u8, u8, u8);
@@ -148,7 +148,7 @@ proptest! {
         }
         let captures = store.capture_shards();
         let maps: Vec<_> = captures.iter().map(|(s, _)| store.maps_for(s)).collect();
-        let live = copydet_store::LiveDetector::with_config(LiveConfig::default());
+        let live = copydet_store::LiveDetector::new();
         let mut evidence: Vec<ShardRoundEvidence> = Vec::new();
         for ((snapshot, counts), map) in captures.iter().zip(&maps) {
             let input = live.prepare(snapshot);

@@ -133,7 +133,7 @@ fn ingest_while_detecting_matches_from_scratch_baselines() {
         // The detector loop: capture the fleet, run the fan-out round over
         // that capture (entirely outside the shard locks, so writers keep
         // streaming), and remember the capture for the baseline comparison.
-        let mut detector = ShardedDetector::new();
+        let detector = ShardedDetector::new();
         loop {
             let writers_done = writers.iter().all(|h| h.is_finished());
             let captures = store.capture_shards();
@@ -189,7 +189,7 @@ fn concurrent_rounds_are_self_consistent() {
                 writer.ingest(&s, &d, &v);
             }
         });
-        let mut detector = ShardedDetector::new();
+        let detector = ShardedDetector::new();
         for _ in 0..5 {
             let result = detector.detect_round(&store).expect("consistent capture");
             let num_sources = store.num_sources();
@@ -197,7 +197,6 @@ fn concurrent_rounds_are_self_consistent() {
                 assert!(pair.second().index() < num_sources, "pair ids stay in the registry");
             }
         }
-        assert_eq!(detector.rounds(), 5);
     });
     assert_eq!(store.num_claims(), SOURCES_PER_WRITER * ITEMS);
     let stats = store.stats();
@@ -253,7 +252,7 @@ fn lock_ranks_hold_under_stress() {
                 std::thread::yield_now();
             }
         });
-        let mut detector = ShardedDetector::new();
+        let detector = ShardedDetector::new();
         for _ in 0..4 {
             let result = detector.detect_round(&store).expect("consistent capture");
             assert_eq!(result.algorithm, "SHARDED");

@@ -69,7 +69,7 @@ fn extract_topk(
 
 fn assert_topk_equivalence(ops: &[Op], shards: usize, k: usize) {
     let store = build_store(ops, shards);
-    let mut detector = ShardedDetector::new();
+    let detector = ShardedDetector::new();
     let full = detector.detect_round(&store).expect("consistent capture");
 
     // Per-source: top-k copiers of S0, bit-identical to the full round.
@@ -83,9 +83,7 @@ fn assert_topk_equivalence(ops: &[Op], shards: usize, k: usize) {
     // The query's pair universe is exactly the full round's pairs
     // containing S0, every one of them evaluated.
     let with_target = full.outcomes.keys().filter(|pair| pair.contains(target)).count();
-    assert_eq!(got.stats.candidates as usize, with_target, "{shards} shard(s), k={k}");
-    assert_eq!(got.stats.evaluated, got.stats.candidates, "{shards} shard(s), k={k}");
-    assert_eq!(got.stats.pruned, 0, "{shards} shard(s), k={k}");
+    assert_eq!(got.candidates as usize, with_target, "{shards} shard(s), k={k}");
 
     // Fleet-wide: same contract against the unfiltered extraction.
     let got = detector.detect_topk_fleet(&store, k).expect("consistent capture");
@@ -94,9 +92,7 @@ fn assert_topk_equivalence(ops: &[Op], shards: usize, k: usize) {
         got.ranked, expected,
         "{shards} shard(s), k={k}: fleet-wide ranking diverged from the full round"
     );
-    assert_eq!(got.stats.evaluated as usize, full.pairs_considered, "{shards} shard(s), k={k}");
-    assert_eq!(got.stats.candidates, got.stats.evaluated);
-    assert_eq!(got.stats.pruned, 0);
+    assert_eq!(got.candidates as usize, full.pairs_considered, "{shards} shard(s), k={k}");
 }
 
 #[test]

@@ -15,6 +15,10 @@
 # `copydetect` for the facade crate's `src/`, one per `vendor/<name>`, and
 # `examples` for the workspace examples. The wire-level benchmark under
 # `wirebench/` is its own workspace and is not counted.
+#
+# Two totals close the table: `total`, every row, and `serving closure`, the
+# rows of the crates the server links (`cargo tree -p copydet-serve -e
+# normal`), which is the number the deletion bar tracks.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -70,12 +74,14 @@ sources() {
 }
 
 total=0
+declare -A lines_of
 row() {
     local name="$1" dir="$2" files lines
     mapfile -t files < <(sources "$dir")
     lines="$(count "${files[@]}")"
     printf '%-24s %7d\n' "$name" "$lines"
     total=$((total + lines))
+    lines_of["${dir%/}"]="$lines"
 }
 
 for dir in crates/*/; do
@@ -87,3 +93,12 @@ for dir in vendor/*/; do
 done
 row examples examples
 printf '%-24s %7d\n' total "$total"
+
+# Each closure crate's directory, relative to the root, from the package
+# path `cargo tree` prints after its name and version.
+serving=0
+while read -r dir; do
+    serving=$((serving + ${lines_of[$dir]:?"no loc.sh row for $dir"}))
+done < <(cargo tree --offline -p copydet-serve -e normal --prefix none --format '{p}' |
+    sed -n "s|.*($root/\([^)]*\)).*|\1|p" | sort -u)
+printf '%-24s %7d\n' 'serving closure' "$serving"

@@ -21,14 +21,14 @@
 //! | [`model`] | `copydet-model` | datasets, sources, items, values, claims |
 //! | [`bayes`] | `copydet-bayes` | contribution scores, posteriors, thresholds |
 //! | [`index`] | `copydet-index` | the inverted index and entry orderings |
-//! | [`detect`] | `copydet-detect` | PAIRWISE, INDEX, BOUND(+), HYBRID, INCREMENTAL, sampling, FAGININPUT |
+//! | [`detect`] | `copydet-detect` | PAIRWISE, INDEX, BOUND(+), HYBRID, INCREMENTAL, sampling |
 //! | [`fusion`] | `copydet-fusion` | VOTE, ACCU, and the iterative ACCUCOPY loop |
 //! | [`nra`] | `copydet-nra` | Fagin's NRA top-k aggregation |
 //! | [`synth`] | `copydet-synth` | synthetic workloads with planted copying |
 //! | [`store`] | `copydet-store` | segmented live claim store, snapshots, deltas, live detection |
 //! | [`obs`] | `copydet-obs` | metrics registry, round tracing, text exposition |
 //! | [`serve`] | `copydet-serve` | sharded serving engine: item-partitioned stores, fan-out rounds, TCP frontend |
-//! | [`eval`] | `copydet-eval` | metrics and the per-table experiment drivers |
+//! | [`eval`] | `copydet-eval` | FAGININPUT, metrics and the per-table experiment drivers |
 //!
 //! ## Quick start
 //!

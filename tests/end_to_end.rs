@@ -134,36 +134,6 @@ fn sampled_detection_end_to_end() {
     assert!(quality.recall > 0.3, "sampled recall {:.2} too low", quality.recall);
 }
 
-/// The TSV round-trip composes with detection: saving and reloading a
-/// dataset yields identical copy decisions.
-#[test]
-fn tsv_roundtrip_preserves_detection_results() {
-    let workload = small_workload(505);
-    let text = copydetect::model::tsv::dataset_to_string(&workload.dataset).unwrap();
-    let reloaded = copydetect::model::tsv::parse_dataset(&text).unwrap();
-
-    let params = CopyParams::paper_defaults();
-    let run = |ds: &Dataset| {
-        let accuracies = SourceAccuracies::uniform(ds.num_sources(), 0.8).unwrap();
-        let probabilities = copydetect::fusion::value_probabilities(
-            ds,
-            &accuracies,
-            None,
-            &copydetect::fusion::VoteConfig::new(params),
-        );
-        let input = RoundInput::new(ds, &accuracies, &probabilities, params);
-        copydetect::detect::index_detection(&input)
-    };
-    let original = run(&workload.dataset);
-    let reparsed = run(&reloaded);
-    // Source ids can differ between the two datasets only if insertion order
-    // differed; the TSV writer emits claims grouped by source id, so the
-    // mapping is the identity and the copying sets must match exactly.
-    let a: HashSet<_> = original.copying_pairs().collect();
-    let b: HashSet<_> = reparsed.copying_pairs().collect();
-    assert_eq!(a, b);
-}
-
 /// The NRA substrate interoperates with the FAGININPUT generator on real
 /// workloads: the top pair by positive evidence involves a planted copier.
 #[test]
@@ -180,7 +150,7 @@ fn fagin_input_and_nra_interoperate() {
     );
     let input = RoundInput::new(ds, &accuracies, &probabilities, params);
     let index = InvertedIndex::build(ds, &accuracies, &probabilities, &params);
-    let (fagin, computations) = copydetect::detect::FaginInput::generate(&input, &index);
+    let (fagin, computations) = copydetect::eval::FaginInput::generate(&input, &index);
     assert!(computations > 0);
     let nra = fagin.into_nra();
     let top = nra.top_k(3);
