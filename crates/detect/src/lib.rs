@@ -47,7 +47,7 @@ pub use scan::{
 pub use scan::{BoundDetector, HybridDetector, IndexDetector};
 pub use sharded::{
     collect_shard_evidence, collect_shard_partials_for, merge_shard_partials,
-    merge_shard_rounds_parallel, MergeTimings, MergeWorkerReport, ShardIdMap, ShardPartials,
-    ShardRoundEvidence, SharedItemObservation,
+    merge_shard_rounds_parallel, MergeTimings, ShardIdMap, ShardPartials, ShardRoundEvidence,
+    SharedItemObservation,
 };
 pub use topk::TopKResult;

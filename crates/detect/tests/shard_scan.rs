@@ -167,10 +167,10 @@ proptest! {
             })
             .collect();
 
-        let (merged, _, _) = merge_shard_partials(scan(&shards, None), params, 1);
+        let (merged, _) = merge_shard_partials(scan(&shards, None), params);
         assert_bit_identical(&merged, &baseline, None)?;
         for target in global.sources() {
-            let (merged, _, _) = merge_shard_partials(scan(&shards, Some(target)), params, 2);
+            let (merged, _) = merge_shard_partials(scan(&shards, Some(target)), params);
             assert_bit_identical(&merged, &baseline, Some(target))?;
         }
     }

@@ -84,12 +84,9 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    [`PairEvidence`](copydet_bayes::PairEvidence) partial per neighbour,
 ///    keyed by the global pair and checked against the shard's counts. No
 ///    per-item observation leaves the scan thread.
-/// 3. **Merge** — each pair's per-shard partials are added and the
-///    posterior of Eq. 2 decides ([`merge_shard_partials`]). Pairs are
-///    partitioned by a stable hash across merge workers (see
-///    [`with_merge_parallelism`](Self::with_merge_parallelism)); the
-///    parallel merge is bit-identical to the sequential one at every
-///    worker count.
+/// 3. **Merge** — on the calling thread, each pair's per-shard partials
+///    are added and the posterior of Eq. 2 decides
+///    ([`merge_shard_partials`]).
 ///
 /// Shards are item-disjoint, so the merged result is **bit-identical** to
 /// running the exact PAIRWISE baseline on a single store fed the same
@@ -101,40 +98,18 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 /// in `tests/shard_equivalence.rs` asserts exactly this against
 /// `pairwise_detection`.
 #[derive(Debug, Default)]
-pub struct ShardedDetector {
-    merge_parallelism: usize,
-}
+pub struct ShardedDetector;
 
 impl ShardedDetector {
-    /// A detector with the auto-selected merge worker count.
+    /// A detector; it holds no configuration.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Sets the number of cross-shard merge workers. `0` (the default)
-    /// auto-selects: the `COPYDET_MERGE_THREADS` environment variable if set
-    /// to a positive integer, else [`std::thread::available_parallelism`].
-    /// The merge result is bit-identical at every setting — this knob trades
-    /// wall time only.
-    pub fn with_merge_parallelism(mut self, workers: usize) -> Self {
-        self.merge_parallelism = workers;
-        self
-    }
-
-    /// The merge worker count a round would use right now (resolves the
-    /// auto setting; see [`with_merge_parallelism`](Self::with_merge_parallelism)).
+    /// The number of threads the cross-shard merge runs on: always 1, the
+    /// calling thread. Kept only because the benchmark still reads it.
     pub fn merge_parallelism(&self) -> usize {
-        if self.merge_parallelism > 0 {
-            return self.merge_parallelism;
-        }
-        if let Some(n) = std::env::var("COPYDET_MERGE_THREADS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|n| *n > 0)
-        {
-            return n;
-        }
-        std::thread::available_parallelism().map_or(1, usize::from)
+        1
     }
 
     /// One detection round over the store's current state. Snapshots are
@@ -276,7 +251,7 @@ impl ShardedDetector {
         Ok(result)
     }
 
-    /// Prepare, per-shard fan-out and merge over `captures`, recording each
+    /// Per-shard fan-out and merge over `captures`, recording each
     /// stage into `trace`. `target` restricts every shard's scan to the
     /// pairs containing it (`None` = the full round).
     fn scan_and_merge(
@@ -286,10 +261,8 @@ impl ShardedDetector {
         target: Option<SourceId>,
         trace: &mut RoundTraceBuilder,
     ) -> Result<DetectionResult, DetectError> {
-        let prepare_span = Span::start();
         let params = CopyParams::paper_defaults();
         let vote_config = VoteConfig::new(params);
-        trace.stage("prepare", prepare_span.elapsed_nanos());
         let fanout_span = Span::start();
         /// One shard's partials, with its `maps` stage time and count and
         /// its `scan` stage time.
@@ -340,24 +313,15 @@ impl ShardedDetector {
             trace.stage_count(&format!("shard{i}.scan"), scan_nanos, usize_to_u64(scored));
             shards.push(partials);
         }
-        let workers = self.merge_parallelism();
         let merge_span = Span::start();
-        let (result, timings, reports) = merge_shard_partials(shards, params, workers);
+        let (result, timings) = merge_shard_partials(shards, params);
         let merge_nanos = merge_span.elapsed_nanos();
-        // Wall intervals only: `timings.fold_nanos` / `vote_nanos` are summed
-        // over merge workers (CPU time) and would overrun the round.
         trace.stage("merge.collect", timings.collect_nanos);
         trace.stage_count(
             "merge.fold_vote",
             merge_nanos.saturating_sub(timings.collect_nanos),
             timings.pairs,
         );
-        // Named like the `shard<i>.<stage>` spans (not under the `merge.`
-        // prefix) so prefix sums over `merge.` keep tiling the merge wall
-        // time — worker wall times overlap the fold_vote stage.
-        for (w, report) in reports.iter().enumerate() {
-            trace.stage_count(&format!("worker{w}.merge"), report.wall_nanos, report.pairs);
-        }
         Ok(result)
     }
 }
@@ -427,25 +391,6 @@ mod tests {
             // The planted pair is caught.
             let copying: Vec<SourcePair> = got.copying_pairs().collect();
             assert!(!copying.is_empty(), "{shards} shard(s): planted copiers detected");
-        }
-    }
-
-    /// The merge-parallelism knob changes wall time only: every worker
-    /// count returns the identical round result.
-    #[test]
-    fn merge_parallelism_is_observable_and_bit_stable() {
-        let claims = stream();
-        let store = ShardedStore::new(2);
-        store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
-        let baseline = ShardedDetector::new()
-            .with_merge_parallelism(1)
-            .detect_round(&store)
-            .expect("consistent capture");
-        for workers in [2usize, 4, 8] {
-            let detector = ShardedDetector::new().with_merge_parallelism(workers);
-            assert_eq!(detector.merge_parallelism(), workers);
-            let got = detector.detect_round(&store).expect("consistent capture");
-            assert_eq!(got.outcomes, baseline.outcomes, "{workers} merge workers");
         }
     }
 

@@ -45,8 +45,8 @@ fn ingest_all(client: &mut Client, claims: &[(String, String, String)]) {
 
 /// On a 1-shard fleet the per-shard stages (capture + evidence scan) and
 /// the merge stages tile the round: their TRACE durations must account for
-/// at least 90% of the round's wall time (prepare and thread-spawn glue get
-/// the rest).
+/// at least 90% of the round's wall time (the bookkeeping between stages
+/// gets the rest).
 #[test]
 fn tcp_round_trace_decomposes_wall_time() {
     let _serial = HEAVY_ROUND.lock().unwrap_or_else(PoisonError::into_inner);

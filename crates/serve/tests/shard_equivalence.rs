@@ -8,10 +8,10 @@
 //! `COPYDET_SHARD_CASES` scales the proptest case count for the dedicated
 //! release-mode CI step.
 
-use copydet_bayes::{CopyParams, SourceAccuracies};
+use copydet_bayes::{CopyParams, PairEvidence, SourceAccuracies};
 use copydet_detect::{
-    collect_shard_evidence, merge_shard_rounds_parallel, pairwise_detection, DetectionResult,
-    RoundInput, ShardRoundEvidence,
+    collect_shard_partials_for, merge_shard_partials, pairwise_detection, DetectionResult,
+    RoundInput, ShardPartials,
 };
 use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
@@ -130,13 +130,14 @@ proptest! {
         assert_equivalence(&ops, shards, batch);
     }
 
-    /// The parallel cross-shard merge is bit-identical to the sequential
-    /// one — outcomes, counters and timing totals — for every worker count
-    /// 1..=8 over 1..=4 shards, including the pruning of hand-injected
-    /// pairs whose merged evidence is empty in every shard (the one shape
-    /// `collect_shard_evidence` itself never emits).
+    /// The cross-shard merge is order-free: each shard's partials, merged in
+    /// shard order and in reverse (each shard's list reversed too), are
+    /// bit-identical to the single-store PAIRWISE baseline — including the
+    /// pruning of a hand-injected pair whose merged evidence is empty in
+    /// every shard (the one shape `collect_shard_partials_for` itself never
+    /// emits).
     #[test]
-    fn parallel_merge_is_bit_identical_to_sequential(
+    fn partials_merge_in_any_order_to_the_pairwise_baseline(
         ops in prop::collection::vec((0u8..8, 0u8..10, 0u8..4), 1..80),
         shards in 1usize..=4,
         inject_empty in any::<bool>(),
@@ -149,49 +150,45 @@ proptest! {
         let captures = store.capture_shards();
         let maps: Vec<_> = captures.iter().map(|(s, _)| store.maps_for(s)).collect();
         let live = copydet_store::LiveDetector::new();
-        let mut evidence: Vec<ShardRoundEvidence> = Vec::new();
+        let mut partials: Vec<ShardPartials> = Vec::new();
         for ((snapshot, counts), map) in captures.iter().zip(&maps) {
             let input = live.prepare(snapshot);
-            evidence.push(
-                collect_shard_evidence(&input.as_round_input(), counts, &map.ids)
+            partials.push(
+                collect_shard_partials_for(&input.as_round_input(), counts, &map.ids, None)
                     .expect("consistent capture"),
             );
         }
         if inject_empty {
-            // A pair no real evidence mentions, empty in *every* round: the
-            // merge must prune it — identically at every worker count.
+            // A pair no real evidence mentions, empty in *every* shard: the
+            // merge must prune it.
             let n = store.num_sources();
             let ghost = SourcePair::new(SourceId::from_index(n), SourceId::from_index(n + 1));
-            for round in &mut evidence {
-                round.pairs.insert(ghost, Vec::new());
+            for shard in &mut partials {
+                shard.push((ghost, PairEvidence::empty()));
             }
         }
 
-        let accuracies = SourceAccuracies::uniform(store.num_sources(), 0.8).unwrap();
-        let params = CopyParams::paper_defaults();
-        let (sequential, seq_timings, _) =
-            merge_shard_rounds_parallel(evidence.clone(), &accuracies, params, 1);
-        prop_assert_eq!(seq_timings.pruned_pairs, u64::from(inject_empty));
-        for threads in 1usize..=8 {
-            let (parallel, timings, reports) =
-                merge_shard_rounds_parallel(evidence.clone(), &accuracies, params, threads);
+        let expected = baseline(&ops);
+        let reversed: Vec<ShardPartials> = partials
+            .iter()
+            .rev()
+            .map(|shard| shard.iter().rev().copied().collect())
+            .collect();
+        for (order, shards_in_order) in [("shard order", partials), ("reverse", reversed)] {
+            let (merged, timings) =
+                merge_shard_partials(shards_in_order, CopyParams::paper_defaults());
             prop_assert_eq!(
-                &parallel.outcomes, &sequential.outcomes,
-                "{} shard(s), {} merge thread(s): outcomes diverged", shards, threads
+                &merged.outcomes, &expected.outcomes,
+                "{} shard(s), {}: outcomes diverged from PAIRWISE", shards, order
             );
-            prop_assert_eq!(parallel.counter.score_updates, sequential.counter.score_updates);
+            prop_assert_eq!(merged.counter.score_updates, expected.counter.score_updates);
             prop_assert_eq!(
-                parallel.counter.pair_finalizations,
-                sequential.counter.pair_finalizations
+                merged.counter.pair_finalizations,
+                expected.counter.pair_finalizations
             );
-            prop_assert_eq!(parallel.shared_values_examined, sequential.shared_values_examined);
-            prop_assert_eq!(parallel.pairs_considered, sequential.pairs_considered);
-            prop_assert_eq!(timings.pairs, seq_timings.pairs);
-            prop_assert_eq!(timings.pruned_pairs, seq_timings.pruned_pairs);
-            let pair_sum: u64 = reports.iter().map(|r| r.pairs).sum();
-            let pruned_sum: u64 = reports.iter().map(|r| r.pruned_pairs).sum();
-            prop_assert_eq!(pair_sum, timings.pairs, "{} thread(s)", threads);
-            prop_assert_eq!(pruned_sum, timings.pruned_pairs, "{} thread(s)", threads);
+            prop_assert_eq!(merged.shared_values_examined, expected.shared_values_examined);
+            prop_assert_eq!(merged.pairs_considered, expected.pairs_considered);
+            prop_assert_eq!(timings.pruned_pairs, u64::from(inject_empty), "{}", order);
         }
     }
 
