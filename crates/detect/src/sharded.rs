@@ -673,6 +673,29 @@ mod tests {
         assert_bit_identical(&merged, &expected);
     }
 
+    /// The replay adapter still takes a worker count; every value yields the
+    /// serving merge's result bit for bit, with every pair timed once.
+    #[test]
+    fn parallel_merge_is_bit_identical_for_every_worker_count() {
+        let global = dataset(CLAIMS);
+        let params = CopyParams::paper_defaults();
+        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
+        let shards: Vec<Shard> =
+            (0..2).map(|parity| shard(&global, &accuracies, parity, parity == 0)).collect();
+        let (sequential, seq_timings) =
+            merge_shard_partials(shards.iter().map(Shard::partials).collect(), params);
+        assert_eq!(seq_timings.pairs, usize_to_u64(sequential.pairs_considered));
+        for workers in [0usize, 1, 2, 3, 8] {
+            let rounds = shards.iter().map(Shard::observations).collect();
+            let (parallel, timings, ()) =
+                merge_shard_rounds_parallel(rounds, &accuracies, params, workers);
+            assert_bit_identical(&parallel, &sequential);
+            assert_eq!(parallel.outcomes, sequential.outcomes, "{workers} workers");
+            assert_eq!(timings.pairs, seq_timings.pairs, "{workers} workers");
+            assert_eq!(timings.pruned_pairs, seq_timings.pruned_pairs);
+        }
+    }
+
     /// A shard whose local source order is the reverse of the global one,
     /// with non-uniform accuracies (so `C→ ≠ C←`): its partials must be
     /// re-oriented by the global pair. Without the swap in

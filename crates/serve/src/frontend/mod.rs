@@ -379,6 +379,11 @@ fn serve_connection(stream: &mut TcpStream, server: &Server) -> io::Result<()> {
             None => Err(ProtocolError::UnknownKind { kind }),
         };
         let ok = response.is_ok();
+        // The stop flag goes up before SHUTDOWN's OK does, so a client that
+        // has read the OK finds the server stopped.
+        if ok && kind == REQ_SHUTDOWN {
+            server.stopped.store(true, Ordering::SeqCst);
+        }
         match response {
             Ok(out) => write_frame(stream, RESP_OK, &out)?,
             Err(e) => {
@@ -394,8 +399,8 @@ fn serve_connection(stream: &mut TcpStream, server: &Server) -> io::Result<()> {
                 write_error(stream, &e.to_string())?;
             }
         }
-        // SHUTDOWN stops the server only once its OK is on the wire: a
-        // server stopped any earlier may close this connection first.
+        // The wake and the sweep wait until SHUTDOWN's OK is on the wire:
+        // a sweep any earlier may close this connection first.
         if ok && kind == REQ_SHUTDOWN {
             server.stop(peer);
         }
