@@ -193,12 +193,6 @@ impl PairEvidence {
         CopyDecision::from_posterior(self.posterior_independence(params))
     }
 
-    /// Returns `true` if the accumulated scores already guarantee a copying
-    /// decision under `thresholds` (either direction at or above `θcp`).
-    pub fn implies_copying(&self, thresholds: &DecisionThresholds) -> bool {
-        self.c_to() >= thresholds.theta_cp || self.c_from() >= thresholds.theta_cp
-    }
-
     /// Returns `true` if the accumulated scores already guarantee a
     /// no-copying decision under `thresholds` (both directions below
     /// `θind`).
@@ -396,14 +390,11 @@ mod tests {
         let thresholds = params.thresholds();
         let mut e = PairEvidence::empty();
         assert!(e.implies_no_copying(&thresholds));
-        assert!(!e.implies_copying(&thresholds));
         let mut above_cp = PairEvidence::empty();
         above_cp.add_scores(thresholds.theta_cp + 0.01, 0.0);
-        assert!(above_cp.implies_copying(&thresholds));
         assert!(!above_cp.implies_no_copying(&thresholds));
-        // Above θind but below θcp: neither conclusion is guaranteed.
+        // Above θind but below θcp: no-copying is no longer guaranteed.
         e.add_scores((thresholds.theta_ind + thresholds.theta_cp) / 2.0, 0.0);
-        assert!(!e.implies_copying(&thresholds));
         assert!(!e.implies_no_copying(&thresholds));
     }
 

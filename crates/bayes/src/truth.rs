@@ -12,32 +12,21 @@ use copydet_model::{Dataset, ItemId, ValueId};
 /// uses they can come from prior knowledge (as in the paper's worked
 /// examples) or from simple voting.
 ///
-/// Values that were never stored fall back to the table's `default`
-/// probability (0.5 unless overridden), mirroring the "we are often not sure
-/// which value is true" stance of Section II-A.
+/// Values that were never stored fall back to probability 0.5, mirroring
+/// the "we are often not sure which value is true" stance of Section II-A.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValueProbabilities {
     /// `per_item[d]` = sorted `(value, probability)` pairs for item `d`.
     per_item: Vec<Vec<(ValueId, f64)>>,
-    default: f64,
 }
 
-impl ValueProbabilities {
-    /// Creates an empty table covering `num_items` items with fallback
-    /// probability 0.5.
-    pub fn new(num_items: usize) -> Self {
-        Self { per_item: vec![Vec::new(); num_items], default: 0.5 }
-    }
+/// The probability of a value the table never stored.
+const DEFAULT_PROBABILITY: f64 = 0.5;
 
-    /// Creates an empty table with an explicit fallback probability.
-    pub fn with_default(num_items: usize, default: f64) -> Result<Self, BayesError> {
-        if !(0.0..=1.0).contains(&default) || default.is_nan() {
-            return Err(BayesError::InvalidProbability {
-                what: "default value probability",
-                value: default,
-            });
-        }
-        Ok(Self { per_item: vec![Vec::new(); num_items], default })
+impl ValueProbabilities {
+    /// Creates an empty table covering `num_items` items.
+    pub fn new(num_items: usize) -> Self {
+        Self { per_item: vec![Vec::new(); num_items] }
     }
 
     /// Builds a table from a dense per-item list of `(value, probability)`
@@ -71,14 +60,9 @@ impl ValueProbabilities {
         self.per_item.iter().map(Vec::len).sum()
     }
 
-    /// The fallback probability returned for values never stored.
-    pub fn default_probability(&self) -> f64 {
-        self.default
-    }
-
     /// Extends the table to cover `num_items` items, appending empty rows
-    /// (which resolve to the table default). A no-op if the table already
-    /// covers at least that many items.
+    /// (which resolve to the default probability). A no-op if the table
+    /// already covers at least that many items.
     ///
     /// Used when a dataset delta introduces new items: the old-state snapshot
     /// kept by incremental detection must index safely into the grown item
@@ -109,15 +93,10 @@ impl ValueProbabilities {
         row.binary_search_by_key(&v, |&(value, _)| value).ok().map(|i| row[i].1)
     }
 
-    /// Returns `P(d.v)`, falling back to the table default.
+    /// Returns `P(d.v)`, falling back to the default probability 0.5.
     #[inline]
     pub fn get(&self, d: ItemId, v: ValueId) -> f64 {
-        self.lookup(d, v).unwrap_or(self.default)
-    }
-
-    /// All stored `(value, probability)` pairs of item `d`, sorted by value.
-    pub fn values_of(&self, d: ItemId) -> &[(ValueId, f64)] {
-        &self.per_item[d.index()]
+        self.lookup(d, v).unwrap_or(DEFAULT_PROBABILITY)
     }
 
     /// Iterates over every stored `(item, value, probability)` triple.
@@ -130,7 +109,7 @@ impl ValueProbabilities {
 
     /// Largest absolute probability change against another table with the
     /// same stored entries. Entries present in only one of the tables are
-    /// compared against the other table's default.
+    /// compared against the default probability.
     pub fn max_abs_diff(&self, other: &ValueProbabilities) -> f64 {
         let mut max: f64 = 0.0;
         for (d, v, p) in self.iter() {
@@ -161,8 +140,8 @@ mod tests {
         assert_eq!(p.lookup(ItemId::new(0), ValueId::new(3)), Some(0.7));
         assert_eq!(p.num_entries(), 2);
         // rows stay sorted
-        let row = p.values_of(ItemId::new(0));
-        assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
+        let row: Vec<ValueId> = p.iter().map(|(_, v, _)| v).collect();
+        assert!(row.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -171,7 +150,6 @@ mod tests {
         assert!(p.set(ItemId::new(0), ValueId::new(0), 1.2).is_err());
         assert!(p.set(ItemId::new(0), ValueId::new(0), -0.1).is_err());
         assert!(p.set(ItemId::new(0), ValueId::new(0), f64::NAN).is_err());
-        assert!(ValueProbabilities::with_default(1, 2.0).is_err());
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The detector interface the iterative truth-finding loop drives.
+//! The input of a detection round.
 
-use crate::result::DetectionResult;
 use copydet_bayes::{CopyParams, ScoringContext, SourceAccuracies, ValueProbabilities};
 use copydet_model::{Dataset, DatasetDelta};
 
@@ -8,8 +7,8 @@ use copydet_model::{Dataset, DatasetDelta};
 /// source accuracy and value truthfulness, and the model priors.
 ///
 /// In single-round use the estimates come from prior knowledge or from simple
-/// voting; in the iterative loop (`copydet-fusion`) they are the previous
-/// round's outputs.
+/// voting; in the iterative loop (`copydet-eval`'s `AccuCopy`) they are the
+/// previous round's outputs.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundInput<'a> {
     /// The dataset of claims.
@@ -24,9 +23,10 @@ pub struct RoundInput<'a> {
     /// (`None` for a fixed dataset, the batch reproduction case).
     ///
     /// Stateful detectors use the delta to maintain their cross-round
-    /// bookkeeping instead of rescanning: `IncrementalDetector` rebuilds only
-    /// the index entries of touched items and re-decides only the pairs the
-    /// delta can have affected. Stateless detectors ignore it.
+    /// bookkeeping instead of rescanning: `copydet-eval`'s
+    /// `IncrementalDetector` rebuilds only the index entries of touched items
+    /// and re-decides only the pairs the delta can have affected. Stateless
+    /// detectors ignore it.
     pub delta: Option<&'a DatasetDelta>,
 }
 
@@ -63,7 +63,7 @@ impl<'a> RoundInput<'a> {
 /// round under a store lock (or on one thread), move it across the
 /// lock/thread boundary, and run the detector via
 /// [`as_round_input`](OwnedRoundInput::as_round_input) while ingest continues
-/// on the live store. `copydet-store`'s `LiveDetector` assembles one of these
+/// on the live store. `copydet-eval`'s `LiveDetector` assembles one of these
 /// per observed snapshot.
 #[derive(Debug, Clone)]
 pub struct OwnedRoundInput {
@@ -92,42 +92,11 @@ impl OwnedRoundInput {
     }
 }
 
-/// A copy-detection algorithm that can be run once per round of the iterative
-/// truth-finding process.
-///
-/// Detectors may keep state between rounds (INCREMENTAL does); stateless
-/// detectors simply ignore the round number.
-pub trait CopyDetector {
-    /// A short, stable name ("PAIRWISE", "INDEX", …) used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Runs copy detection for the given round (1-based) and returns the
-    /// per-pair outcomes.
-    fn detect_round(&mut self, input: &RoundInput<'_>, round: usize) -> DetectionResult;
-
-    /// Clears any cross-round state, returning the detector to the state it
-    /// had before the first round. The default is a no-op, which is correct
-    /// for stateless detectors.
-    fn reset(&mut self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use copydet_bayes::CopyDecision;
     use copydet_model::motivating_example;
-
-    struct TrivialDetector;
-    impl CopyDetector for TrivialDetector {
-        fn name(&self) -> &'static str {
-            "TRIVIAL"
-        }
-        fn detect_round(&mut self, input: &RoundInput<'_>, _round: usize) -> DetectionResult {
-            let mut r = DetectionResult::new(self.name());
-            r.pairs_considered = input.dataset.num_sources();
-            r
-        }
-    }
 
     #[test]
     fn round_input_exposes_scoring_context() {
@@ -138,18 +107,5 @@ mod tests {
         let ctx = input.scoring_context();
         let e = ctx.score_pair(copydet_model::SourceId::new(2), copydet_model::SourceId::new(3));
         assert_eq!(e.decision(&input.params), CopyDecision::Copying);
-    }
-
-    #[test]
-    fn trait_object_works() {
-        let ex = motivating_example();
-        let acc = SourceAccuracies::from_vec(ex.accuracies.clone()).unwrap();
-        let probs = ValueProbabilities::from_table(ex.probability_table()).unwrap();
-        let input = RoundInput::new(&ex.dataset, &acc, &probs, CopyParams::paper_defaults());
-        let mut detector: Box<dyn CopyDetector> = Box::new(TrivialDetector);
-        let result = detector.detect_round(&input, 1);
-        assert_eq!(result.algorithm, "TRIVIAL");
-        assert_eq!(result.pairs_considered, 10);
-        detector.reset();
     }
 }

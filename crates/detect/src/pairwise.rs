@@ -4,7 +4,7 @@
 //! computed and accumulated, then the posterior of Eq. 2 decides copying.
 //! Complexity `O(|D|·|S|²)` per round.
 
-use crate::api::{CopyDetector, RoundInput};
+use crate::api::RoundInput;
 use crate::result::{DetectionResult, PairOutcome};
 use copydet_bayes::CopyDecision;
 use copydet_model::SourcePair;
@@ -47,27 +47,6 @@ pub fn pairwise_detection(input: &RoundInput<'_>) -> DetectionResult {
     }
     result.detection_time = start.elapsed();
     result
-}
-
-/// The PAIRWISE baseline as a reusable detector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairwiseDetector;
-
-impl PairwiseDetector {
-    /// Creates the detector.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl CopyDetector for PairwiseDetector {
-    fn name(&self) -> &'static str {
-        "PAIRWISE"
-    }
-
-    fn detect_round(&mut self, input: &RoundInput<'_>, _round: usize) -> DetectionResult {
-        pairwise_detection(input)
-    }
 }
 
 #[cfg(test)]
@@ -114,18 +93,5 @@ mod tests {
         assert!(p23.posterior.unwrap() < 1e-4);
         let p01 = result.outcomes[&SourcePair::new(SourceId::new(0), SourceId::new(1))];
         assert!((p01.posterior.unwrap() - 0.79).abs() < 0.02);
-    }
-
-    #[test]
-    fn detector_trait_roundtrip() {
-        let ex = motivating_example();
-        let acc = SourceAccuracies::from_vec(ex.accuracies.clone()).unwrap();
-        let probs = ValueProbabilities::from_table(ex.probability_table()).unwrap();
-        let input = RoundInput::new(&ex.dataset, &acc, &probs, CopyParams::paper_defaults());
-        let mut d = PairwiseDetector::new();
-        assert_eq!(d.name(), "PAIRWISE");
-        let r1 = d.detect_round(&input, 1);
-        let r2 = d.detect_round(&input, 2);
-        assert_eq!(r1.num_copying_pairs(), r2.num_copying_pairs());
     }
 }

@@ -1,11 +1,14 @@
 //! The iterative ACCUCOPY loop: copy detection → value probabilities →
 //! source accuracies, repeated to convergence (Section II-A).
 
-use crate::accu::{accuracy_from_probabilities, value_probabilities, VoteConfig};
+use crate::accu::accuracy_from_probabilities;
+use crate::api::CopyDetector;
 use crate::error::FusionError;
+use crate::pairwise::PairwiseDetector;
 use crate::round::{FusionRoundStats, RoundTimings};
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{CopyDetector, DetectionResult, RoundInput};
+use copydet_detect::{DetectionResult, RoundInput};
+use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_model::{Dataset, ItemId, ValueId};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -236,14 +239,14 @@ pub fn accu_fusion(
     mut config: FusionConfig,
 ) -> Result<FusionOutcome, FusionError> {
     config.consider_copying = false;
-    let mut process = AccuCopy::new(config, copydet_detect::PairwiseDetector::new());
+    let mut process = AccuCopy::new(config, PairwiseDetector::new());
     process.run(dataset)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_detect::{HybridDetector, IncrementalDetector, IndexDetector, PairwiseDetector};
+    use crate::{HybridDetector, IncrementalDetector, IndexDetector};
     use copydet_model::{motivating_example, SourceId};
 
     fn run_with<D: CopyDetector>(detector: D) -> FusionOutcome {

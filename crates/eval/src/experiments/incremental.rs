@@ -2,10 +2,11 @@
 //! fraction of pairs that terminate in each incremental pass.
 
 use crate::experiments::workloads;
-use crate::{ExperimentConfig, TextTable};
+use crate::{
+    AccuCopy, ExperimentConfig, FusionConfig, FusionOutcome, HybridDetector, IncrementalDetector,
+    TextTable,
+};
 use copydet_bayes::CopyParams;
-use copydet_detect::{HybridDetector, IncrementalDetector};
-use copydet_fusion::{AccuCopy, FusionConfig, FusionOutcome};
 use copydet_synth::SyntheticDataset;
 
 /// The measurements for one workload.

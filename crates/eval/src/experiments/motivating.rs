@@ -1,12 +1,12 @@
 //! The worked examples of Sections II–V on the motivating dataset
 //! (Tables I–IV).
 
-use crate::TextTable;
-use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{
-    bound_detection, hybrid_detection, index_detection, pairwise_detection, RoundInput,
+use crate::{
+    bound_detection, hybrid_detection, index_detection, AccuCopy, FusionConfig, PairwiseDetector,
+    TextTable,
 };
-use copydet_fusion::{AccuCopy, FusionConfig};
+use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
+use copydet_detect::{pairwise_detection, RoundInput};
 use copydet_index::InvertedIndex;
 use copydet_model::motivating_example;
 
@@ -42,8 +42,7 @@ pub fn table_iii_index() -> TextTable {
 /// process (for the first five sources, as in the paper).
 pub fn table_ii_rounds() -> TextTable {
     let ex = motivating_example();
-    let mut process =
-        AccuCopy::new(FusionConfig::default(), copydet_detect::PairwiseDetector::new());
+    let mut process = AccuCopy::new(FusionConfig::default(), PairwiseDetector::new());
     let outcome = process.run(&ex.dataset).expect("motivating example is non-empty");
     let mut table = TextTable::new(
         "Table II — source accuracy per round (S0–S4)",

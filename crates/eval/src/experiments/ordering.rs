@@ -3,9 +3,8 @@
 
 use crate::experiments::workloads;
 use crate::runner::run_single_round;
-use crate::{ExperimentConfig, TextTable};
+use crate::{BoundDetector, ExperimentConfig, HybridDetector, TextTable};
 use copydet_bayes::CopyParams;
-use copydet_detect::{BoundDetector, HybridDetector};
 use copydet_index::EntryOrdering;
 
 /// The orderings compared in Figure 3.

@@ -4,10 +4,11 @@
 use crate::experiments::small_workloads;
 use crate::metrics::CopyDetectionQuality;
 use crate::runner::{run_fusion, FusionRun};
-use crate::{ExperimentConfig, Method, TextTable};
+use crate::{
+    sample_items, AccuCopy, ExperimentConfig, FusionConfig, IncrementalDetector, Method,
+    SampledDetector, SamplingStrategy, TextTable,
+};
 use copydet_bayes::CopyParams;
-use copydet_detect::{sample_items, IncrementalDetector, SampledDetector, SamplingStrategy};
-use copydet_fusion::{AccuCopy, FusionConfig};
 use copydet_synth::SyntheticDataset;
 use std::collections::HashSet;
 

@@ -77,9 +77,10 @@ pub fn run(config: &ExperimentConfig) -> Vec<TextTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_detection;
     use crate::runner::bootstrap_probabilities;
     use copydet_bayes::{SourceAccuracies, ValueProbabilities};
-    use copydet_detect::{index_detection, pairwise_detection, RoundInput};
+    use copydet_detect::{pairwise_detection, RoundInput};
 
     /// Every pair INDEX outputs carries PAIRWISE's `C→`/`C←` bits (and so
     /// its posterior). Exact evidence sums make INDEX's by-contribution

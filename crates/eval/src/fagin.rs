@@ -12,9 +12,10 @@
 //! input-generation step. We also expose the generated lists as ready-to-run
 //! [`NoRandomAccess`] instances so the end-to-end pipeline can be exercised.
 
+use crate::CopyDetector;
 use copydet_bayes::contribution::same_value_scores_both;
 use copydet_bayes::CopyDecision;
-use copydet_detect::{CopyDetector, DetectionResult, PairOutcome, RoundInput};
+use copydet_detect::{DetectionResult, PairOutcome, RoundInput};
 use copydet_index::InvertedIndex;
 use copydet_model::SourcePair;
 use copydet_nra::{NoRandomAccess, SortedList};
@@ -185,8 +186,8 @@ impl CopyDetector for FaginInputDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_detection;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_detect::index_detection;
     use copydet_model::{motivating_example, SourceId};
 
     fn fixture() -> (copydet_model::MotivatingExample, SourceAccuracies, ValueProbabilities) {

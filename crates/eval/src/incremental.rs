@@ -42,12 +42,12 @@
 //! The detector records per-round pass statistics ([`IncrementalRoundStats`])
 //! so the Table VIII experiment can be regenerated.
 
-use crate::api::{CopyDetector, RoundInput};
-use crate::result::{DetectionResult, PairOutcome};
+use crate::api::CopyDetector;
 use crate::scan::{index_scan, IndexScanConfig, PairScanRecord, ScanRecords};
 use copydet_bayes::contribution::same_value_scores_both;
 use copydet_bayes::max_contribution::max_contribution;
 use copydet_bayes::{CopyDecision, SourceAccuracies, ValueProbabilities};
+use copydet_detect::{DetectionResult, PairOutcome, RoundInput};
 use copydet_index::InvertedIndex;
 use copydet_model::codec::usize_to_u64;
 use copydet_model::SourcePair;
@@ -524,8 +524,8 @@ impl CopyDetector for IncrementalDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairwise::pairwise_detection;
     use copydet_bayes::CopyParams;
+    use copydet_detect::pairwise_detection;
     use copydet_model::{motivating_example, ItemId, SourceId, ValueId};
 
     struct Fixture {

@@ -1,13 +1,11 @@
 //! The live detection pipeline: store snapshots in, copy decisions out.
 
-use crate::concurrent::SharedClaimStore;
-use crate::snapshot::StoreSnapshot;
+use crate::api::CopyDetector;
+use crate::incremental::{IncrementalConfig, IncrementalDetector, IncrementalRoundStats};
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{
-    CopyDetector, DetectionResult, IncrementalConfig, IncrementalDetector, IncrementalRoundStats,
-    OwnedRoundInput,
-};
+use copydet_detect::{DetectionResult, OwnedRoundInput, RoundInput};
 use copydet_fusion::{value_probabilities, VoteConfig};
+use copydet_store::{SharedClaimStore, StoreSnapshot};
 
 /// Configuration of a [`LiveDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,12 +93,8 @@ impl LiveDetector {
         self.last_epoch = Some(snapshot.epoch);
         let (accuracies, probabilities) = self.bootstrap_state(snapshot);
         self.round += 1;
-        let mut input = copydet_detect::RoundInput::new(
-            &snapshot.dataset,
-            &accuracies,
-            &probabilities,
-            self.config.params,
-        );
+        let mut input =
+            RoundInput::new(&snapshot.dataset, &accuracies, &probabilities, self.config.params);
         if let Some(delta) = &snapshot.delta {
             input = input.with_delta(delta);
         }
@@ -181,7 +175,7 @@ impl LiveDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClaimStore;
+    use copydet_store::ClaimStore;
 
     #[test]
     fn observe_runs_warmup_then_delta_rounds() {

@@ -1,10 +1,9 @@
 //! The named method configurations the paper compares (Section VI-A,
 //! "Implementation").
 
-use crate::FaginInputDetector;
-use copydet_detect::{
-    BoundDetector, CopyDetector, HybridDetector, IncrementalDetector, IndexDetector,
-    PairwiseDetector, SampledDetector, SamplingStrategy,
+use crate::{
+    BoundDetector, CopyDetector, FaginInputDetector, HybridDetector, IncrementalDetector,
+    IndexDetector, PairwiseDetector, SampledDetector, SamplingStrategy,
 };
 
 /// A copy-detection method as configured for the experiments.

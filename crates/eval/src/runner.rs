@@ -2,9 +2,9 @@
 //! single detection round, with timing.
 
 use crate::methods::Method;
+use crate::{AccuCopy, CopyDetector, FusionConfig, FusionOutcome};
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{CopyDetector, DetectionResult, RoundInput};
-use copydet_fusion::{AccuCopy, FusionConfig, FusionOutcome};
+use copydet_detect::{DetectionResult, RoundInput};
 use copydet_synth::SyntheticDataset;
 use std::time::{Duration, Instant};
 

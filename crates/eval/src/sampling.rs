@@ -6,9 +6,8 @@
 //! with source and item identifiers unchanged so the resulting copy decisions
 //! remain comparable pair-by-pair.
 
-use crate::api::{CopyDetector, RoundInput};
-use crate::error::DetectError;
-use crate::result::DetectionResult;
+use crate::api::CopyDetector;
+use copydet_detect::{DetectError, DetectionResult, RoundInput};
 use copydet_model::{Dataset, ItemId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -18,9 +18,9 @@
 //! it. The scan can also record the per-pair bookkeeping INCREMENTAL needs
 //! for later rounds ([`ScanRecords`]).
 
-use crate::api::{CopyDetector, RoundInput};
-use crate::result::{DetectionResult, PairOutcome};
+use crate::api::CopyDetector;
 use copydet_bayes::{CopyDecision, PairEvidence, SameValueScore};
+use copydet_detect::{DetectionResult, PairOutcome, RoundInput};
 use copydet_index::{EntryOrdering, InvertedIndex};
 use copydet_model::{ItemId, SourcePair, ValueId};
 use std::collections::HashMap;
@@ -577,8 +577,8 @@ impl CopyDetector for HybridDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairwise::pairwise_detection;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
+    use copydet_detect::pairwise_detection;
     use copydet_model::{motivating_example, SourceId};
 
     struct Fixture {

@@ -3,8 +3,8 @@
 //! datasets and accuracy/probability states.
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{pairwise_detection, CopyDetector, RoundInput};
-use copydet_eval::FaginInputDetector;
+use copydet_detect::{pairwise_detection, RoundInput};
+use copydet_eval::{CopyDetector, FaginInputDetector};
 use copydet_model::{Dataset, DatasetBuilder, SourcePair};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -46,8 +46,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// FAGININPUT produces exactly PAIRWISE's binary decisions. The test
-    /// keeps the name of `copydet-detect`'s INDEX-vs-PAIRWISE property, so
-    /// both draw the same 64 cases.
+    /// keeps the name of the INDEX-vs-PAIRWISE property in
+    /// `property_tests.rs`, so both draw the same 64 cases.
     #[test]
     fn exact_algorithms_agree_with_pairwise(claims in claims_strategy(), seed in 0u64..500) {
         let ds = build(&claims);

@@ -4,8 +4,9 @@
 //! from-scratch HYBRID run on the full claim set — while the recorded
 //! `ComputationCounter` shows strictly fewer pair recomputations.
 
-use copydet_detect::{pairwise_detection, CopyDetector, HybridDetector, RoundInput};
-use copydet_store::{ClaimStore, LiveDetector};
+use copydet_detect::{pairwise_detection, RoundInput};
+use copydet_eval::{CopyDetector, HybridDetector, LiveDetector};
+use copydet_store::ClaimStore;
 use std::collections::BTreeSet;
 
 #[test]

@@ -3,9 +3,8 @@
 //! motivating example.
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{
-    bound_detection, hybrid_detection, index_detection, pairwise_detection, RoundInput,
-};
+use copydet_detect::{pairwise_detection, RoundInput};
+use copydet_eval::{bound_detection, hybrid_detection, index_detection};
 use copydet_model::{Dataset, DatasetBuilder, SourcePair};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -48,8 +47,8 @@ proptest! {
 
     /// Proposition 3.5: INDEX produces exactly the same binary decisions as
     /// PAIRWISE, on any dataset and any accuracy/probability state.
-    /// (FAGININPUT's half lives with it, in `copydet-eval`'s
-    /// `fagin_agreement` test.)
+    /// (FAGININPUT's half, under the same name, is in
+    /// `fagin_agreement.rs`.)
     #[test]
     fn exact_algorithms_agree_with_pairwise(claims in claims_strategy(), seed in 0u64..500) {
         let ds = build(&claims);

@@ -11,8 +11,7 @@ use std::collections::HashMap;
 /// * Sources, items and values are assigned dense ids in first-seen order, so
 ///   construction is deterministic for a fixed insertion order.
 /// * A source may claim each item at most once; re-adding a claim for the
-///   same `(source, item)` overwrites the previous value (the count of such
-///   overwrites is available via [`DatasetBuilder::overwritten`]).
+///   same `(source, item)` overwrites the previous value.
 /// * Empty value strings are accepted and treated like any other value; a
 ///   *missing* value is expressed by simply not adding a claim.
 #[derive(Debug, Default)]
@@ -22,7 +21,6 @@ pub struct DatasetBuilder {
     values: Interner,
     /// claim map per source: item -> value
     claims: Vec<HashMap<ItemId, ValueId>>,
-    overwritten: usize,
 }
 
 impl DatasetBuilder {
@@ -73,15 +71,7 @@ impl DatasetBuilder {
         assert!(source.index() < self.sources.len(), "unknown source id {source}");
         assert!(item.index() < self.items.len(), "unknown item id {item}");
         assert!(value.index() < self.values.len(), "unknown value id {value}");
-        if self.claims[source.index()].insert(item, value).is_some() {
-            self.overwritten += 1;
-        }
-    }
-
-    /// Number of claims that overwrote a previous claim for the same
-    /// `(source, item)`.
-    pub fn overwritten(&self) -> usize {
-        self.overwritten
+        self.claims[source.index()].insert(item, value);
     }
 
     /// Number of sources registered so far.
@@ -139,7 +129,6 @@ mod tests {
         let mut b = DatasetBuilder::new();
         b.add_claim("S", "D", "v1");
         b.add_claim("S", "D", "v2");
-        assert_eq!(b.overwritten(), 1);
         assert_eq!(b.num_claims(), 1);
         let ds = b.build();
         assert_eq!(ds.num_claims(), 1);

@@ -206,11 +206,6 @@ impl Dataset {
         self.item_names.len()
     }
 
-    /// Number of distinct value strings across all items.
-    pub fn num_distinct_values(&self) -> usize {
-        self.values.len()
-    }
-
     /// Total number of `(source, item, value)` claims.
     pub fn num_claims(&self) -> usize {
         self.num_claims
@@ -491,7 +486,6 @@ mod tests {
         assert_eq!(ds.num_sources(), 3);
         assert_eq!(ds.num_items(), 2);
         assert_eq!(ds.num_claims(), 5);
-        assert_eq!(ds.num_distinct_values(), 4);
     }
 
     #[test]

@@ -92,18 +92,6 @@ impl Interner {
     pub fn ptr_eq(&self, other: &Interner) -> bool {
         Arc::ptr_eq(&self.strings, &other.strings)
     }
-
-    /// Rebuilds the reverse-lookup table. Needed after deserialization because
-    /// the lookup map is not serialized.
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = Arc::new(
-            self.strings
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.clone(), ValueId::from_index(i)))
-                .collect(),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -141,19 +129,6 @@ mod tests {
             assert_eq!(*id, ids[k]);
             assert_eq!(*s, ["a", "b", "c"][k]);
         }
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_queries() {
-        let mut i = Interner::new();
-        i.intern("a");
-        i.intern("b");
-        let mut copy =
-            Interner { strings: Arc::clone(&i.strings), lookup: Arc::new(HashMap::new()) };
-        assert!(copy.get("a").is_none());
-        copy.rebuild_lookup();
-        assert_eq!(copy.get("a"), Some(ValueId::new(0)));
-        assert_eq!(copy.get("b"), Some(ValueId::new(1)));
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records a duration as nanoseconds (saturating past ~584 years).
-    pub fn record_duration(&self, duration: std::time::Duration) {
-        self.record(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// A point-in-time copy of the bucket counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::with_capacity(HISTOGRAM_BUCKETS);

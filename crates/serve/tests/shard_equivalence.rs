@@ -149,7 +149,7 @@ proptest! {
         }
         let captures = store.capture_shards();
         let maps: Vec<_> = captures.iter().map(|(s, _)| store.maps_for(s)).collect();
-        let live = copydet_store::LiveDetector::new();
+        let live = copydet_eval::LiveDetector::new();
         let mut partials: Vec<ShardPartials> = Vec::new();
         for ((snapshot, counts), map) in captures.iter().zip(&maps) {
             let input = live.prepare(snapshot);

@@ -12,7 +12,7 @@
 //! snapshot held across a compaction keeps its exact view).
 //!
 //! ```
-//! use copydet_store::{LiveDetector, SharedClaimStore};
+//! use copydet_store::SharedClaimStore;
 //!
 //! let store = SharedClaimStore::new();
 //! std::thread::scope(|scope| {
@@ -26,8 +26,8 @@
 //!     scope.spawn(move || {
 //!         maintainer.maintenance_tick(32, 4);
 //!     });
-//!     let mut live = LiveDetector::new();
-//!     let _decisions = live.observe_shared(&store); // detection outside the lock
+//!     let snapshot = store.snapshot(); // O(delta) under the lock
+//!     assert!(snapshot.dataset.num_claims() <= 100); // the work on it runs unlocked
 //! });
 //! ```
 

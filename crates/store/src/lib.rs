@@ -38,25 +38,22 @@
 //!   a typed [`StoreIoError`] (corruption vs truncation vs version
 //!   mismatch), never a panic. See `DESIGN.md` §6 for the on-disk format.
 //! * **Incremental index maintenance** — the store maintains the pairwise
-//!   shared-item counts `l(S1, S2)` at ingest time, so
+//!   shared-item counts `l(S1, S2)` at ingest time, so the served round
+//!   cross-checks its scans against them and
 //!   [`build_index`](ClaimStore::build_index) skips the counting pass of a
-//!   cold build; and the snapshot delta drives
+//!   cold build; the snapshot delta drives
 //!   [`InvertedIndex::apply_claim_delta`](copydet_index::InvertedIndex::apply_claim_delta)
-//!   plus the delta path of
-//!   [`IncrementalDetector`](copydet_detect::IncrementalDetector), which
-//!   re-decides only the pairs the new claims can have affected.
-//! * **[`LiveDetector`]** — the batteries-included pipeline: feed it
-//!   snapshots, get per-pair copy decisions, with only the first snapshot
-//!   detected from scratch.
+//!   and the delta path of `copydet-eval`'s `IncrementalDetector` and
+//!   `LiveDetector`, which re-decide only the pairs the new claims can have
+//!   affected.
 //!
 //! See `DESIGN.md` §5 for the segment lifecycle and the delta-propagation
 //! invariants.
 //!
 //! ```
-//! use copydet_store::{ClaimStore, LiveDetector};
+//! use copydet_store::ClaimStore;
 //!
 //! let mut store = ClaimStore::new();
-//! let mut live = LiveDetector::new();
 //! for (s, d, v) in [
 //!     ("alice", "NJ", "Trenton"),
 //!     ("bob", "NJ", "Trenton"),
@@ -64,13 +61,15 @@
 //! ] {
 //!     store.ingest(s, d, v);
 //! }
-//! let result = live.observe(&store.snapshot());
-//! assert_eq!(result.algorithm, "INCREMENTAL");
+//! let first = store.snapshot();
+//! assert_eq!(first.dataset.num_claims(), 3);
+//! assert!(first.delta.is_none(), "the first snapshot has no predecessor");
 //!
-//! // New claims arrive; only affected pairs are re-decided.
+//! // New claims arrive; the next snapshot carries exactly the change.
 //! store.ingest("dave", "NJ", "Trenton");
-//! let result = live.observe(&store.snapshot());
-//! assert!(result.pairs_considered > 0);
+//! let second = store.snapshot();
+//! assert_eq!(second.dataset.num_claims(), 4);
+//! assert_eq!(second.delta.as_ref().map(|delta| delta.len()), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -85,7 +84,6 @@ mod error;
 #[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod format;
 mod ioutil;
-mod live;
 mod segment;
 mod snapshot;
 mod stats;
@@ -96,7 +94,6 @@ mod wal;
 pub use concurrent::SharedClaimStore;
 pub use error::StoreIoError;
 pub use ioutil::{read_bounded, read_bounded_text};
-pub use live::{LiveConfig, LiveDetector};
 pub use segment::{GrowingSegment, SealedSegment};
 pub use snapshot::StoreSnapshot;
 pub use stats::StoreStats;

@@ -8,9 +8,9 @@ use copydet_model::{Dataset, DatasetDelta};
 /// built by a single `DatasetBuilder` pass over the same claims — so every
 /// existing detector, index builder and fusion loop runs on it unchanged.
 /// From the second snapshot on, `delta` records exactly the claims added or
-/// changed since the previous snapshot; feeding it to
-/// [`RoundInput::with_delta`](copydet_detect::RoundInput::with_delta) lets
-/// `IncrementalDetector` re-decide only the affected pairs.
+/// changed since the previous snapshot; feeding it to `RoundInput::with_delta`
+/// lets `copydet-eval`'s `IncrementalDetector` re-decide only the affected
+/// pairs.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     /// 1-based snapshot sequence number.
@@ -20,34 +20,4 @@ pub struct StoreSnapshot {
     /// Claims added/changed since the previous snapshot (`None` for the
     /// first snapshot, which has no predecessor).
     pub delta: Option<DatasetDelta>,
-}
-
-impl StoreSnapshot {
-    /// Returns `true` if this snapshot differs from its predecessor (always
-    /// `true` for the first snapshot of a non-empty store).
-    pub fn has_changes(&self) -> bool {
-        match &self.delta {
-            Some(delta) => !delta.is_empty(),
-            None => self.dataset.num_claims() > 0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::ClaimStore;
-
-    #[test]
-    fn has_changes_tracks_the_delta() {
-        let mut store = ClaimStore::new();
-        store.ingest("S0", "D0", "x");
-        let snap1 = store.snapshot();
-        assert!(snap1.has_changes(), "first non-empty snapshot counts as changed");
-        let snap2 = store.snapshot();
-        assert!(!snap2.has_changes(), "nothing happened between the snapshots");
-        store.ingest("S1", "D0", "x");
-        let snap3 = store.snapshot();
-        assert!(snap3.has_changes());
-        assert_eq!(snap3.epoch, 3);
-    }
 }

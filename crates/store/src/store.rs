@@ -515,25 +515,6 @@ impl ClaimStore {
         claim
     }
 
-    /// Ingests a claim using already-interned identifiers.
-    ///
-    /// # Panics
-    /// Panics if any id was not produced by this store.
-    pub fn ingest_ids(&mut self, source: SourceId, item: ItemId, value: ValueId) {
-        assert!(source.index() < self.sources.len(), "unknown source id {source}");
-        assert!(item.index() < self.items.len(), "unknown item id {item}");
-        assert!(value.index() < self.values.len(), "unknown value id {value}");
-        if let Some(persist) = &mut self.persist {
-            persist.log(&WalRecord::Claim {
-                claim: Claim { source, item, value },
-                source_def: None,
-                item_def: None,
-                value_def: None,
-            });
-        }
-        self.apply_claim(source, item, value, true);
-    }
-
     /// Applies one claim to the in-memory state (bookkeeping + growing
     /// segment); the write-ahead logging has already happened. Auto-sealing
     /// is suppressed during WAL replay, where the log must keep mirroring
@@ -967,6 +948,11 @@ mod tests {
         );
         assert_eq!(delta.len(), 3);
         assert_eq!(snap2.epoch, 2);
+        // Nothing ingested since: the next snapshot carries an empty delta
+        // and still advances the epoch.
+        let snap3 = store.snapshot();
+        assert!(snap3.delta.as_ref().is_some_and(|delta| delta.is_empty()));
+        assert_eq!(snap3.epoch, 3);
     }
 
     #[test]
@@ -1032,15 +1018,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.growing_claims, 0);
         assert_eq!(stats.sealed_claims, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown source id")]
-    fn ingest_ids_validates() {
-        let mut store = ClaimStore::new();
-        let d = store.item("D");
-        let v = store.value("x");
-        store.ingest_ids(SourceId::new(7), d, v);
     }
 
     #[test]

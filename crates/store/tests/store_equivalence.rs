@@ -1,15 +1,13 @@
 //! Store/batch equivalence: any interleaving of ingest + seal + compact
-//! must yield a snapshot whose `Dataset`, inverted index, and HYBRID copy
-//! decisions are identical to building the same claim sequence in one
-//! `DatasetBuilder` pass.
+//! must yield a snapshot whose `Dataset` and inverted index are identical to
+//! building the same claim sequence in one `DatasetBuilder` pass. (The
+//! HYBRID half of the suite lives with the detector, in `copydet-eval`.)
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::{CopyDetector, HybridDetector, RoundInput};
 use copydet_index::{InvertedIndex, SharedItemCounts};
 use copydet_model::{Dataset, DatasetBuilder};
 use copydet_store::{ClaimStore, StoreConfig};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 /// After each claim, the interleaving may seal (op 1), seal + compact
 /// (op 2), snapshot (op 3), or do nothing (op 0).
@@ -81,41 +79,6 @@ proptest! {
         let cold = InvertedIndex::build(&batch, &accuracies, &probabilities, &params);
         prop_assert_eq!(warm.entries(), cold.entries());
         prop_assert_eq!(warm.ebar_start(), cold.ebar_start());
-    }
-
-    /// HYBRID decides the same copying pairs on the snapshot as on the
-    /// batch-built dataset.
-    #[test]
-    fn hybrid_decisions_agree(claims in workload_strategy()) {
-        let batch = batch_dataset(&claims);
-        let mut store = streamed_store(&claims);
-        let snap = store.snapshot();
-        if batch.num_claims() == 0 {
-            return Ok(());
-        }
-
-        let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::uniform(batch.num_sources(), 0.8).unwrap();
-        let probabilities = copydet_fusion::value_probabilities(
-            &batch,
-            &accuracies,
-            None,
-            &copydet_fusion::VoteConfig::new(params),
-        );
-        let mut hybrid = HybridDetector::new();
-        let on_batch = hybrid.detect_round(
-            &RoundInput::new(&batch, &accuracies, &probabilities, params),
-            1,
-        );
-        let on_snapshot = hybrid.detect_round(
-            &RoundInput::new(&snap.dataset, &accuracies, &probabilities, params),
-            1,
-        );
-        let batch_pairs: BTreeSet<_> = on_batch.copying_pairs().collect();
-        let snapshot_pairs: BTreeSet<_> = on_snapshot.copying_pairs().collect();
-        prop_assert_eq!(batch_pairs, snapshot_pairs);
-        prop_assert_eq!(on_batch.pairs_considered, on_snapshot.pairs_considered);
-        prop_assert_eq!(on_batch.counter.score_updates, on_snapshot.counter.score_updates);
     }
 
     /// Auto-sealing/compaction configurations do not change the snapshot.

@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --release --example sampled_web_scale`
 
-use copydetect::detect::sample_items;
 use copydetect::eval::metrics::CopyDetectionQuality;
+use copydetect::eval::sample_items;
 use copydetect::prelude::*;
 use copydetect::synth;
 use std::collections::HashSet;

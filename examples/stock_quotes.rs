@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release --example stock_quotes`
 
-use copydetect::detect::{bound_detection, hybrid_detection, index_detection, pairwise_detection};
+use copydetect::detect::pairwise_detection;
+use copydetect::eval::{bound_detection, hybrid_detection, index_detection};
 use copydetect::fusion::value_probabilities;
 use copydetect::prelude::*;
 use copydetect::synth;

@@ -21,14 +21,14 @@
 //! | [`model`] | `copydet-model` | datasets, sources, items, values, claims |
 //! | [`bayes`] | `copydet-bayes` | contribution scores, posteriors, thresholds |
 //! | [`index`] | `copydet-index` | the inverted index and entry orderings |
-//! | [`detect`] | `copydet-detect` | PAIRWISE, INDEX, BOUND(+), HYBRID, INCREMENTAL, sampling |
-//! | [`fusion`] | `copydet-fusion` | VOTE, ACCU, and the iterative ACCUCOPY loop |
+//! | [`detect`] | `copydet-detect` | the served round, top-k and the PAIRWISE oracle |
+//! | [`fusion`] | `copydet-fusion` | the accuracy-weighted vote with copy discounting |
 //! | [`nra`] | `copydet-nra` | Fagin's NRA top-k aggregation |
 //! | [`synth`] | `copydet-synth` | synthetic workloads with planted copying |
-//! | [`store`] | `copydet-store` | segmented live claim store, snapshots, deltas, live detection |
+//! | [`store`] | `copydet-store` | segmented live claim store, snapshots, deltas |
 //! | [`obs`] | `copydet-obs` | metrics registry, round tracing, text exposition |
 //! | [`serve`] | `copydet-serve` | sharded serving engine: item-partitioned stores, fan-out rounds, TCP frontend |
-//! | [`eval`] | `copydet-eval` | FAGININPUT, metrics and the per-table experiment drivers |
+//! | [`eval`] | `copydet-eval` | the paper's detectors, ACCUCOPY, LiveDetector, FAGININPUT and the drivers |
 //!
 //! ## Quick start
 //!
@@ -83,18 +83,18 @@ pub mod prelude {
         CopyDecision, CopyParams, PairEvidence, ScoringContext, SourceAccuracies,
         ValueProbabilities,
     };
-    pub use copydet_detect::{
-        BoundDetector, CopyDetector, DetectionResult, HybridDetector, IncrementalDetector,
-        IndexDetector, OwnedRoundInput, PairwiseDetector, RoundInput, SampledDetector,
-        SamplingStrategy,
+    pub use copydet_detect::{DetectionResult, OwnedRoundInput, RoundInput};
+    pub use copydet_eval::{
+        accu_fusion, naive_vote, AccuCopy, BoundDetector, CopyDetector, FusionConfig,
+        FusionOutcome, HybridDetector, IncrementalDetector, IndexDetector, LiveDetector,
+        PairwiseDetector, SampledDetector, SamplingStrategy,
     };
-    pub use copydet_fusion::{accu_fusion, naive_vote, AccuCopy, FusionConfig, FusionOutcome};
     pub use copydet_index::{EntryOrdering, InvertedIndex};
     pub use copydet_model::{
         Dataset, DatasetBuilder, DatasetDelta, ItemId, SourceId, SourcePair, ValueId,
     };
     pub use copydet_serve::{Router, ShardedDetector, ShardedStore};
     pub use copydet_store::{
-        ClaimStore, LiveDetector, SharedClaimStore, StoreConfig, StoreIoError, StoreSnapshot,
+        ClaimStore, SharedClaimStore, StoreConfig, StoreIoError, StoreSnapshot,
     };
 }
