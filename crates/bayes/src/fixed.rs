@@ -101,6 +101,18 @@ impl FixedScore {
         self.0 as f64 * UNIT
     }
 
+    /// A sum of scores given as its integer number of units.
+    #[inline]
+    pub(crate) fn from_units(units: i128) -> Self {
+        Self(units)
+    }
+
+    /// The integer number of 2⁻⁶⁰ units of this score.
+    #[inline]
+    pub(crate) fn units(self) -> i128 {
+        self.0
+    }
+
     /// `count` copies of this score, summed exactly (saturating).
     pub(crate) fn times(self, count: usize) -> Self {
         Self(self.0.saturating_mul(i128::try_from(count).unwrap_or(i128::MAX)))

@@ -1,7 +1,7 @@
 //! Per-pair evidence accumulation and the posterior of Eq. 2.
 
 use crate::accuracy::SourceAccuracies;
-use crate::contribution::{different_value_score, same_value_scores_both};
+use crate::contribution::{different_value_score, same_value_score, same_value_scores_both};
 use crate::fixed::FixedScore;
 use crate::params::{CopyParams, DecisionThresholds};
 use crate::truth::ValueProbabilities;
@@ -79,6 +79,17 @@ impl SameValueScore {
     pub fn from_scores(to: f64, from: f64) -> Self {
         Self { to: FixedScore::from_f64(to), from: FixedScore::from_f64(from) }
     }
+
+    /// The score of a value with truth probability `p` shared by two
+    /// sources that both have accuracy `a`, as an integer number of 2⁻⁶⁰
+    /// units: at equal accuracies `C→ = C←`, so one number is the whole
+    /// score. Summing these units and handing the sum to
+    /// [`PairEvidence::from_uniform_sum`] gives the bits adding
+    /// `SameValueScore::new(p, a, a, params)` once per value gives.
+    #[inline]
+    pub fn uniform_units(p: f64, a: f64, params: &CopyParams) -> i128 {
+        FixedScore::from_f64(same_value_score(p, a, a, params)).units()
+    }
 }
 
 /// Accumulated evidence about one pair of sources.
@@ -111,6 +122,27 @@ impl PairEvidence {
     /// Evidence with no observations yet.
     pub fn empty() -> Self {
         Self::default()
+    }
+
+    /// The evidence of a pair of sources with equal accuracies: `same_units`
+    /// is the sum of the [`SameValueScore::uniform_units`] of its
+    /// `shared_values` same-value items, and `different_values` items
+    /// differ (Eq. 8). Bit-identical to adding each score with
+    /// [`add_same_value_score`](Self::add_same_value_score) and the
+    /// different-value items with
+    /// [`add_different_values`](Self::add_different_values): the clamp of
+    /// each score keeps a sum over any `u32` count of items below 2¹²⁶
+    /// units, so neither path saturates.
+    pub fn from_uniform_sum(
+        same_units: i128,
+        shared_values: usize,
+        different_values: usize,
+        params: &CopyParams,
+    ) -> Self {
+        let sum = FixedScore::from_units(same_units);
+        let mut evidence = Self { to: sum, from: sum, shared_values, different_values: 0 };
+        evidence.add_different_values(different_values, params);
+        evidence
     }
 
     /// Accumulated `C→`, converted to `f64` once.
@@ -426,6 +458,24 @@ mod tests {
             once.add_same_value_score(score);
             assert_eq!(mirrored, once.swapped());
         }
+    }
+
+    /// Evidence summed at uniform accuracy as integer units is the evidence
+    /// of adding each rounded score, bit for bit.
+    #[test]
+    fn uniform_sum_matches_added_scores() {
+        let params = CopyParams::paper_defaults();
+        let a = 0.8;
+        let mut added = PairEvidence::empty();
+        let mut units = 0i128;
+        for p in [0.4, 0.01, 0.97, 0.4, 0.5] {
+            added.add_same_value_score(SameValueScore::new(p, a, a, &params));
+            units += SameValueScore::uniform_units(p, a, &params);
+        }
+        added.add_different_values(3, &params);
+        let summed = PairEvidence::from_uniform_sum(units, 5, 3, &params);
+        assert_eq!(summed, added);
+        assert_eq!(summed, summed.swapped());
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub enum DetectError {
     /// shared-item counts list as sharing an item (all of them, or the
     /// target's in a top-k scan): the counts name a pair the snapshot does
     /// not share. Like [`DetectError::ShardEvidenceMismatch`], a sign that
-    /// counts and snapshot were not captured together.
+    /// counts and snapshot were not captured together. A scan that stops at
+    /// a claim its item's provider list lacks (a snapshot whose claim lists
+    /// and value groups disagree) reports the pairs it had emitted so far.
     ShardPairCountMismatch {
         /// Sharing pairs the counts list.
         counted: usize,

@@ -6,10 +6,11 @@
 //! * [`pairwise_detection`] (PAIRWISE, Section II-B) — every pair, every
 //!   shared item: the exact baseline every other detector and the served
 //!   round are checked against;
-//! * the cross-shard round `copydet-serve` runs — per-shard row scans
-//!   ([`collect_shard_partials_for`]) and the merge that adds their exact
-//!   partials into global decisions ([`merge_shard_partials`]),
-//!   bit-identical to PAIRWISE;
+//! * the cross-shard round `copydet-serve` runs — per-shard row scans over
+//!   one provider list per item, scoring each value group once at the
+//!   bootstrap's uniform accuracy ([`collect_shard_partials_for`]), and the
+//!   merge that adds their exact partials into global decisions
+//!   ([`merge_shard_partials`]), bit-identical to PAIRWISE;
 //! * the top-k ranking of a filtered round ([`topk`]).
 //!
 //! Every detector reports a [`DetectionResult`] with

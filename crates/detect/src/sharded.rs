@@ -8,10 +8,13 @@
 //! are the sums of per-shard sums — no cross-shard interaction terms exist.
 //!
 //! Each shard scores its own pairs ([`collect_shard_partials_for`]) with a
-//! **row scan**: each source walks its own claims into a per-neighbour
-//! accumulator, scoring a claim's shared value (Eq. 6) once for all the
-//! neighbours that share it, and emits one [`PairEvidence`] partial per
-//! neighbour, keyed — and oriented — by the **global** pair. The scan
+//! **row scan** over an item-flat layout: one provider list per item,
+//! sorted by local source id, each entry tagged with its value group. Each
+//! source, in ascending order, walks the entries after its own in the lists
+//! of the items it claims into a per-neighbour accumulator, and emits one
+//! [`PairEvidence`] partial per neighbour, keyed — and oriented — by the
+//! **global** pair. At the bootstrap's uniform accuracy a value group's
+//! shared-value score (Eq. 6) is computed once for every pair in it. The scan
 //! cross-checks every pair and the number of pairs against the shard's
 //! [`SharedItemCounts`]. [`PairEvidence`] sums are exact fixed-point
 //! integers, so adding the partials in any order
@@ -46,7 +49,7 @@ use crate::result::{DetectionResult, PairOutcome};
 use copydet_bayes::{CopyDecision, CopyParams, PairEvidence, SameValueScore, SourceAccuracies};
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::{u32_to_usize, usize_to_u64};
-use copydet_model::{SourceId, SourcePair};
+use copydet_model::{Dataset, ItemId, ItemValueGroup, SourceId, SourcePair, ValueId};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -88,27 +91,39 @@ pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 /// evidence over the shard's items.
 ///
 /// The scan walks **rows**, not pairs. The full round takes every local
-/// source `s` as a row; a top-k query takes only the target's local id (a
-/// shard that never saw the target contributes nothing). For each claim
-/// `(d, v)` of `s` the row visits the providers `t` of every value group of
-/// `d` — only `t > s` in the full round, so each pair is scanned once, and
-/// every `t ≠ s` in a top-k row — and accumulates into an O(sources)
-/// scratch indexed by `t`: a same-value provider gets the claim's rounded
-/// [`SameValueScore`] (Eq. 6), every provider a shared-item count. The
-/// score is computed once per claim and reused while the neighbours'
-/// accuracy bits repeat (always at the bootstrap's uniform accuracy), so a
-/// round evaluates Eq. 6 at most once per claim instead of once per shared
-/// value per pair. After each row, every touched `t` yields one partial:
-/// the different-value items (shared minus same-value) are added in one
-/// exact multiply (Eq. 8), as `ScoringContext::score_pair` does, and the
-/// partial — accumulated with `s` first — is oriented by the **global**
-/// pair, `C→` and `C←` trading places when the global ids order the two
-/// sources the other way round. Integer sums make it bit-identical to
-/// `score_pair` over the same state.
+/// source `s` as a row, in ascending order; a top-k query takes only the
+/// target's local id (a shard that never saw the target contributes
+/// nothing). Before the rows, the scan lays out one provider list per item
+/// — the item's providers merged across its value groups, sorted by local
+/// source id, each entry tagged with its group — over every item in the
+/// full round and over the target's items in a top-k row. A claim `(d, v)`
+/// of `s` finds its own entry in `d`'s list (in the full round a cursor per
+/// item always sits on it, since rows ascend; a top-k row searches for it)
+/// and walks the entries after it — every entry but its own in a top-k row —
+/// into an O(sources) scratch indexed by the neighbour `t`: every entry
+/// counts a shared item, and an entry tagged with the row's own group adds
+/// the group's rounded [`SameValueScore`] (Eq. 6). In the full round each
+/// shared item of a pair is thus met once, from the pair's lower source's
+/// row.
+///
+/// At the bootstrap's uniform accuracy (one check per call) the score of a
+/// value group is the same for every pair in it, and `C→ = C←`: it is
+/// computed once per group with at least two providers, and the scratch is
+/// three per-neighbour arrays — shared items, same-value items and one
+/// integer score sum. Otherwise each claim's score is computed for the
+/// first same-value neighbour and reused while the neighbours' accuracy
+/// bits repeat, into a per-neighbour [`PairEvidence`]. After each row,
+/// every touched `t` yields one partial: the different-value items (shared
+/// minus same-value) are added in one exact multiply (Eq. 8), as
+/// `ScoringContext::score_pair` does, and the partial — accumulated with
+/// `s` first — is oriented by the **global** pair, `C→` and `C←` trading
+/// places when the global ids order the two sources the other way round.
+/// Integer sums make it bit-identical to `score_pair` over the same state.
 ///
 /// `input` carries the shard-local accuracies and probabilities. `partials`
 /// is reserved at its expected length, the count of sharing pairs
-/// [`SharedItemCounts`] lists (O(1) for the full round).
+/// [`SharedItemCounts`] lists (O(1) for the full round). The provider lists
+/// are freed before this returns.
 ///
 /// # Errors
 /// The scan cross-checks `counts`, which are only consistent with the
@@ -120,7 +135,9 @@ pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 /// shares but `counts` lacks or does not cover.
 /// [`DetectError::ShardPairCountMismatch`] if the scan emits a different
 /// number of pairs than `counts` lists (all sharing pairs, or the target's
-/// in a top-k row) — a counted pair the snapshot does not share.
+/// in a top-k row) — a counted pair the snapshot does not share — or stops
+/// at a claim whose item lists no entry for it (a snapshot whose claim
+/// lists and value groups disagree).
 /// [`DetectError::ShardIdMapMismatch`] if `map` does not cover a scanned
 /// source.
 pub fn collect_shard_partials_for(
@@ -129,131 +146,382 @@ pub fn collect_shard_partials_for(
     map: &ShardIdMap,
     target: Option<SourceId>,
 ) -> Result<ShardPartials, DetectError> {
-    let (rows, counted) = match target {
-        None => (input.dataset.sources().collect(), counts.num_sharing_pairs()),
+    let dataset = input.dataset;
+    let (row, counted) = match target {
+        None => (None, counts.num_sharing_pairs()),
         Some(target) => {
             let Some(row) =
-                input.dataset.sources().find(|&s| map.sources.get(s.index()) == Some(&target))
+                dataset.sources().find(|&s| map.sources.get(s.index()) == Some(&target))
             else {
                 return Ok(Vec::new());
             };
-            (vec![row], sharing_pairs_of(counts, row))
+            (Some(row), sharing_pairs_of(counts, row))
         }
     };
-    let mut scan = RowScan::new(input, counts, map, counted);
-    for row in rows {
-        scan.row(row, target.is_none())?;
-    }
-    let scanned = scan.partials.len();
+    let lists = ProviderLists::build(dataset, row);
+    let mut out = Emitter {
+        counts,
+        map,
+        params: input.params,
+        counted,
+        partials: Vec::with_capacity(counted),
+    };
+    match uniform_accuracy(input.accuracies) {
+        Some(a) => lists.walk(dataset, row, &mut Uniform::new(input, &lists, a, row), &mut out),
+        None => lists.walk(dataset, row, &mut General::new(input), &mut out),
+    }?;
+    let scanned = out.partials.len();
     if scanned == counted {
-        Ok(scan.partials)
+        Ok(out.partials)
     } else {
         Err(DetectError::ShardPairCountMismatch { counted, scanned })
     }
 }
 
-/// The scratch of one shard's row scan, indexed by local source id.
-struct RowScan<'a> {
-    input: &'a RoundInput<'a>,
-    counts: &'a SharedItemCounts,
-    map: &'a ShardIdMap,
-    /// Per neighbour `t` of the current row: same-value evidence (the row's
-    /// source first) and the number of items shared with it.
-    neighbours: Vec<(PairEvidence, u32)>,
-    /// The neighbours the current row touched, in first-touch order.
-    touched: Vec<SourceId>,
-    partials: ShardPartials,
+/// The accuracy every source of the round has, if they all have the same
+/// (bit for bit).
+fn uniform_accuracy(accuracies: &SourceAccuracies) -> Option<f64> {
+    let (&first, rest) = accuracies.as_slice().split_first()?;
+    rest.iter().all(|a| a.to_bits() == first.to_bits()).then_some(first)
 }
 
-impl<'a> RowScan<'a> {
-    fn new(
-        input: &'a RoundInput<'a>,
-        counts: &'a SharedItemCounts,
-        map: &'a ShardIdMap,
-        expected: usize,
-    ) -> Self {
-        Self {
-            input,
-            counts,
-            map,
-            neighbours: vec![(PairEvidence::empty(), 0); input.dataset.num_sources()],
-            touched: Vec::new(),
-            partials: Vec::with_capacity(expected),
-        }
-    }
+/// One provider of an item in [`ProviderLists`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    source: SourceId,
+    /// Index of the provider's value group in [`ProviderLists::groups`].
+    group: u32,
+}
 
-    /// Scans row `s` against the providers above it (`only_higher`) or
-    /// against every other provider, then emits its partials.
-    fn row(&mut self, s: SourceId, only_higher: bool) -> Result<(), DetectError> {
-        let RoundInput { dataset, accuracies, probabilities, params, .. } = *self.input;
-        let a_s = accuracies.get(s);
-        for &(d, v) in dataset.claims_of(s) {
-            // The claim's score, and the neighbour accuracy it was scored at.
-            let mut cached: Option<(u64, SameValueScore)> = None;
+/// One shard's providers per item for one scan, in one flat array: the
+/// `i`-th listed item's providers — merged across its value groups, sorted
+/// by local source id, each tagged with its group — are
+/// `entries[starts[i]..starts[i + 1]]`. The full round lists every item
+/// (list `i` is item `i`); a top-k row lists the items of its own claims,
+/// in claim order.
+struct ProviderLists<'a> {
+    starts: Vec<usize>,
+    entries: Vec<Entry>,
+    /// The value groups the entries name, in listing order.
+    groups: Vec<&'a ItemValueGroup>,
+}
+
+impl<'a> ProviderLists<'a> {
+    /// Lists every item of `dataset`, or only the items `row` claims.
+    ///
+    /// Entries carry a `u32` group index; should a shard ever hold more
+    /// groups than that indexes, listing stops, and the scan fails on the
+    /// first claim whose item went unlisted.
+    fn build(dataset: &'a Dataset, row: Option<SourceId>) -> Self {
+        let items: Box<dyn Iterator<Item = ItemId> + '_> = match row {
+            None => Box::new(dataset.items()),
+            Some(s) => Box::new(dataset.claims_of(s).iter().map(|&(d, _)| d)),
+        };
+        let mut lists = Self { starts: vec![0], entries: Vec::new(), groups: Vec::new() };
+        if row.is_none() {
+            lists.starts.reserve(dataset.num_items());
+            lists.entries.reserve(dataset.num_claims());
+        }
+        for d in items {
+            let run = lists.entries.len();
             for group in dataset.values_of_item(d) {
-                let skip =
-                    if only_higher { group.providers.partition_point(|&t| t <= s) } else { 0 };
-                let same = group.value == v;
-                for &t in group.providers.get(skip..).unwrap_or_default() {
-                    if t == s {
-                        continue;
-                    }
-                    let Some((evidence, shared)) = self.neighbours.get_mut(t.index()) else {
-                        continue;
-                    };
-                    if *shared == 0 {
-                        self.touched.push(t);
-                    }
-                    *shared += 1;
-                    if same {
-                        let a_t = accuracies.get(t).to_bits();
-                        let score = match cached {
-                            Some((bits, score)) if bits == a_t => score,
-                            _ => {
-                                let p = probabilities.get(d, v);
-                                let score =
-                                    SameValueScore::new(p, a_s, f64::from_bits(a_t), &params);
-                                cached = Some((a_t, score));
-                                score
-                            }
-                        };
-                        evidence.add_same_value_score(score);
-                    }
-                }
+                let Ok(tag) = u32::try_from(lists.groups.len()) else { return lists };
+                lists.groups.push(group);
+                let tagged = group.providers.iter().map(|&source| Entry { source, group: tag });
+                lists.entries.extend(tagged);
             }
+            if let Some(run) = lists.entries.get_mut(run..) {
+                run.sort_unstable_by_key(|entry| entry.source);
+            }
+            lists.starts.push(lists.entries.len());
         }
-        self.emit(s, &params)
+        lists
     }
 
-    /// One partial per neighbour the row `s` touched; resets the scratch.
-    fn emit(&mut self, s: SourceId, params: &CopyParams) -> Result<(), DetectError> {
-        if self.touched.is_empty() {
-            return Ok(());
+    /// The `i`-th listed item's providers, or `None` past the last list.
+    fn list(&self, i: usize) -> Option<&[Entry]> {
+        let (&start, &end) = (self.starts.get(i)?, self.starts.get(i + 1)?);
+        self.entries.get(start..end)
+    }
+
+    /// Walks the rows — every source in ascending order, or `row` alone —
+    /// feeding each claim's neighbours to `scratch` and emitting after
+    /// each row.
+    fn walk<N: Neighbours>(
+        &self,
+        dataset: &Dataset,
+        row: Option<SourceId>,
+        scratch: &mut N,
+        out: &mut Emitter<'_>,
+    ) -> Result<(), DetectError> {
+        let unlisted = |out: &Emitter<'_>| DetectError::ShardPairCountMismatch {
+            counted: out.counted,
+            scanned: out.partials.len(),
+        };
+        if let Some(s) = row {
+            for (i, &(d, v)) in dataset.claims_of(s).iter().enumerate() {
+                let list = self.list(i).unwrap_or_default();
+                let own = list.binary_search_by_key(&s, |entry| entry.source);
+                let split = own.ok().and_then(|own| list.split_at_checked(own));
+                let Some((below, [mine, above @ ..])) = split else { return Err(unlisted(out)) };
+                scratch.claim(s, d, v, mine.group);
+                scratch.visit(below);
+                scratch.visit(above);
+            }
+            return scratch.emit(s, out);
         }
-        let global_s = self.map.source(s)?;
-        for t in self.touched.drain(..) {
-            let Some(slot) = self.neighbours.get_mut(t.index()) else { continue };
-            let (mut evidence, shared) = std::mem::take(slot);
-            let shared = u32_to_usize(shared);
-            evidence.add_different_values(shared.saturating_sub(evidence.shared_values), params);
-            let global_t = self.map.source(t)?;
-            let global = SourcePair::new(global_s, global_t);
-            check_count(global, counted(self.counts, SourcePair::new(s, t)), shared)?;
-            self.partials
-                .push((global, if global_s > global_t { evidence.swapped() } else { evidence }));
+        // Rows ascend, so the cursor of an item sits on the current row's
+        // entry: every lower provider has moved it one step.
+        let mut cursors = self.starts.clone();
+        for s in dataset.sources() {
+            for &(d, v) in dataset.claims_of(s) {
+                let i = d.index();
+                let (Some(cursor), Some(&end)) = (cursors.get_mut(i), self.starts.get(i + 1))
+                else {
+                    return Err(unlisted(out));
+                };
+                let Some([mine, above @ ..]) = self.entries.get(*cursor..end) else {
+                    return Err(unlisted(out));
+                };
+                if mine.source != s {
+                    return Err(unlisted(out));
+                }
+                *cursor += 1;
+                scratch.claim(s, d, v, mine.group);
+                scratch.visit(above);
+            }
+            scratch.emit(s, out)?;
         }
         Ok(())
     }
 }
 
-/// The shared-item count of a local pair; 0 for a pair `counts` does not
-/// cover (so the scan reports it as a mismatch instead of indexing past
-/// the table).
-fn counted(counts: &SharedItemCounts, pair: SourcePair) -> u32 {
-    if pair.second().index() < counts.num_sources() {
-        counts.get(pair)
-    } else {
-        0
+/// A row's per-neighbour scratch: what one claim adds for each entry it
+/// meets, and the partials a finished row emits.
+trait Neighbours {
+    /// Starts the claim `(d, v)` of row `s`, whose own entry is tagged
+    /// `group`.
+    fn claim(&mut self, s: SourceId, d: ItemId, v: ValueId, group: u32);
+    /// Adds one shared item with each of `entries`' providers.
+    fn visit(&mut self, entries: &[Entry]);
+    /// Emits one partial per neighbour row `s` touched, and resets.
+    fn emit(&mut self, s: SourceId, out: &mut Emitter<'_>) -> Result<(), DetectError>;
+}
+
+/// The scratch at uniform accuracy: each listed group's score computed
+/// once, and per neighbour a shared-item count, a same-value count and an
+/// exact score sum in 2⁻⁶⁰ units.
+struct Uniform {
+    /// [`SameValueScore::uniform_units`] of each listed group a row can
+    /// share (0 for a group no pair scores).
+    scores: Vec<i128>,
+    /// The current claim's group and its score.
+    group: u32,
+    score: i128,
+    shared: Vec<u32>,
+    same: Vec<u32>,
+    sum: Vec<i128>,
+    /// The neighbours the current row touched, in first-touch order.
+    touched: Vec<SourceId>,
+}
+
+impl Uniform {
+    /// Scores every listed group with at least two providers — only the
+    /// groups `row` provides, for a top-k row — at accuracy `a`.
+    fn new(
+        input: &RoundInput<'_>,
+        lists: &ProviderLists<'_>,
+        a: f64,
+        row: Option<SourceId>,
+    ) -> Self {
+        let scored = |group: &ItemValueGroup| {
+            group.support() >= 2 && row.is_none_or(|s| group.providers.binary_search(&s).is_ok())
+        };
+        let scores = lists
+            .groups
+            .iter()
+            .map(|group| {
+                if scored(group) {
+                    let p = input.probabilities.get(group.item, group.value);
+                    SameValueScore::uniform_units(p, a, &input.params)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let n = input.dataset.num_sources();
+        Self {
+            scores,
+            group: 0,
+            score: 0,
+            shared: vec![0; n],
+            same: vec![0; n],
+            sum: vec![0; n],
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl Neighbours for Uniform {
+    fn claim(&mut self, _: SourceId, _: ItemId, _: ValueId, group: u32) {
+        self.group = group;
+        self.score = self.scores.get(u32_to_usize(group)).copied().unwrap_or(0);
+    }
+
+    // Kept out of the walk, so the loop's state stays in registers.
+    #[inline(never)]
+    fn visit(&mut self, entries: &[Entry]) {
+        let Self { group, score, shared, same, sum, touched, .. } = self;
+        let (group, score) = (*group, *score);
+        // Slices of equal length: one bounds check covers all three.
+        let shared = shared.as_mut_slice();
+        let n = shared.len();
+        let (Some(same), Some(sum)) = (same.get_mut(..n), sum.get_mut(..n)) else { return };
+        for entry in entries {
+            let t = entry.source.index();
+            let (Some(shared), Some(same), Some(sum)) =
+                (shared.get_mut(t), same.get_mut(t), sum.get_mut(t))
+            else {
+                continue;
+            };
+            if *shared == 0 {
+                touched.push(entry.source);
+            }
+            *shared += 1;
+            let equal = entry.group == group;
+            *same += u32::from(equal);
+            // A mask, not a branch: whether a neighbour shares the value is
+            // data, not a pattern. Below 2¹²⁶ units for any u32 count of
+            // clamped scores, so a plain add gives the saturating sum's bits.
+            *sum += score & -i128::from(equal);
+        }
+    }
+
+    fn emit(&mut self, s: SourceId, out: &mut Emitter<'_>) -> Result<(), DetectError> {
+        for t in self.touched.drain(..) {
+            let i = t.index();
+            let (Some(shared), Some(same), Some(sum)) =
+                (self.shared.get_mut(i), self.same.get_mut(i), self.sum.get_mut(i))
+            else {
+                continue;
+            };
+            let (shared, same, sum) =
+                (std::mem::take(shared), std::mem::take(same), std::mem::take(sum));
+            let different = u32_to_usize(shared.saturating_sub(same));
+            let evidence =
+                PairEvidence::from_uniform_sum(sum, u32_to_usize(same), different, &out.params);
+            out.push(s, t, shared, evidence)?;
+        }
+        Ok(())
+    }
+}
+
+/// The scratch at non-uniform accuracies: per neighbour a [`PairEvidence`]
+/// (the row's source first) and a shared-item count; a claim's score is
+/// computed for its first same-value neighbour and reused while the
+/// neighbours' accuracy bits repeat.
+struct General<'a> {
+    input: &'a RoundInput<'a>,
+    /// The current claim, its row's accuracy and its group.
+    claim: (ItemId, ValueId),
+    a_s: f64,
+    group: u32,
+    /// The claim's score, and the neighbour accuracy it was scored at.
+    cached: Option<(u64, SameValueScore)>,
+    neighbours: Vec<(PairEvidence, u32)>,
+    /// The neighbours the current row touched, in first-touch order.
+    touched: Vec<SourceId>,
+}
+
+impl<'a> General<'a> {
+    fn new(input: &'a RoundInput<'a>) -> Self {
+        Self {
+            input,
+            claim: (ItemId::new(0), ValueId::new(0)),
+            a_s: 0.0,
+            group: 0,
+            cached: None,
+            neighbours: vec![(PairEvidence::empty(), 0); input.dataset.num_sources()],
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl Neighbours for General<'_> {
+    fn claim(&mut self, s: SourceId, d: ItemId, v: ValueId, group: u32) {
+        self.claim = (d, v);
+        self.a_s = self.input.accuracies.get(s);
+        self.group = group;
+        self.cached = None;
+    }
+
+    fn visit(&mut self, entries: &[Entry]) {
+        let RoundInput { accuracies, probabilities, params, .. } = *self.input;
+        for entry in entries {
+            let t = entry.source;
+            let Some((evidence, shared)) = self.neighbours.get_mut(t.index()) else { continue };
+            if *shared == 0 {
+                self.touched.push(t);
+            }
+            *shared += 1;
+            if entry.group == self.group {
+                let a_t = accuracies.get(t).to_bits();
+                let score = match self.cached {
+                    Some((bits, score)) if bits == a_t => score,
+                    _ => {
+                        let (d, v) = self.claim;
+                        let p = probabilities.get(d, v);
+                        let score = SameValueScore::new(p, self.a_s, f64::from_bits(a_t), &params);
+                        self.cached = Some((a_t, score));
+                        score
+                    }
+                };
+                evidence.add_same_value_score(score);
+            }
+        }
+    }
+
+    fn emit(&mut self, s: SourceId, out: &mut Emitter<'_>) -> Result<(), DetectError> {
+        for t in self.touched.drain(..) {
+            let Some(slot) = self.neighbours.get_mut(t.index()) else { continue };
+            let (mut evidence, shared) = std::mem::take(slot);
+            let different = u32_to_usize(shared).saturating_sub(evidence.shared_values);
+            evidence.add_different_values(different, &out.params);
+            out.push(s, t, shared, evidence)?;
+        }
+        Ok(())
+    }
+}
+
+/// Where rows emit: each local pair checked against the counts and keyed by
+/// its global pair.
+struct Emitter<'a> {
+    counts: &'a SharedItemCounts,
+    map: &'a ShardIdMap,
+    params: CopyParams,
+    /// The pairs `counts` lists for the scan.
+    counted: usize,
+    partials: ShardPartials,
+}
+
+impl Emitter<'_> {
+    /// The partial of row `s` with neighbour `t` over `shared` items,
+    /// accumulated with `s` first: `C→` and `C←` trade places when the
+    /// global ids order the two the other way round (a no-op at uniform
+    /// accuracy, where they are equal).
+    fn push(
+        &mut self,
+        s: SourceId,
+        t: SourceId,
+        shared: u32,
+        evidence: PairEvidence,
+    ) -> Result<(), DetectError> {
+        let (global_s, global_t) = (self.map.source(s)?, self.map.source(t)?);
+        let global = SourcePair::new(global_s, global_t);
+        check_count(global, self.counts.get(SourcePair::new(s, t)), u32_to_usize(shared))?;
+        let evidence = if global_s > global_t { evidence.swapped() } else { evidence };
+        self.partials.push((global, evidence));
+        Ok(())
     }
 }
 
@@ -261,7 +529,7 @@ fn counted(counts: &SharedItemCounts, pair: SourcePair) -> u32 {
 fn sharing_pairs_of(counts: &SharedItemCounts, s: SourceId) -> usize {
     (0..counts.num_sources())
         .map(SourceId::from_index)
-        .filter(|&t| t != s && counted(counts, SourcePair::new(s, t)) > 0)
+        .filter(|&t| t != s && counts.get(SourcePair::new(s, t)) > 0)
         .count()
 }
 
@@ -920,6 +1188,77 @@ mod tests {
                 full.sort_unstable_by_key(|(pair, _)| *pair);
                 assert_eq!(rows, full, "target {target}");
             }
+        }
+    }
+
+    /// On uniform accuracies both scratches of the one walk yield the same
+    /// partials, bit for bit and in the same order: the full round and the
+    /// row of every source, over the paper's motivating example with its
+    /// per-value probabilities and a non-identity id map.
+    #[test]
+    fn uniform_and_general_scratches_yield_identical_partials() {
+        let ex = copydet_model::motivating_example();
+        let ds = &ex.dataset;
+        let accuracies = SourceAccuracies::uniform(ds.num_sources(), 0.8).unwrap();
+        let probabilities = ValueProbabilities::from_table(ex.probability_table()).unwrap();
+        let input = RoundInput::new(ds, &accuracies, &probabilities, CopyParams::paper_defaults());
+        let counts = SharedItemCounts::build(ds);
+        // Global ids in reverse local order, so the general scratch swaps.
+        let mut map = ShardIdMap { sources: ds.sources().collect() };
+        map.sources.reverse();
+        fn partials<N: Neighbours>(
+            lists: &ProviderLists<'_>,
+            input: &RoundInput<'_>,
+            row: Option<SourceId>,
+            counts: &SharedItemCounts,
+            map: &ShardIdMap,
+            scratch: &mut N,
+        ) -> ShardPartials {
+            let partials = Vec::new();
+            let mut out = Emitter { counts, map, params: input.params, counted: 0, partials };
+            lists.walk(input.dataset, row, scratch, &mut out).expect("consistent lists");
+            out.partials
+        }
+        for row in std::iter::once(None).chain(ds.sources().map(Some)) {
+            let lists = ProviderLists::build(ds, row);
+            let mut uniform = Uniform::new(&input, &lists, 0.8, row);
+            let mut general = General::new(&input);
+            let kernel = partials(&lists, &input, row, &counts, &map, &mut uniform);
+            let reference = partials(&lists, &input, row, &counts, &map, &mut general);
+            assert!(!kernel.is_empty(), "row {row:?}");
+            assert_eq!(kernel, reference, "row {row:?}");
+        }
+    }
+
+    /// A claim whose item lists no entry for it fails the walk with a
+    /// typed error instead of reading another source's entry: in the full
+    /// round (the cursor finds someone else) and in a top-k row (the search
+    /// finds nothing).
+    #[test]
+    fn a_missing_own_entry_is_a_typed_error() {
+        let global = dataset(CLAIMS);
+        let (accuracies, probabilities, map) = whole(&global);
+        let input =
+            RoundInput::new(&global, &accuracies, &probabilities, CopyParams::paper_defaults());
+        let counts = SharedItemCounts::build(&global);
+        let s0 = global.source_by_name("S0").unwrap();
+        for row in [None, Some(s0)] {
+            let mut lists = ProviderLists::build(&global, row);
+            // Drop S0's entry from the first list (D0 in either layout).
+            assert_eq!(lists.entries.first().map(|e| e.source), Some(s0));
+            lists.entries.remove(0);
+            for start in lists.starts.iter_mut().skip(1) {
+                *start -= 1;
+            }
+            let mut out = Emitter {
+                counts: &counts,
+                map: &map,
+                params: input.params,
+                counted: 3,
+                partials: Vec::new(),
+            };
+            let err = lists.walk(&global, row, &mut General::new(&input), &mut out).unwrap_err();
+            assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 3, scanned: 0 });
         }
     }
 

@@ -1,9 +1,11 @@
-//! The shard row scan against PAIRWISE: arbitrary claim streams, arbitrary
-//! non-uniform accuracies (so the per-claim score is re-evaluated whenever a
-//! neighbour's accuracy differs) and items split into 1..=4 shards, each
-//! with its own shuffled local source order. Merged partials must equal
-//! `pairwise_detection` over the whole stream bit for bit — for the full
-//! round and for a per-target scan of every source.
+//! The shard row scan against PAIRWISE: arbitrary claim streams, items
+//! split into 1..=4 shards, each with its own shuffled local source order.
+//! Merged partials must equal `pairwise_detection` over the whole stream
+//! bit for bit — for the full round and for a per-target scan of every
+//! source. One proptest draws non-uniform accuracies (so a claim's score is
+//! re-evaluated whenever a neighbour's accuracy differs); the other gives
+//! every source one accuracy, the served bootstrap's case, where the scan
+//! scores each value group once.
 //!
 //! `COPYDET_SHARD_CASES` scales the case count (default 32).
 
@@ -152,6 +154,41 @@ proptest! {
         item_shards in prop::collection::vec(0u8..4, 12),
         ranks in prop::collection::vec(rank_strategy(), 4),
     ) {
+        let global = build(&claims);
+        let params = CopyParams::paper_defaults();
+        let table = SourceAccuracies::from_vec(
+            global.sources().map(|s| accuracy_of(global.source_name(s), &accuracies)).collect(),
+        )
+        .unwrap();
+        let baseline =
+            pairwise_detection(&RoundInput::new(&global, &table, &probabilities(&global), params));
+        let shards: Vec<Shard> = (0..num_shards)
+            .map(|i| {
+                let keep = |d: u8| item_shards[usize::from(d)] % num_shards == i;
+                shard(&global, &claims, &accuracies, &keep, &ranks[usize::from(i)])
+            })
+            .collect();
+
+        let (merged, _) = merge_shard_partials(scan(&shards, None), params);
+        assert_bit_identical(&merged, &baseline, None)?;
+        for target in global.sources() {
+            let (merged, _) = merge_shard_partials(scan(&shards, Some(target)), params);
+            assert_bit_identical(&merged, &baseline, Some(target))?;
+        }
+    }
+
+    /// One accuracy shared by every source: the scan takes its uniform
+    /// path, one score per value group, and must still give PAIRWISE's
+    /// bits.
+    #[test]
+    fn uniform_accuracies_are_bit_identical(
+        claims in prop::collection::vec((0u8..8, 0u8..12, 0u8..4), 0..120),
+        accuracy in 0.05f64..0.95,
+        num_shards in 1u8..=4,
+        item_shards in prop::collection::vec(0u8..4, 12),
+        ranks in prop::collection::vec(rank_strategy(), 4),
+    ) {
+        let accuracies = [accuracy; 8];
         let global = build(&claims);
         let params = CopyParams::paper_defaults();
         let table = SourceAccuracies::from_vec(

@@ -119,11 +119,12 @@ impl SharedItemCounts {
     }
 
     /// Number of items shared by the pair (`l(S1, S2)`), zero if they share
-    /// nothing.
+    /// nothing — or if the table does not cover the pair's sources (in
+    /// either representation), so a reader never indexes past the table.
     #[inline]
     pub fn get(&self, pair: SourcePair) -> u32 {
         match &self.repr {
-            Repr::Dense(m) => m[dense_slot(pair)],
+            Repr::Dense(m) => m.get(dense_slot(pair)).copied().unwrap_or(0),
             Repr::Sparse(m) => m.get(&pair).copied().unwrap_or(0),
         }
     }
@@ -309,6 +310,35 @@ mod tests {
         counts.increment(pair(5, DENSE_LIMIT), 0);
         assert_eq!(counts.num_sharing_pairs(), 47);
         assert_eq!(counts.num_sharing_pairs(), walk(&counts));
+    }
+
+    fn pair(a: usize, b: usize) -> SourcePair {
+        SourcePair::new(SourceId::from_index(a), SourceId::from_index(b))
+    }
+
+    /// A pair beyond the sources the dense table covers counts 0 instead of
+    /// indexing past the table.
+    #[test]
+    fn dense_get_outside_the_table_is_zero() {
+        let counts = SharedItemCounts::build(&motivating_example().dataset);
+        assert!(matches!(counts.repr, Repr::Dense(_)));
+        let n = counts.num_sources();
+        assert!(counts.get(pair(0, n - 1)) > 0);
+        assert_eq!(counts.get(pair(0, n)), 0);
+        assert_eq!(counts.get(pair(n, n + 7)), 0);
+    }
+
+    /// The sparse map answers 0 for a pair beyond its sources, as the dense
+    /// table does.
+    #[test]
+    fn sparse_get_outside_the_table_is_zero() {
+        let mut counts = SharedItemCounts::build(&motivating_example().dataset);
+        let covered = counts.get(pair(0, 9));
+        counts.grow(DENSE_LIMIT + 2);
+        assert!(matches!(counts.repr, Repr::Sparse(_)));
+        assert_eq!(counts.get(pair(0, 9)), covered);
+        assert_eq!(counts.get(pair(0, DENSE_LIMIT + 2)), 0);
+        assert_eq!(counts.get(pair(DENSE_LIMIT + 5, DENSE_LIMIT + 9)), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fan-out detection rounds over a [`ShardedStore`]: every shard builds its
 //! source map and scores its own pairs into exact evidence partials on its own
-//! thread — one row scan per source, each claim scored once — and the
+//! thread — one row scan per source over one provider list per item, each
+//! value group scored once at the bootstrap's uniform accuracy — and the
 //! cross-shard merge adds the partials into global copy decisions.
 
 use crate::shard::ShardedStore;
@@ -78,12 +79,15 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    ([`CopyParams::paper_defaults`], every source at an accuracy of
 ///    0.8): uniform accuracies and the value vote over the shard's own
 ///    snapshot, borrowed, not cloned. Then the shard scores its own pairs
-///    ([`collect_shard_partials_for`]):
-///    each source's row walks its own claims, scores each claim's shared
-///    value once for every neighbour sharing it, and yields one exact
-///    [`PairEvidence`](copydet_bayes::PairEvidence) partial per neighbour,
-///    keyed by the global pair and checked against the shard's counts. No
-///    per-item observation leaves the scan thread.
+///    ([`collect_shard_partials_for`]): it lists each item's providers
+///    once, sorted by local source id and tagged with their value group,
+///    and scores each group with at least two providers once (uniform
+///    accuracy, so `C→ = C←`); each source's row, in ascending order, walks
+///    the providers after its own entry of each item it claims and yields
+///    one exact [`PairEvidence`](copydet_bayes::PairEvidence) partial per
+///    neighbour, keyed by the global pair and checked against the shard's
+///    counts. The lists are freed before the merge, and no per-item
+///    observation leaves the scan thread.
 /// 3. **Merge** — on the calling thread, each pair's per-shard partials
 ///    are added and the posterior of Eq. 2 decides
 ///    ([`merge_shard_partials`]).
