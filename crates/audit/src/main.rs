@@ -365,13 +365,15 @@ const SERVE_SCOPE: &str = "crates/serve/src/";
 /// run on every hot path (the observability layer instruments
 /// ingest/detect/serve, so a panic in it takes the instrumented operation
 /// down with it; the sharded round, the evidence it builds, the top-k
-/// ranking and every shard's value vote run per request) — and must stay
-/// panic-free.
+/// ranking, every shard's value vote and the shared-item counts that every
+/// capture and scan reads and every INGEST writes run per request) — and
+/// must stay panic-free.
 const PANIC_SCOPE: &[&str] = &[
     "crates/detect/src/sharded.rs",
     "crates/bayes/src/pair.rs",
     "crates/fusion/src/accu.rs",
     "crates/detect/src/topk.rs",
+    "crates/index/src/shared_items.rs",
     "crates/store/src/wal.rs",
     "crates/store/src/durable.rs",
     "crates/store/src/format.rs",

@@ -7,10 +7,11 @@
 //!   shared item: the exact baseline every other detector and the served
 //!   round are checked against;
 //! * the cross-shard round `copydet-serve` runs — per-shard row scans over
-//!   one provider list per item, scoring each value group once at the
-//!   bootstrap's uniform accuracy ([`collect_shard_partials_for`]), and the
-//!   merge that adds their exact partials into global decisions
-//!   ([`merge_shard_partials`]), bit-identical to PAIRWISE;
+//!   one provider list per item at the round's one accuracy (the
+//!   bootstrap's 0.8 for every source), scoring each value group once
+//!   ([`collect_shard_partials_for`]), and the merge that adds their exact
+//!   partials into global decisions ([`merge_shard_partials`]),
+//!   bit-identical to PAIRWISE at that accuracy;
 //! * the top-k ranking of a filtered round ([`topk`]).
 //!
 //! Every detector reports a [`DetectionResult`] with

@@ -12,16 +12,18 @@
 //! sorted by local source id, each entry tagged with its value group. Each
 //! source, in ascending order, walks the entries after its own in the lists
 //! of the items it claims into a per-neighbour accumulator, and emits one
-//! [`PairEvidence`] partial per neighbour, keyed — and oriented — by the
-//! **global** pair. At the bootstrap's uniform accuracy a value group's
-//! shared-value score (Eq. 6) is computed once for every pair in it. The scan
+//! [`PairEvidence`] partial per neighbour, keyed by the **global** pair.
+//! The scan runs at the round's one accuracy — the paper's bootstrap, the
+//! only round the server runs — so a value group's shared-value score
+//! (Eq. 6) is computed once for every pair in it, and `C→ = C←`: a partial
+//! reads the same in either orientation. The scan
 //! cross-checks every pair and the number of pairs against the shard's
 //! [`SharedItemCounts`]. [`PairEvidence`] sums are exact fixed-point
 //! integers, so adding the partials in any order
 //! ([`merge_shard_partials`]) gives the bits one pass of
-//! `ScoringContext::score_pair` over a single store gives. The merge is
-//! **bit-identical** to `pairwise_detection` without replaying any item
-//! order.
+//! `ScoringContext::score_pair` over a single store gives at that accuracy.
+//! The merge is **bit-identical** to `pairwise_detection` without replaying
+//! any item order.
 //!
 //! The merge runs on the calling thread: a counting sort groups all the
 //! shards' partials by the pair's first source, each group is added up
@@ -46,10 +48,12 @@
 use crate::api::RoundInput;
 use crate::error::DetectError;
 use crate::result::{DetectionResult, PairOutcome};
-use copydet_bayes::{CopyDecision, CopyParams, PairEvidence, SameValueScore, SourceAccuracies};
+use copydet_bayes::{
+    CopyDecision, CopyParams, PairEvidence, SameValueScore, SourceAccuracies, ValueProbabilities,
+};
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::{u32_to_usize, usize_to_u64};
-use copydet_model::{Dataset, ItemId, ItemValueGroup, SourceId, SourcePair, ValueId};
+use copydet_model::{Dataset, ItemId, ItemValueGroup, SourceId, SourcePair};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -58,7 +62,7 @@ use std::time::Instant;
 /// since no pair's evidence depends on them.
 ///
 /// Index `i` holds the global id of the shard's local source `i`. The map
-/// is built by the shard router, which interns every source globally in
+/// is built by the sharded store, which interns every source globally in
 /// arrival order, so a fresh store fed the same claim stream assigns the
 /// same ids.
 #[derive(Debug, Clone, Default)]
@@ -82,13 +86,13 @@ impl ShardIdMap {
 }
 
 /// One shard's part of the evidence of every pair it scanned: `(global
-/// pair, partial)`, each partial oriented by the global pair (`C→` is "the
-/// pair's first source copies from its second").
+/// pair, partial)`. Each partial has `C→ = C←` (the scan runs at one
+/// accuracy), so it reads the same in either orientation of the pair.
 pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 
-/// Scores one shard's pairs: for every pair that shares an item in this
-/// shard and — when `target` is set — contains `target`, the pair's partial
-/// evidence over the shard's items.
+/// Scores one shard's pairs at the round's one `accuracy`: for every pair
+/// that shares an item in this shard and — when `target` is set — contains
+/// `target`, the pair's partial evidence over the shard's items.
 ///
 /// The scan walks **rows**, not pairs. The full round takes every local
 /// source `s` as a row, in ascending order; a top-k query takes only the
@@ -106,30 +110,26 @@ pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 /// shared item of a pair is thus met once, from the pair's lower source's
 /// row.
 ///
-/// At the bootstrap's uniform accuracy (one check per call) the score of a
-/// value group is the same for every pair in it, and `C→ = C←`: it is
-/// computed once per group with at least two providers, and the scratch is
-/// three per-neighbour arrays — shared items, same-value items and one
-/// integer score sum. Otherwise each claim's score is computed for the
-/// first same-value neighbour and reused while the neighbours' accuracy
-/// bits repeat, into a per-neighbour [`PairEvidence`]. After each row,
-/// every touched `t` yields one partial: the different-value items (shared
-/// minus same-value) are added in one exact multiply (Eq. 8), as
-/// `ScoringContext::score_pair` does, and the partial — accumulated with
-/// `s` first — is oriented by the **global** pair, `C→` and `C←` trading
-/// places when the global ids order the two sources the other way round.
-/// Integer sums make it bit-identical to `score_pair` over the same state.
+/// Every source has `accuracy`, so the score of a value group is the same
+/// for every pair in it, and `C→ = C←`: it is computed once per group with
+/// at least two providers, and the scratch is three per-neighbour arrays —
+/// shared items, same-value items and one integer score sum. After each
+/// row, every touched `t` yields one partial, keyed by the **global** pair:
+/// the different-value items (shared minus same-value) are added in one
+/// exact multiply (Eq. 8), as `ScoringContext::score_pair` does. Integer
+/// sums make it bit-identical to `score_pair` over the same state with
+/// every source at `accuracy`.
 ///
-/// `input` carries the shard-local accuracies and probabilities. `partials`
-/// is reserved at its expected length, the count of sharing pairs
+/// `probabilities` are the shard-local truth probabilities. `partials` is
+/// reserved at its expected length, the count of sharing pairs
 /// [`SharedItemCounts`] lists (O(1) for the full round). The provider lists
 /// are freed before this returns.
 ///
 /// # Errors
-/// The scan cross-checks `counts`, which are only consistent with the
-/// snapshot in `input` when captured together under one store lock; on the
-/// serving path a mismatch is a recoverable request failure, not a dead
-/// round thread.
+/// The scan cross-checks `counts`, which are only consistent with
+/// `dataset` when captured together under one store lock; on the serving
+/// path a mismatch is a recoverable request failure, not a dead round
+/// thread.
 /// [`DetectError::ShardEvidenceMismatch`] if a scanned pair's shared-item
 /// count differs from its count in `counts` — including a pair the snapshot
 /// shares but `counts` lacks or does not cover.
@@ -141,12 +141,14 @@ pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 /// [`DetectError::ShardIdMapMismatch`] if `map` does not cover a scanned
 /// source.
 pub fn collect_shard_partials_for(
-    input: &RoundInput<'_>,
+    dataset: &Dataset,
+    probabilities: &ValueProbabilities,
+    accuracy: f64,
+    params: CopyParams,
     counts: &SharedItemCounts,
     map: &ShardIdMap,
     target: Option<SourceId>,
 ) -> Result<ShardPartials, DetectError> {
-    let dataset = input.dataset;
     let (row, counted) = match target {
         None => (None, counts.num_sharing_pairs()),
         Some(target) => {
@@ -159,30 +161,14 @@ pub fn collect_shard_partials_for(
         }
     };
     let lists = ProviderLists::build(dataset, row);
-    let mut out = Emitter {
-        counts,
-        map,
-        params: input.params,
-        counted,
-        partials: Vec::with_capacity(counted),
-    };
-    match uniform_accuracy(input.accuracies) {
-        Some(a) => lists.walk(dataset, row, &mut Uniform::new(input, &lists, a, row), &mut out),
-        None => lists.walk(dataset, row, &mut General::new(input), &mut out),
-    }?;
+    let mut out = Emitter { counts, map, params, counted, partials: Vec::with_capacity(counted) };
+    lists.walk(dataset, probabilities, accuracy, row, &mut out)?;
     let scanned = out.partials.len();
     if scanned == counted {
         Ok(out.partials)
     } else {
         Err(DetectError::ShardPairCountMismatch { counted, scanned })
     }
-}
-
-/// The accuracy every source of the round has, if they all have the same
-/// (bit for bit).
-fn uniform_accuracy(accuracies: &SourceAccuracies) -> Option<f64> {
-    let (&first, rest) = accuracies.as_slice().split_first()?;
-    rest.iter().all(|a| a.to_bits() == first.to_bits()).then_some(first)
 }
 
 /// One provider of an item in [`ProviderLists`].
@@ -245,26 +231,29 @@ impl<'a> ProviderLists<'a> {
     }
 
     /// Walks the rows — every source in ascending order, or `row` alone —
-    /// feeding each claim's neighbours to `scratch` and emitting after
-    /// each row.
-    fn walk<N: Neighbours>(
+    /// feeding each claim's neighbours to a [`Scratch`] that scores at
+    /// `accuracy`, and emitting after each row.
+    fn walk(
         &self,
         dataset: &Dataset,
+        probabilities: &ValueProbabilities,
+        accuracy: f64,
         row: Option<SourceId>,
-        scratch: &mut N,
         out: &mut Emitter<'_>,
     ) -> Result<(), DetectError> {
+        let sources = dataset.num_sources();
+        let scratch = &mut Scratch::new(self, row, probabilities, accuracy, &out.params, sources);
         let unlisted = |out: &Emitter<'_>| DetectError::ShardPairCountMismatch {
             counted: out.counted,
             scanned: out.partials.len(),
         };
         if let Some(s) = row {
-            for (i, &(d, v)) in dataset.claims_of(s).iter().enumerate() {
+            for i in 0..dataset.claims_of(s).len() {
                 let list = self.list(i).unwrap_or_default();
                 let own = list.binary_search_by_key(&s, |entry| entry.source);
                 let split = own.ok().and_then(|own| list.split_at_checked(own));
                 let Some((below, [mine, above @ ..])) = split else { return Err(unlisted(out)) };
-                scratch.claim(s, d, v, mine.group);
+                scratch.claim(mine.group);
                 scratch.visit(below);
                 scratch.visit(above);
             }
@@ -274,7 +263,7 @@ impl<'a> ProviderLists<'a> {
         // entry: every lower provider has moved it one step.
         let mut cursors = self.starts.clone();
         for s in dataset.sources() {
-            for &(d, v) in dataset.claims_of(s) {
+            for &(d, _) in dataset.claims_of(s) {
                 let i = d.index();
                 let (Some(cursor), Some(&end)) = (cursors.get_mut(i), self.starts.get(i + 1))
                 else {
@@ -287,7 +276,7 @@ impl<'a> ProviderLists<'a> {
                     return Err(unlisted(out));
                 }
                 *cursor += 1;
-                scratch.claim(s, d, v, mine.group);
+                scratch.claim(mine.group);
                 scratch.visit(above);
             }
             scratch.emit(s, out)?;
@@ -296,22 +285,10 @@ impl<'a> ProviderLists<'a> {
     }
 }
 
-/// A row's per-neighbour scratch: what one claim adds for each entry it
-/// meets, and the partials a finished row emits.
-trait Neighbours {
-    /// Starts the claim `(d, v)` of row `s`, whose own entry is tagged
-    /// `group`.
-    fn claim(&mut self, s: SourceId, d: ItemId, v: ValueId, group: u32);
-    /// Adds one shared item with each of `entries`' providers.
-    fn visit(&mut self, entries: &[Entry]);
-    /// Emits one partial per neighbour row `s` touched, and resets.
-    fn emit(&mut self, s: SourceId, out: &mut Emitter<'_>) -> Result<(), DetectError>;
-}
-
-/// The scratch at uniform accuracy: each listed group's score computed
-/// once, and per neighbour a shared-item count, a same-value count and an
-/// exact score sum in 2⁻⁶⁰ units.
-struct Uniform {
+/// A row's per-neighbour scratch: each listed group's score computed once,
+/// and per neighbour a shared-item count, a same-value count and an exact
+/// score sum in 2⁻⁶⁰ units.
+struct Scratch {
     /// [`SameValueScore::uniform_units`] of each listed group a row can
     /// share (0 for a group no pair scores).
     scores: Vec<i128>,
@@ -325,14 +302,17 @@ struct Uniform {
     touched: Vec<SourceId>,
 }
 
-impl Uniform {
+impl Scratch {
     /// Scores every listed group with at least two providers — only the
-    /// groups `row` provides, for a top-k row — at accuracy `a`.
+    /// groups `row` provides, for a top-k row — at `accuracy`, over a shard
+    /// of `sources` sources.
     fn new(
-        input: &RoundInput<'_>,
         lists: &ProviderLists<'_>,
-        a: f64,
         row: Option<SourceId>,
+        probabilities: &ValueProbabilities,
+        accuracy: f64,
+        params: &CopyParams,
+        sources: usize,
     ) -> Self {
         let scored = |group: &ItemValueGroup| {
             group.support() >= 2 && row.is_none_or(|s| group.providers.binary_search(&s).is_ok())
@@ -340,35 +320,34 @@ impl Uniform {
         let scores = lists
             .groups
             .iter()
-            .map(|group| {
+            .map(|&group| {
                 if scored(group) {
-                    let p = input.probabilities.get(group.item, group.value);
-                    SameValueScore::uniform_units(p, a, &input.params)
+                    let p = probabilities.get(group.item, group.value);
+                    SameValueScore::uniform_units(p, accuracy, params)
                 } else {
                     0
                 }
             })
             .collect();
-        let n = input.dataset.num_sources();
         Self {
             scores,
             group: 0,
             score: 0,
-            shared: vec![0; n],
-            same: vec![0; n],
-            sum: vec![0; n],
+            shared: vec![0; sources],
+            same: vec![0; sources],
+            sum: vec![0; sources],
             touched: Vec::new(),
         }
     }
-}
 
-impl Neighbours for Uniform {
-    fn claim(&mut self, _: SourceId, _: ItemId, _: ValueId, group: u32) {
+    /// Starts a claim whose own entry is tagged `group`.
+    fn claim(&mut self, group: u32) {
         self.group = group;
         self.score = self.scores.get(u32_to_usize(group)).copied().unwrap_or(0);
     }
 
-    // Kept out of the walk, so the loop's state stays in registers.
+    /// Adds one shared item with each of `entries`' providers. Kept out of
+    /// the walk, so the loop's state stays in registers.
     #[inline(never)]
     fn visit(&mut self, entries: &[Entry]) {
         let Self { group, score, shared, same, sum, touched, .. } = self;
@@ -397,6 +376,7 @@ impl Neighbours for Uniform {
         }
     }
 
+    /// Emits one partial per neighbour row `s` touched, and resets.
     fn emit(&mut self, s: SourceId, out: &mut Emitter<'_>) -> Result<(), DetectError> {
         for t in self.touched.drain(..) {
             let i = t.index();
@@ -410,84 +390,7 @@ impl Neighbours for Uniform {
             let different = u32_to_usize(shared.saturating_sub(same));
             let evidence =
                 PairEvidence::from_uniform_sum(sum, u32_to_usize(same), different, &out.params);
-            out.push(s, t, shared, evidence)?;
-        }
-        Ok(())
-    }
-}
-
-/// The scratch at non-uniform accuracies: per neighbour a [`PairEvidence`]
-/// (the row's source first) and a shared-item count; a claim's score is
-/// computed for its first same-value neighbour and reused while the
-/// neighbours' accuracy bits repeat.
-struct General<'a> {
-    input: &'a RoundInput<'a>,
-    /// The current claim, its row's accuracy and its group.
-    claim: (ItemId, ValueId),
-    a_s: f64,
-    group: u32,
-    /// The claim's score, and the neighbour accuracy it was scored at.
-    cached: Option<(u64, SameValueScore)>,
-    neighbours: Vec<(PairEvidence, u32)>,
-    /// The neighbours the current row touched, in first-touch order.
-    touched: Vec<SourceId>,
-}
-
-impl<'a> General<'a> {
-    fn new(input: &'a RoundInput<'a>) -> Self {
-        Self {
-            input,
-            claim: (ItemId::new(0), ValueId::new(0)),
-            a_s: 0.0,
-            group: 0,
-            cached: None,
-            neighbours: vec![(PairEvidence::empty(), 0); input.dataset.num_sources()],
-            touched: Vec::new(),
-        }
-    }
-}
-
-impl Neighbours for General<'_> {
-    fn claim(&mut self, s: SourceId, d: ItemId, v: ValueId, group: u32) {
-        self.claim = (d, v);
-        self.a_s = self.input.accuracies.get(s);
-        self.group = group;
-        self.cached = None;
-    }
-
-    fn visit(&mut self, entries: &[Entry]) {
-        let RoundInput { accuracies, probabilities, params, .. } = *self.input;
-        for entry in entries {
-            let t = entry.source;
-            let Some((evidence, shared)) = self.neighbours.get_mut(t.index()) else { continue };
-            if *shared == 0 {
-                self.touched.push(t);
-            }
-            *shared += 1;
-            if entry.group == self.group {
-                let a_t = accuracies.get(t).to_bits();
-                let score = match self.cached {
-                    Some((bits, score)) if bits == a_t => score,
-                    _ => {
-                        let (d, v) = self.claim;
-                        let p = probabilities.get(d, v);
-                        let score = SameValueScore::new(p, self.a_s, f64::from_bits(a_t), &params);
-                        self.cached = Some((a_t, score));
-                        score
-                    }
-                };
-                evidence.add_same_value_score(score);
-            }
-        }
-    }
-
-    fn emit(&mut self, s: SourceId, out: &mut Emitter<'_>) -> Result<(), DetectError> {
-        for t in self.touched.drain(..) {
-            let Some(slot) = self.neighbours.get_mut(t.index()) else { continue };
-            let (mut evidence, shared) = std::mem::take(slot);
-            let different = u32_to_usize(shared).saturating_sub(evidence.shared_values);
-            evidence.add_different_values(different, &out.params);
-            out.push(s, t, shared, evidence)?;
+            out.push(SourcePair::new(s, t), shared, evidence)?;
         }
         Ok(())
     }
@@ -505,21 +408,17 @@ struct Emitter<'a> {
 }
 
 impl Emitter<'_> {
-    /// The partial of row `s` with neighbour `t` over `shared` items,
-    /// accumulated with `s` first: `C→` and `C←` trade places when the
-    /// global ids order the two the other way round (a no-op at uniform
-    /// accuracy, where they are equal).
+    /// The partial of the local pair `local` over `shared` items, keyed by
+    /// its global pair. `C→ = C←`, so the global ids' order does not
+    /// matter.
     fn push(
         &mut self,
-        s: SourceId,
-        t: SourceId,
+        local: SourcePair,
         shared: u32,
         evidence: PairEvidence,
     ) -> Result<(), DetectError> {
-        let (global_s, global_t) = (self.map.source(s)?, self.map.source(t)?);
-        let global = SourcePair::new(global_s, global_t);
-        check_count(global, self.counts.get(SourcePair::new(s, t)), u32_to_usize(shared))?;
-        let evidence = if global_s > global_t { evidence.swapped() } else { evidence };
+        let global = self.map.pair(local)?;
+        check_count(global, self.counts.get(local), u32_to_usize(shared))?;
         self.partials.push((global, evidence));
         Ok(())
     }
@@ -826,9 +725,23 @@ mod tests {
         b.build()
     }
 
+    /// The one accuracy every test round runs at: the served bootstrap's.
+    const ACCURACY: f64 = 0.8;
+
+    /// The shard scan of `input`'s snapshot at [`ACCURACY`].
+    fn scan(
+        input: &RoundInput<'_>,
+        counts: &SharedItemCounts,
+        map: &ShardIdMap,
+        target: Option<SourceId>,
+    ) -> Result<ShardPartials, DetectError> {
+        let RoundInput { dataset, probabilities, params, .. } = *input;
+        collect_shard_partials_for(dataset, probabilities, ACCURACY, params, counts, map, target)
+    }
+
     /// One shard of `CLAIMS`: the items of the given id parity, rebuilt with
     /// shard-local ids — in reverse source order when `reverse_sources` —
-    /// plus its id map and the global `accuracies` carried to local ids.
+    /// plus its id map, at [`ACCURACY`].
     struct Shard {
         dataset: Dataset,
         map: ShardIdMap,
@@ -836,23 +749,13 @@ mod tests {
         probabilities: ValueProbabilities,
     }
 
-    fn shard(
-        global: &Dataset,
-        accuracies: &SourceAccuracies,
-        parity: u32,
-        reverse_sources: bool,
-    ) -> Shard {
+    fn shard(global: &Dataset, parity: u32, reverse_sources: bool) -> Shard {
         let keep = |d: &str| global.item_by_name(d).unwrap().raw() % 2 == parity;
-        shard_of(global, accuracies, &keep, reverse_sources)
+        shard_of(global, &keep, reverse_sources)
     }
 
     /// The shard of `CLAIMS` holding the items `keep` accepts.
-    fn shard_of(
-        global: &Dataset,
-        accuracies: &SourceAccuracies,
-        keep: &dyn Fn(&str) -> bool,
-        reverse_sources: bool,
-    ) -> Shard {
+    fn shard_of(global: &Dataset, keep: &dyn Fn(&str) -> bool, reverse_sources: bool) -> Shard {
         let mut claims: Vec<_> = CLAIMS.iter().filter(|(_, d, _)| keep(d)).copied().collect();
         if reverse_sources {
             // Local ids follow first appearance: highest global source first.
@@ -865,12 +768,10 @@ mod tests {
                 .map(|s| global.source_by_name(dataset.source_name(s)).unwrap())
                 .collect(),
         };
-        let local_accuracies =
-            SourceAccuracies::from_vec(map.sources.iter().map(|&g| accuracies.get(g)).collect())
-                .unwrap();
+        let accuracies = SourceAccuracies::uniform(dataset.num_sources(), ACCURACY).unwrap();
         // The uniform default agrees bitwise with the global table's.
         let probabilities = ValueProbabilities::uniform_over_dataset(&dataset, 0.4).unwrap();
-        Shard { dataset, map, accuracies: local_accuracies, probabilities }
+        Shard { dataset, map, accuracies, probabilities }
     }
 
     impl Shard {
@@ -885,8 +786,7 @@ mod tests {
 
         fn partials(&self) -> ShardPartials {
             let counts = SharedItemCounts::build(&self.dataset);
-            collect_shard_partials_for(&self.input(), &counts, &self.map, None)
-                .expect("consistent counts")
+            scan(&self.input(), &counts, &self.map, None).expect("consistent counts")
         }
 
         fn observations(&self) -> ShardRoundEvidence {
@@ -923,10 +823,9 @@ mod tests {
     fn two_item_shards_merge_to_the_pairwise_baseline() {
         let global = dataset(CLAIMS);
         let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
+        let accuracies = SourceAccuracies::uniform(global.num_sources(), ACCURACY).unwrap();
         let expected = baseline(&global, &accuracies);
-        let shards: Vec<Shard> =
-            (0..2).map(|parity| shard(&global, &accuracies, parity, false)).collect();
+        let shards: Vec<Shard> = (0..2).map(|parity| shard(&global, parity, false)).collect();
 
         let partials: Vec<ShardPartials> = shards.iter().map(Shard::partials).collect();
         let (merged, timings) = merge_shard_partials(partials.clone(), params);
@@ -947,9 +846,8 @@ mod tests {
     fn parallel_merge_is_bit_identical_for_every_worker_count() {
         let global = dataset(CLAIMS);
         let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
-        let shards: Vec<Shard> =
-            (0..2).map(|parity| shard(&global, &accuracies, parity, parity == 0)).collect();
+        let accuracies = SourceAccuracies::uniform(global.num_sources(), ACCURACY).unwrap();
+        let shards: Vec<Shard> = (0..2).map(|parity| shard(&global, parity, parity == 0)).collect();
         let (sequential, seq_timings) =
             merge_shard_partials(shards.iter().map(Shard::partials).collect(), params);
         assert_eq!(seq_timings.pairs, usize_to_u64(sequential.pairs_considered));
@@ -964,31 +862,6 @@ mod tests {
         }
     }
 
-    /// A shard whose local source order is the reverse of the global one,
-    /// with non-uniform accuracies (so `C→ ≠ C←`): its partials must be
-    /// re-oriented by the global pair. Without the swap in
-    /// [`collect_shard_partials_for`] the merged scores come out mirrored.
-    #[test]
-    fn reversed_shard_partials_are_oriented_by_the_global_pair() {
-        let global = dataset(CLAIMS);
-        let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::from_vec(vec![0.9, 0.3, 0.6]).unwrap();
-        let expected = baseline(&global, &accuracies);
-        assert!(
-            expected.outcomes.values().any(|o| o.c_to != o.c_from),
-            "the fixture must tell the two directions apart"
-        );
-        let reversed = shard(&global, &accuracies, 0, true);
-        assert_eq!(
-            reversed.map.sources,
-            vec![SourceId::new(2), SourceId::new(1), SourceId::new(0)]
-        );
-        let natural = shard(&global, &accuracies, 1, false);
-        let (merged, _) =
-            merge_shard_partials(vec![reversed.partials(), natural.partials()], params);
-        assert_bit_identical(&merged, &expected);
-    }
-
     /// A single shard covering everything degenerates to PAIRWISE exactly.
     #[test]
     fn single_shard_is_pairwise() {
@@ -1000,8 +873,7 @@ mod tests {
         let baseline = pairwise_detection(&input);
         let map = ShardIdMap { sources: global.sources().collect() };
         let counts = SharedItemCounts::build(&global);
-        let partials =
-            collect_shard_partials_for(&input, &counts, &map, None).expect("consistent counts");
+        let partials = scan(&input, &counts, &map, None).expect("consistent counts");
         let (merged, _) = merge_shard_partials(vec![partials], params);
         assert_eq!(merged.outcomes, baseline.outcomes);
     }
@@ -1010,7 +882,7 @@ mod tests {
     /// counter contribution), counted once however many shards carry them.
     #[test]
     fn empty_evidence_pairs_are_pruned() {
-        let accuracies = SourceAccuracies::uniform(4, 0.8).unwrap();
+        let accuracies = SourceAccuracies::uniform(4, ACCURACY).unwrap();
         let params = CopyParams::paper_defaults();
         let empty_pair = SourcePair::new(SourceId::from_index(0), SourceId::from_index(3));
         let mut round = ShardRoundEvidence::default();
@@ -1039,7 +911,7 @@ mod tests {
         let stale = dataset(&CLAIMS[..CLAIMS.len() - 4]);
         let counts = SharedItemCounts::build(&stale);
         let errors = [
-            collect_shard_partials_for(&input, &counts, &map, None).map(|_| ()),
+            scan(&input, &counts, &map, None).map(|_| ()),
             collect_shard_evidence(&input, &counts, &map).map(|_| ()),
         ];
         for err in errors {
@@ -1063,7 +935,7 @@ mod tests {
         let input = RoundInput::new(&global, &accuracies, &probabilities, params);
         let counts = SharedItemCounts::build(&global);
         let short_sources = ShardIdMap { sources: global.sources().take(1).collect() };
-        let err = collect_shard_partials_for(&input, &counts, &short_sources, None)
+        let err = scan(&input, &counts, &short_sources, None)
             .expect_err("a short source map must fail the scan");
         assert_eq!(err, DetectError::ShardIdMapMismatch { local: 1, mapped: 1 });
     }
@@ -1091,7 +963,7 @@ mod tests {
         let a_c = SourcePair::new(SourceId::new(0), SourceId::new(2));
         assert_eq!(counts.get(a_c), 0);
         for target in [None, Some(SourceId::new(0)), Some(SourceId::new(2))] {
-            let err = collect_shard_partials_for(&input, &counts, &map, target)
+            let err = scan(&input, &counts, &map, target)
                 .expect_err("an uncounted shared pair must fail the scan");
             assert_eq!(
                 err,
@@ -1101,7 +973,7 @@ mod tests {
         }
         // The pair of B and C shares nothing either way: a top-k row of B
         // only meets its counted pair.
-        assert!(collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(1))).is_ok());
+        assert!(scan(&input, &counts, &map, Some(SourceId::new(1))).is_ok());
     }
 
     /// A pair the counts list but the snapshot does not share is a typed
@@ -1115,16 +987,14 @@ mod tests {
         let input =
             RoundInput::new(&snapshot, &accuracies, &probabilities, CopyParams::paper_defaults());
         let mut counts = SharedItemCounts::build(&snapshot);
-        let consistent = collect_shard_partials_for(&input, &counts, &map, None).unwrap();
+        let consistent = scan(&input, &counts, &map, None).unwrap();
         assert_eq!(consistent.len(), 3);
         counts.increment(SourcePair::new(SourceId::new(1), SourceId::new(3)), 1);
-        let err = collect_shard_partials_for(&input, &counts, &map, None).unwrap_err();
+        let err = scan(&input, &counts, &map, None).unwrap_err();
         assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 4, scanned: 3 });
-        let err =
-            collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(3))).unwrap_err();
+        let err = scan(&input, &counts, &map, Some(SourceId::new(3))).unwrap_err();
         assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 1, scanned: 0 });
-        let err =
-            collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(1))).unwrap_err();
+        let err = scan(&input, &counts, &map, Some(SourceId::new(1))).unwrap_err();
         assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 3, scanned: 2 });
     }
 
@@ -1140,14 +1010,13 @@ mod tests {
         let counts = SharedItemCounts::build(&dataset(&CLAIMS[..2]));
         assert_eq!(counts.num_sources(), 2);
         for target in [None, Some(SourceId::new(2))] {
-            let err = collect_shard_partials_for(&input, &counts, &map, target).unwrap_err();
+            let err = scan(&input, &counts, &map, target).unwrap_err();
             assert!(
                 matches!(err, DetectError::ShardEvidenceMismatch { .. }),
                 "target {target:?}: {err:?}"
             );
         }
-        let err =
-            collect_shard_partials_for(&input, &counts, &map, Some(SourceId::new(2))).unwrap_err();
+        let err = scan(&input, &counts, &map, Some(SourceId::new(2))).unwrap_err();
         let s0_s2 = SourcePair::new(SourceId::new(0), SourceId::new(2));
         assert_eq!(
             err,
@@ -1157,76 +1026,36 @@ mod tests {
 
     /// A shard that never saw the target contributes no partials; one that
     /// did contributes exactly the full scan's partials of the target's
-    /// pairs.
+    /// pairs. Every partial has `C→ = C←` bit for bit, so its orientation
+    /// does not matter — though both shards order their sources the other
+    /// way round from the global ids.
     #[test]
     fn a_target_absent_from_the_shard_yields_no_partials() {
         let global = dataset(CLAIMS);
-        let accuracies = SourceAccuracies::from_vec(vec![0.9, 0.3, 0.6]).unwrap();
         // S2 claims D0 and D3 only.
         let s2 = global.source_by_name("S2").unwrap();
-        let without = shard_of(&global, &accuracies, &|d| d == "D1" || d == "D2", true);
+        let without = shard_of(&global, &|d| d == "D1" || d == "D2", true);
         assert!(!without.map.sources.contains(&s2));
-        let with = shard_of(&global, &accuracies, &|d| d == "D0" || d == "D3", true);
+        let with = shard_of(&global, &|d| d == "D0" || d == "D3", true);
         let counts = SharedItemCounts::build(&without.dataset);
-        let partials =
-            collect_shard_partials_for(&without.input(), &counts, &without.map, Some(s2)).unwrap();
+        let partials = scan(&without.input(), &counts, &without.map, Some(s2)).unwrap();
         assert!(partials.is_empty());
         // A global id beyond every shard's map is absent too.
         let ghost = Some(SourceId::new(7));
-        assert!(collect_shard_partials_for(&without.input(), &counts, &without.map, ghost)
-            .unwrap()
-            .is_empty());
+        assert!(scan(&without.input(), &counts, &without.map, ghost).unwrap().is_empty());
         for sh in [&without, &with] {
             let counts = SharedItemCounts::build(&sh.dataset);
             for target in global.sources() {
-                let mut rows =
-                    collect_shard_partials_for(&sh.input(), &counts, &sh.map, Some(target))
-                        .unwrap();
+                let mut rows = scan(&sh.input(), &counts, &sh.map, Some(target)).unwrap();
                 let mut full: ShardPartials =
                     sh.partials().into_iter().filter(|(pair, _)| pair.contains(target)).collect();
                 rows.sort_unstable_by_key(|(pair, _)| *pair);
                 full.sort_unstable_by_key(|(pair, _)| *pair);
                 assert_eq!(rows, full, "target {target}");
+                for (pair, evidence) in &rows {
+                    assert_eq!(evidence.c_to().to_bits(), evidence.c_from().to_bits(), "{pair}");
+                }
             }
-        }
-    }
-
-    /// On uniform accuracies both scratches of the one walk yield the same
-    /// partials, bit for bit and in the same order: the full round and the
-    /// row of every source, over the paper's motivating example with its
-    /// per-value probabilities and a non-identity id map.
-    #[test]
-    fn uniform_and_general_scratches_yield_identical_partials() {
-        let ex = copydet_model::motivating_example();
-        let ds = &ex.dataset;
-        let accuracies = SourceAccuracies::uniform(ds.num_sources(), 0.8).unwrap();
-        let probabilities = ValueProbabilities::from_table(ex.probability_table()).unwrap();
-        let input = RoundInput::new(ds, &accuracies, &probabilities, CopyParams::paper_defaults());
-        let counts = SharedItemCounts::build(ds);
-        // Global ids in reverse local order, so the general scratch swaps.
-        let mut map = ShardIdMap { sources: ds.sources().collect() };
-        map.sources.reverse();
-        fn partials<N: Neighbours>(
-            lists: &ProviderLists<'_>,
-            input: &RoundInput<'_>,
-            row: Option<SourceId>,
-            counts: &SharedItemCounts,
-            map: &ShardIdMap,
-            scratch: &mut N,
-        ) -> ShardPartials {
-            let partials = Vec::new();
-            let mut out = Emitter { counts, map, params: input.params, counted: 0, partials };
-            lists.walk(input.dataset, row, scratch, &mut out).expect("consistent lists");
-            out.partials
-        }
-        for row in std::iter::once(None).chain(ds.sources().map(Some)) {
-            let lists = ProviderLists::build(ds, row);
-            let mut uniform = Uniform::new(&input, &lists, 0.8, row);
-            let mut general = General::new(&input);
-            let kernel = partials(&lists, &input, row, &counts, &map, &mut uniform);
-            let reference = partials(&lists, &input, row, &counts, &map, &mut general);
-            assert!(!kernel.is_empty(), "row {row:?}");
-            assert_eq!(kernel, reference, "row {row:?}");
         }
     }
 
@@ -1257,7 +1086,7 @@ mod tests {
                 counted: 3,
                 partials: Vec::new(),
             };
-            let err = lists.walk(&global, row, &mut General::new(&input), &mut out).unwrap_err();
+            let err = lists.walk(&global, &probabilities, ACCURACY, row, &mut out).unwrap_err();
             assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 3, scanned: 0 });
         }
     }

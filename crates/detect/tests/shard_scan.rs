@@ -1,11 +1,10 @@
 //! The shard row scan against PAIRWISE: arbitrary claim streams, items
-//! split into 1..=4 shards, each with its own shuffled local source order.
-//! Merged partials must equal `pairwise_detection` over the whole stream
-//! bit for bit — for the full round and for a per-target scan of every
-//! source. One proptest draws non-uniform accuracies (so a claim's score is
-//! re-evaluated whenever a neighbour's accuracy differs); the other gives
-//! every source one accuracy, the served bootstrap's case, where the scan
-//! scores each value group once.
+//! split into 1..=4 shards, each with its own shuffled local source order,
+//! and one accuracy for every source — the served bootstrap's 0.8 in part
+//! of the cases — at which the scan scores each value group once. Merged
+//! partials must equal `pairwise_detection` over the whole stream at that
+//! accuracy bit for bit — for the full round and for a per-target scan of
+//! every source.
 //!
 //! `COPYDET_SHARD_CASES` scales the case count (default 32).
 
@@ -44,29 +43,17 @@ fn probabilities(ds: &Dataset) -> ValueProbabilities {
     table
 }
 
-/// The accuracy a source gets from the generated per-number table.
-fn accuracy_of(name: &str, accuracies: &[f64]) -> f64 {
-    name.strip_prefix('S').and_then(|n| n.parse::<usize>().ok()).map_or(0.5, |n| accuracies[n])
-}
-
 /// One shard: the claims on the items `keep` accepts, in stream order except
 /// that sources appear in the order of `rank` (so local source ids are a
 /// permutation of the global ones). The sort is stable, so a source's
 /// repeated claims on one item keep their order.
 struct Shard {
     dataset: Dataset,
-    accuracies: SourceAccuracies,
     probabilities: ValueProbabilities,
     map: ShardIdMap,
 }
 
-fn shard(
-    global: &Dataset,
-    claims: &[Claim],
-    accuracies: &[f64],
-    keep: &dyn Fn(u8) -> bool,
-    rank: &[u32],
-) -> Shard {
+fn shard(global: &Dataset, claims: &[Claim], keep: &dyn Fn(u8) -> bool, rank: &[u32]) -> Shard {
     let mut local: Vec<Claim> = claims.iter().copied().filter(|&(_, d, _)| keep(d)).collect();
     local.sort_by_key(|&(s, _, _)| rank[usize::from(s)]);
     let dataset = build(&local);
@@ -76,26 +63,19 @@ fn shard(
             .map(|s| global.source_by_name(dataset.source_name(s)).unwrap())
             .collect(),
     };
-    let accuracies = SourceAccuracies::from_vec(
-        dataset.sources().map(|s| accuracy_of(dataset.source_name(s), accuracies)).collect(),
-    )
-    .unwrap();
     let probabilities = probabilities(&dataset);
-    Shard { dataset, accuracies, probabilities, map }
+    Shard { dataset, probabilities, map }
 }
 
-fn scan(shards: &[Shard], target: Option<SourceId>) -> Vec<ShardPartials> {
+fn scan(shards: &[Shard], accuracy: f64, target: Option<SourceId>) -> Vec<ShardPartials> {
+    let params = CopyParams::paper_defaults();
     shards
         .iter()
         .map(|sh| {
-            let input = RoundInput::new(
-                &sh.dataset,
-                &sh.accuracies,
-                &sh.probabilities,
-                CopyParams::paper_defaults(),
-            );
             let counts = SharedItemCounts::build(&sh.dataset);
-            collect_shard_partials_for(&input, &counts, &sh.map, target).expect("consistent counts")
+            let (ds, p) = (&sh.dataset, &sh.probabilities);
+            collect_shard_partials_for(ds, p, accuracy, params, &counts, &sh.map, target)
+                .expect("consistent counts")
         })
         .collect()
 }
@@ -131,12 +111,6 @@ fn cases() -> u32 {
     std::env::var("COPYDET_SHARD_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
 }
 
-/// Per-source accuracies: a shared default mixed with arbitrary values, so
-/// rows meet runs of equal neighbours (score reused) and changes (rescored).
-fn accuracies_strategy() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(prop_oneof![Just(0.8), 0.05f64..0.95], 8)
-}
-
 /// Sort keys for the eight source numbers: a shard's claim stream lists
 /// its sources by ascending `rank[s]`, ties in stream order.
 fn rank_strategy() -> impl Strategy<Value = Vec<u32>> {
@@ -146,68 +120,32 @@ fn rank_strategy() -> impl Strategy<Value = Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    #[test]
-    fn shard_row_scans_merge_to_pairwise_bit_for_bit(
-        claims in prop::collection::vec((0u8..8, 0u8..12, 0u8..4), 0..120),
-        accuracies in accuracies_strategy(),
-        num_shards in 1u8..=4,
-        item_shards in prop::collection::vec(0u8..4, 12),
-        ranks in prop::collection::vec(rank_strategy(), 4),
-    ) {
-        let global = build(&claims);
-        let params = CopyParams::paper_defaults();
-        let table = SourceAccuracies::from_vec(
-            global.sources().map(|s| accuracy_of(global.source_name(s), &accuracies)).collect(),
-        )
-        .unwrap();
-        let baseline =
-            pairwise_detection(&RoundInput::new(&global, &table, &probabilities(&global), params));
-        let shards: Vec<Shard> = (0..num_shards)
-            .map(|i| {
-                let keep = |d: u8| item_shards[usize::from(d)] % num_shards == i;
-                shard(&global, &claims, &accuracies, &keep, &ranks[usize::from(i)])
-            })
-            .collect();
-
-        let (merged, _) = merge_shard_partials(scan(&shards, None), params);
-        assert_bit_identical(&merged, &baseline, None)?;
-        for target in global.sources() {
-            let (merged, _) = merge_shard_partials(scan(&shards, Some(target)), params);
-            assert_bit_identical(&merged, &baseline, Some(target))?;
-        }
-    }
-
-    /// One accuracy shared by every source: the scan takes its uniform
-    /// path, one score per value group, and must still give PAIRWISE's
-    /// bits.
+    /// One accuracy shared by every source, the served 0.8 or any other:
+    /// one score per value group must still give PAIRWISE's bits.
     #[test]
     fn uniform_accuracies_are_bit_identical(
         claims in prop::collection::vec((0u8..8, 0u8..12, 0u8..4), 0..120),
-        accuracy in 0.05f64..0.95,
+        accuracy in prop_oneof![Just(0.8), 0.05f64..0.95],
         num_shards in 1u8..=4,
         item_shards in prop::collection::vec(0u8..4, 12),
         ranks in prop::collection::vec(rank_strategy(), 4),
     ) {
-        let accuracies = [accuracy; 8];
         let global = build(&claims);
         let params = CopyParams::paper_defaults();
-        let table = SourceAccuracies::from_vec(
-            global.sources().map(|s| accuracy_of(global.source_name(s), &accuracies)).collect(),
-        )
-        .unwrap();
+        let table = SourceAccuracies::uniform(global.num_sources(), accuracy).unwrap();
         let baseline =
             pairwise_detection(&RoundInput::new(&global, &table, &probabilities(&global), params));
         let shards: Vec<Shard> = (0..num_shards)
             .map(|i| {
                 let keep = |d: u8| item_shards[usize::from(d)] % num_shards == i;
-                shard(&global, &claims, &accuracies, &keep, &ranks[usize::from(i)])
+                shard(&global, &claims, &keep, &ranks[usize::from(i)])
             })
             .collect();
 
-        let (merged, _) = merge_shard_partials(scan(&shards, None), params);
+        let (merged, _) = merge_shard_partials(scan(&shards, accuracy, None), params);
         assert_bit_identical(&merged, &baseline, None)?;
         for target in global.sources() {
-            let (merged, _) = merge_shard_partials(scan(&shards, Some(target)), params);
+            let (merged, _) = merge_shard_partials(scan(&shards, accuracy, Some(target)), params);
             assert_bit_identical(&merged, &baseline, Some(target))?;
         }
     }

@@ -54,10 +54,12 @@ impl SharedItemCounts {
                 providers.extend_from_slice(&group.providers);
             }
             providers.sort_unstable();
-            for i in 0..providers.len() {
-                for j in (i + 1)..providers.len() {
-                    counts.increment(SourcePair::new(providers[i], providers[j]), 1);
+            let mut rest = providers.as_slice();
+            while let Some((&s, later)) = rest.split_first() {
+                for &t in later {
+                    counts.increment(SourcePair::new(s, t), 1);
                 }
+                rest = later;
             }
         }
         counts
@@ -98,18 +100,24 @@ impl SharedItemCounts {
     /// claim for item `d` arrives from source `s`, the count of `(s, t)` is
     /// incremented for every other provider `t` of `d` — keeping the table
     /// consistent with a from-scratch [`SharedItemCounts::build`] over the
-    /// grown dataset without rescanning unchanged items.
-    ///
-    /// # Panics
-    /// Panics (in the dense representation) if the pair's sources are outside
-    /// the covered range; call [`SharedItemCounts::grow`] first.
+    /// grown dataset without rescanning unchanged items. A pair beyond the
+    /// covered sources first grows the table to cover it
+    /// ([`SharedItemCounts::grow`]).
     #[inline]
     pub fn increment(&mut self, pair: SourcePair, by: u32) {
         if by == 0 {
             return;
         }
+        let covers = pair.second().index() + 1;
+        if covers > self.num_sources {
+            self.grow(covers);
+        }
         let slot = match &mut self.repr {
-            Repr::Dense(m) => &mut m[dense_slot(pair)],
+            // In range once grown: slot(i, j) < j·(j+1)/2 ≤ n·(n−1)/2.
+            Repr::Dense(m) => match m.get_mut(dense_slot(pair)) {
+                Some(slot) => slot,
+                None => return,
+            },
             Repr::Sparse(m) => m.entry(pair).or_insert(0),
         };
         // Branch-free: on sparse data a slot often leaves zero (a pair's
@@ -314,6 +322,30 @@ mod tests {
 
     fn pair(a: usize, b: usize) -> SourcePair {
         SourcePair::new(SourceId::from_index(a), SourceId::from_index(b))
+    }
+
+    /// An increment beyond the covered sources grows the table — dense or
+    /// sparse — instead of indexing past it, and keeps every count.
+    #[test]
+    fn increment_outside_the_table_grows_it() {
+        let mut counts = SharedItemCounts::build(&motivating_example().dataset);
+        let before: Vec<_> = counts.iter_nonzero().collect();
+        assert!(matches!(counts.repr, Repr::Dense(_)));
+        let n = counts.num_sources();
+        counts.increment(pair(2, n + 3), 2);
+        assert!(matches!(counts.repr, Repr::Dense(_)));
+        assert_eq!(counts.num_sources(), n + 4);
+        assert_eq!(counts.get(pair(2, n + 3)), 2);
+        assert_eq!(counts.num_sharing_pairs(), before.len() + 1);
+        for &(p, c) in &before {
+            assert_eq!(counts.get(p), c, "pair {p}");
+        }
+        counts.increment(pair(0, DENSE_LIMIT + 1), 1);
+        assert!(matches!(counts.repr, Repr::Sparse(_)));
+        assert_eq!(counts.num_sources(), DENSE_LIMIT + 2);
+        assert_eq!(counts.get(pair(0, DENSE_LIMIT + 1)), 1);
+        assert_eq!(counts.get(pair(2, n + 3)), 2);
+        assert_eq!(counts.num_sharing_pairs(), before.len() + 2);
     }
 
     /// A pair beyond the sources the dense table covers counts 0 instead of

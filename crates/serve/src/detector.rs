@@ -1,14 +1,15 @@
 //! Fan-out detection rounds over a [`ShardedStore`]: every shard builds its
 //! source map and scores its own pairs into exact evidence partials on its own
 //! thread — one row scan per source over one provider list per item, each
-//! value group scored once at the bootstrap's uniform accuracy — and the
-//! cross-shard merge adds the partials into global copy decisions.
+//! value group scored once at the bootstrap's one accuracy, 0.8 for every
+//! source — and the cross-shard merge adds the partials into global copy
+//! decisions. The server runs only this bootstrap round.
 
 use crate::shard::ShardedStore;
 use copydet_bayes::{CopyParams, SourceAccuracies};
 use copydet_detect::{
     collect_shard_partials_for, merge_shard_partials, topk, DetectError, DetectionResult,
-    RoundInput, ShardPartials, TopKResult,
+    ShardPartials, TopKResult,
 };
 use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
@@ -77,11 +78,11 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    source; items and values keep shard-local ids and are never looked
 ///    up), then the round state is bootstrapped from the paper's defaults
 ///    ([`CopyParams::paper_defaults`], every source at an accuracy of
-///    0.8): uniform accuracies and the value vote over the shard's own
-///    snapshot, borrowed, not cloned. Then the shard scores its own pairs
+///    0.8): the value vote over the shard's own snapshot, borrowed, not
+///    cloned. Then the shard scores its own pairs at that one accuracy
 ///    ([`collect_shard_partials_for`]): it lists each item's providers
 ///    once, sorted by local source id and tagged with their value group,
-///    and scores each group with at least two providers once (uniform
+///    and scores each group with at least two providers once (one
 ///    accuracy, so `C→ = C←`); each source's row, in ascending order, walks
 ///    the providers after its own entry of each item it claims and yields
 ///    one exact [`PairEvidence`](copydet_bayes::PairEvidence) partial per
@@ -281,8 +282,15 @@ impl ShardedDetector {
             let dataset = &snapshot.dataset;
             let accuracies = SourceAccuracies::uniform(dataset.num_sources(), INITIAL_ACCURACY)?;
             let probabilities = value_probabilities(dataset, &accuracies, None, vote_config);
-            let input = RoundInput::new(dataset, &accuracies, &probabilities, params);
-            let partials = collect_shard_partials_for(&input, counts, &map.ids, target)?;
+            let partials = collect_shard_partials_for(
+                dataset,
+                &probabilities,
+                INITIAL_ACCURACY,
+                params,
+                counts,
+                &map.ids,
+                target,
+            )?;
             Ok((partials, maps, scan_span.elapsed_nanos()))
         };
         let scans: Vec<ScanResult> = std::thread::scope(|scope| {
@@ -345,7 +353,7 @@ fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<Ca
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_detect::pairwise_detection;
+    use copydet_detect::{pairwise_detection, RoundInput};
     use copydet_model::{DatasetBuilder, SourcePair};
 
     /// A small planted-copier stream: S0 and S3 share distinctive false

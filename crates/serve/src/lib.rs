@@ -15,9 +15,9 @@
 //!   has its own mutex, WAL, segments and directory, and recovery is
 //!   per-shard. A global source registry reconciles the source ids — the
 //!   only global id space; items and values keep shard-local ids.
-//! * **[`Router`]** — splits incoming claim batches by item partition and
-//!   applies each shard's slice under a single shard-lock acquisition, so
-//!   concurrent writers amortize lock traffic instead of convoying.
+//!   [`ShardedStore::ingest_batch`] splits a claim batch by item partition
+//!   and applies each shard's slice under a single shard-lock acquisition,
+//!   so concurrent writers amortize lock traffic instead of convoying.
 //! * **[`ShardedDetector`]** — fans a detection round out across shards in
 //!   a `std::thread::scope` (snapshot + evidence scan per shard, candidate
 //!   pairs taken from each shard's incrementally-maintained shared-item
@@ -67,7 +67,7 @@ mod registry_log;
 mod shard;
 
 pub use detector::ShardedDetector;
-pub use shard::{fnv1a64, partition_of, Router, ShardMaps, ShardedStore};
+pub use shard::{fnv1a64, partition_of, ShardMaps, ShardedStore};
 
 // Re-exported so serve users can name the store/detect/obs types without
 // direct dependencies.

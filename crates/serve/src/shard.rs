@@ -1,5 +1,5 @@
 //! The sharded store: item-partitioned [`SharedClaimStore`] shards behind a
-//! global source registry, plus the [`Router`] that batches claims per shard.
+//! global source registry.
 
 use crate::registry_log::RegistryLog;
 use copydet_index::SharedItemCounts;
@@ -56,7 +56,7 @@ fn new_global_registry() -> Arc<RankedRwLock<GlobalTables>> {
     ))
 }
 
-/// The global source registry: every source name seen by the router,
+/// The global source registry: every source name the store has ingested,
 /// interned in arrival order.
 ///
 /// Sources are the fleet's only global id space. Shards intern items and
@@ -521,7 +521,7 @@ impl ShardedStore {
 
     /// Builds the local→global source map for a shard snapshot: one
     /// registry lookup per local source, none per item or value. Sources
-    /// not yet in the registry (impossible through the router, possible for
+    /// not yet in the registry (impossible through ingest, possible for
     /// a store assembled by hand) are interned on the fly.
     ///
     /// Sources that reached a shard went through the registry first, so the
@@ -620,67 +620,6 @@ impl ShardedStore {
     }
 }
 
-/// Splits an incoming claim stream into per-shard batches — the batching
-/// convenience for **in-process** producers that emit one claim at a time.
-///
-/// Callers push claims in arrival order; [`flush`](Router::flush) interns
-/// the buffer's sources into the global registry under one lock, splits it by
-/// item partition, and applies each shard's slice under a single shard-lock
-/// acquisition. Pushes auto-flush once `flush_at` claims are buffered. (The
-/// TCP frontend gets the same amortization without a router: each wire
-/// INGEST request is already a batch and goes straight through
-/// [`ShardedStore::ingest_batch`].)
-#[derive(Debug)]
-pub struct Router {
-    store: ShardedStore,
-    buffer: Vec<(String, String, String)>,
-    flush_at: usize,
-}
-
-impl Router {
-    /// A router over `store` that auto-flushes every `flush_at` claims.
-    ///
-    /// # Panics
-    /// Panics if `flush_at` is zero.
-    pub fn new(store: ShardedStore, flush_at: usize) -> Self {
-        assert!(flush_at > 0, "a router must buffer at least one claim");
-        Self { store, buffer: Vec::with_capacity(flush_at), flush_at }
-    }
-
-    /// Buffers one claim, auto-flushing at the batch size. Returns the
-    /// number of claims flushed (0 while buffering).
-    pub fn push(&mut self, source: &str, item: &str, value: &str) -> usize {
-        self.buffer.push((source.to_owned(), item.to_owned(), value.to_owned()));
-        if self.buffer.len() >= self.flush_at {
-            self.flush()
-        } else {
-            0
-        }
-    }
-
-    /// Ingests everything buffered (order-preserving) and returns how many
-    /// claims were flushed.
-    pub fn flush(&mut self) -> usize {
-        if self.buffer.is_empty() {
-            return 0;
-        }
-        let batch = std::mem::take(&mut self.buffer);
-        self.store.ingest_batch(batch.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())))
-    }
-
-    /// Claims currently buffered.
-    pub fn pending(&self) -> usize {
-        self.buffer.len()
-    }
-}
-
-impl Drop for Router {
-    /// Routers never silently drop buffered claims.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,20 +663,6 @@ mod tests {
         );
         // And the fleet totals add up.
         assert_eq!(store.stats().live_claims, 4);
-    }
-
-    #[test]
-    fn router_buffers_flushes_and_never_drops() {
-        let store = ShardedStore::new(2);
-        let mut router = Router::new(store.clone(), 3);
-        assert_eq!(router.push("S0", "D0", "x"), 0);
-        assert_eq!(router.push("S1", "D1", "y"), 0);
-        assert_eq!(router.pending(), 2);
-        assert_eq!(router.push("S2", "D2", "z"), 3, "auto-flush at the batch size");
-        assert_eq!(router.pending(), 0);
-        router.push("S3", "D3", "w");
-        drop(router); // drop flushes the remainder
-        assert_eq!(store.num_claims(), 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use copydet_detect::{
 use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_index::SharedItemCounts;
 use copydet_model::{Dataset, DatasetBuilder, SourceId, SourcePair};
-use copydet_serve::{Router, ShardedDetector, ShardedStore};
+use copydet_serve::{ShardedDetector, ShardedStore};
 use proptest::prelude::*;
 
 type Op = (u8, u8, u8);
@@ -44,17 +44,15 @@ fn baseline(ops: &[Op]) -> DetectionResult {
     pairwise_detection(&RoundInput::new(&ds, &accuracies, &probabilities, params))
 }
 
-/// Feeds `ops` into a sharded store through a router with the given batch
-/// size (exercising arbitrary batch splits), runs one sharded round, and
+/// Feeds `ops` into a sharded store in batches of the given size
+/// (exercising arbitrary batch splits), runs one sharded round, and
 /// asserts bit-identity against the baseline plus counts equivalence.
 fn assert_equivalence(ops: &[Op], shards: usize, batch: usize) {
     let store = ShardedStore::new(shards);
-    let mut router = Router::new(store.clone(), batch.max(1));
-    for op in ops {
-        let (s, d, v) = claim_strings(op);
-        router.push(&s, &d, &v);
+    for chunk in ops.chunks(batch.max(1)) {
+        let claims: Vec<_> = chunk.iter().map(claim_strings).collect();
+        store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
     }
-    router.flush();
 
     let expected = baseline(ops);
     let got = ShardedDetector::new().detect_round(&store).expect("consistent capture");
@@ -153,8 +151,9 @@ proptest! {
         let mut partials: Vec<ShardPartials> = Vec::new();
         for ((snapshot, counts), map) in captures.iter().zip(&maps) {
             let input = live.prepare(snapshot);
+            let (ds, p, params) = (&input.dataset, &input.probabilities, input.params);
             partials.push(
-                collect_shard_partials_for(&input.as_round_input(), counts, &map.ids, None)
+                collect_shard_partials_for(ds, p, 0.8, params, counts, &map.ids, None)
                     .expect("consistent capture"),
             );
         }
@@ -192,7 +191,7 @@ proptest! {
         }
     }
 
-    /// The same through per-claim `ingest` (no router batching) with
+    /// The same through per-claim `ingest` (no batching) with
     /// auto-sealing shard maintenance mixed in.
     #[test]
     fn unbatched_ingest_with_maintenance_is_bit_identical(

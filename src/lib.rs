@@ -93,7 +93,7 @@ pub mod prelude {
     pub use copydet_model::{
         Dataset, DatasetBuilder, DatasetDelta, ItemId, SourceId, SourcePair, ValueId,
     };
-    pub use copydet_serve::{Router, ShardedDetector, ShardedStore};
+    pub use copydet_serve::{ShardedDetector, ShardedStore};
     pub use copydet_store::{
         ClaimStore, SharedClaimStore, StoreConfig, StoreIoError, StoreSnapshot,
     };
