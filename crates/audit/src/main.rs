@@ -365,9 +365,10 @@ const SERVE_SCOPE: &str = "crates/serve/src/";
 /// run on every hot path (the observability layer instruments
 /// ingest/detect/serve, so a panic in it takes the instrumented operation
 /// down with it; the sharded round, the evidence it builds, the top-k
-/// ranking, every shard's value vote and the shared-item counts that every
-/// capture and scan reads and every INGEST writes run per request) — and
-/// must stay panic-free.
+/// ranking, every shard's value vote, the shared-item counts that every
+/// capture and scan reads and every INGEST writes, and the claim store that
+/// every INGEST and every capture runs, run per request) — and must stay
+/// panic-free.
 const PANIC_SCOPE: &[&str] = &[
     "crates/detect/src/sharded.rs",
     "crates/bayes/src/pair.rs",
@@ -377,6 +378,7 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/store/src/wal.rs",
     "crates/store/src/durable.rs",
     "crates/store/src/format.rs",
+    "crates/store/src/store.rs",
     "crates/model/src/codec.rs",
     "crates/obs/src/metrics.rs",
     "crates/obs/src/trace.rs",

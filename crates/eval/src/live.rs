@@ -5,6 +5,7 @@ use crate::incremental::{IncrementalConfig, IncrementalDetector, IncrementalRoun
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
 use copydet_detect::{DetectionResult, OwnedRoundInput, RoundInput};
 use copydet_fusion::{value_probabilities, VoteConfig};
+use copydet_model::{Dataset, DatasetDelta};
 use copydet_store::{SharedClaimStore, StoreSnapshot};
 
 /// Configuration of a [`LiveDetector`].
@@ -39,11 +40,16 @@ impl Default for LiveConfig {
 /// and runs one detection round: the first snapshot from scratch (HYBRID
 /// with bookkeeping), every later snapshot through the incremental
 /// delta path, so only pairs affected by the new claims are re-decided.
+/// The delta is [`DatasetDelta::between`] the dataset observed last and the
+/// new one, so snapshots taken by anyone else in between are covered by the
+/// diff.
 pub struct LiveDetector {
     config: LiveConfig,
     detector: IncrementalDetector,
     round: usize,
-    last_epoch: Option<u64>,
+    /// The dataset of the last observed snapshot (a cheap handle), the base
+    /// of the next round's delta.
+    last: Option<Dataset>,
 }
 
 impl Default for LiveDetector {
@@ -64,38 +70,27 @@ impl LiveDetector {
             config,
             detector: IncrementalDetector::with_config(config.incremental),
             round: 0,
-            last_epoch: None,
+            last: None,
         }
     }
 
     /// Runs one detection round over a snapshot and returns the per-pair
     /// outcomes.
     ///
+    /// Snapshots may be skipped: the next round's delta is diffed against
+    /// the last *observed* dataset, so it covers every skipped window.
+    ///
     /// # Panics
-    /// Panics if a snapshot is skipped or observed out of order: after the
-    /// first observation, each call must see the immediately following epoch.
-    /// A snapshot's delta only covers the changes since its *direct*
-    /// predecessor, so skipping one would silently drop the skipped window's
-    /// claims from the detector's bookkeeping. (Snapshots taken before the
-    /// first observation are fine — the first round detects the full dataset
-    /// from scratch.)
+    /// Panics (inside [`DatasetDelta::between`]) if the snapshot is older
+    /// than the last observed one: a claim it lacks cannot be diffed away.
     pub fn observe(&mut self, snapshot: &StoreSnapshot) -> DetectionResult {
-        if let Some(last) = self.last_epoch {
-            assert!(
-                snapshot.epoch == last + 1,
-                "snapshots must be observed consecutively (epoch {} after {}): a snapshot's \
-                 delta covers only its direct predecessor, so a skipped snapshot would lose \
-                 its claims from the incremental bookkeeping",
-                snapshot.epoch,
-                last
-            );
-        }
-        self.last_epoch = Some(snapshot.epoch);
+        let delta = self.last.as_ref().map(|last| DatasetDelta::between(last, &snapshot.dataset));
+        self.last = Some(snapshot.dataset.clone());
         let (accuracies, probabilities) = self.bootstrap_state(snapshot);
         self.round += 1;
         let mut input =
             RoundInput::new(&snapshot.dataset, &accuracies, &probabilities, self.config.params);
-        if let Some(delta) = &snapshot.delta {
+        if let Some(delta) = &delta {
             input = input.with_delta(delta);
         }
         self.detector.detect_round(&input, self.round)
@@ -105,18 +100,15 @@ impl LiveDetector {
     /// snapshot under the store lock (O(delta)), then runs detection entirely
     /// outside it — writers keep ingesting, and a maintenance thread keeps
     /// sealing/compacting, while the round computes over the frozen snapshot.
-    ///
-    /// The same consecutive-epoch contract as [`observe`](Self::observe)
-    /// applies: this detector must be the only snapshot-taker of the store.
     pub fn observe_shared(&mut self, store: &SharedClaimStore) -> DetectionResult {
         let snapshot = store.snapshot();
         self.observe(&snapshot)
     }
 
-    /// Assembles the owned round input for a snapshot: the bootstrap
-    /// accuracy/probability state plus cheap handles to the snapshot's
-    /// dataset and delta. The result is self-contained (no borrow of the
-    /// snapshot or the store), so it can cross a thread boundary and be
+    /// Assembles the owned from-scratch round input for a snapshot (no
+    /// delta): the bootstrap accuracy/probability state plus a cheap handle
+    /// to the snapshot's dataset. The result is self-contained (no borrow of
+    /// the snapshot or the store), so it can cross a thread boundary and be
     /// detected while the store moves on.
     pub fn prepare(&self, snapshot: &StoreSnapshot) -> OwnedRoundInput {
         let (accuracies, probabilities) = self.bootstrap_state(snapshot);
@@ -125,7 +117,7 @@ impl LiveDetector {
             accuracies,
             probabilities,
             params: self.config.params,
-            delta: snapshot.delta.clone(),
+            delta: None,
         }
     }
 
@@ -168,7 +160,7 @@ impl LiveDetector {
     pub fn reset(&mut self) {
         self.detector.reset();
         self.round = 0;
-        self.last_epoch = None;
+        self.last = None;
     }
 }
 
@@ -176,6 +168,7 @@ impl LiveDetector {
 mod tests {
     use super::*;
     use copydet_store::ClaimStore;
+    use std::collections::BTreeSet;
 
     #[test]
     fn observe_runs_warmup_then_delta_rounds() {
@@ -221,7 +214,6 @@ mod tests {
         let _ = live.observe(&store.snapshot());
         store.source("announced-but-silent");
         let snap = store.snapshot();
-        assert!(snap.delta.as_ref().is_some_and(|d| d.is_empty()));
         assert_eq!(snap.dataset.num_sources(), 3);
         let result = live.observe(&snap);
         assert_eq!(result.algorithm, "INCREMENTAL");
@@ -232,7 +224,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "observed consecutively")]
+    fn skipped_snapshots_are_covered_by_the_diff() {
+        let mut store = ClaimStore::new();
+        for d in 0..8 {
+            store.ingest("S0", &format!("D{d}"), &format!("v{d}"));
+            store.ingest("S2", &format!("D{d}"), &format!("w{}", d % 3));
+        }
+        let mut live = LiveDetector::new();
+        let _ = live.observe(&store.snapshot());
+        // S1 copies S0 in two windows; the first window's snapshot is taken
+        // by someone else and never observed.
+        for d in 0..4 {
+            store.ingest("S1", &format!("D{d}"), &format!("v{d}"));
+        }
+        let _skipped = store.snapshot();
+        for d in 4..8 {
+            store.ingest("S1", &format!("D{d}"), &format!("v{d}"));
+        }
+        let snap3 = store.snapshot();
+        assert_eq!(snap3.epoch, 3);
+        let result = live.observe(&snap3);
+
+        let (accuracies, probabilities) = live.bootstrap_state(&snap3);
+        let exact = copydet_detect::pairwise_detection(&RoundInput::new(
+            &snap3.dataset,
+            &accuracies,
+            &probabilities,
+            LiveConfig::default().params,
+        ));
+        let got: BTreeSet<_> = result.copying_pairs().collect();
+        let expected: BTreeSet<_> = exact.copying_pairs().collect();
+        assert!(!expected.is_empty(), "S1 copies S0");
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "must extend the older snapshot")]
     fn observe_rejects_out_of_order_snapshots() {
         let mut store = ClaimStore::new();
         store.ingest("S0", "D0", "x");
@@ -242,20 +269,5 @@ mod tests {
         let mut live = LiveDetector::new();
         let _ = live.observe(&snap2);
         let _ = live.observe(&snap1);
-    }
-
-    #[test]
-    #[should_panic(expected = "observed consecutively")]
-    fn observe_rejects_skipped_snapshots() {
-        let mut store = ClaimStore::new();
-        store.ingest("S0", "D0", "x");
-        let snap1 = store.snapshot();
-        let mut live = LiveDetector::new();
-        let _ = live.observe(&snap1);
-        store.ingest("S1", "D0", "x");
-        let _skipped = store.snapshot(); // drains the tracker — must be observed
-        store.ingest("S2", "D0", "x");
-        let snap3 = store.snapshot();
-        let _ = live.observe(&snap3);
     }
 }

@@ -6,7 +6,7 @@
 
 use copydet_detect::{pairwise_detection, RoundInput};
 use copydet_eval::{CopyDetector, HybridDetector, LiveDetector};
-use copydet_store::ClaimStore;
+use copydet_store::{ClaimStore, DatasetDelta};
 use std::collections::BTreeSet;
 
 #[test]
@@ -67,7 +67,7 @@ fn delta_round_matches_from_scratch_hybrid_with_fewer_computations() {
     store.ingest(snap1.dataset.source_name(changed[0]), "brand-new-item", "brand-new-value");
 
     let snap2 = store.snapshot();
-    let delta = snap2.delta.as_ref().expect("second snapshot carries a delta");
+    let delta = DatasetDelta::between(&snap1.dataset, &snap2.dataset);
     assert!(delta.len() >= 30, "the delta covers the new claims");
     assert!(
         (delta.len() as f64) < 0.05 * n as f64,

@@ -19,20 +19,13 @@
 //! suppressed event costs nanoseconds — which is what lets the per-request
 //! outcome events sit on the serve path at `Debug` severity.
 //!
-//! **Capacity.** The global ring retains [`EVENT_RING_CAPACITY`] events by
-//! default; `COPYDET_EVENT_CAPACITY` (clamped to `1..=65536`, read at the
-//! ring's first use) overrides it. The same parser backs the trace ring's
-//! `COPYDET_TRACE_CAPACITY` knob.
-//!
-//! **Sink.** [`set_event_sink`] attaches a host-provided file; every
-//! recorded event is appended as one NDJSON line. Sink write failures
-//! detach the sink silently — the flight recorder must never take the
-//! recorded path down.
+//! **Capacity.** The global ring retains the last [`EVENT_RING_CAPACITY`]
+//! events. [`Event::to_ndjson`] renders one event as an NDJSON line for
+//! clients that forward what `EVENTS` returns to a log collector.
 
 use crate::trace::RoundTrace;
 use copydet_model::sync::RankedMutex;
 use std::collections::VecDeque;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -41,15 +34,8 @@ use std::time::Duration;
 /// lock, so any instrumented path may emit while holding its own locks.
 const EVENT_RING_RANK: u32 = 60;
 
-/// Lock rank of the NDJSON sink (`DESIGN.md` §8): the highest in the
-/// process — sink writes happen after the ring push, never under it.
-const SINK_RANK: u32 = 70;
-
-/// Default number of events the global ring retains.
+/// Number of events the global ring retains.
 pub const EVENT_RING_CAPACITY: usize = 256;
-
-/// Upper clamp on ring-capacity knobs (events and traces alike).
-const MAX_RING_CAPACITY: usize = 65_536;
 
 /// How important an event is; also the unit of `COPYDET_LOG` filtering.
 ///
@@ -289,26 +275,11 @@ impl EventRing {
     }
 }
 
-/// Parses an environment variable as a ring capacity, clamped to
-/// `1..=65536`; unset or unparsable values fall back to `default`.
-pub(crate) fn env_ring_capacity(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(v) => v.clamp(1, MAX_RING_CAPACITY),
-            Err(_) => default,
-        },
-        Err(_) => default,
-    }
-}
-
 /// The process-global event ring the instrumented paths push into and the
-/// `EVENTS` wire verb reads from. Capacity resolves once, at first use:
-/// `COPYDET_EVENT_CAPACITY` over [`EVENT_RING_CAPACITY`].
+/// `EVENTS` wire verb reads from; it retains [`EVENT_RING_CAPACITY`] events.
 pub fn event_ring() -> &'static EventRing {
     static RING: OnceLock<EventRing> = OnceLock::new();
-    RING.get_or_init(|| {
-        EventRing::with_capacity(env_ring_capacity("COPYDET_EVENT_CAPACITY", EVENT_RING_CAPACITY))
-    })
+    RING.get_or_init(|| EventRing::with_capacity(EVENT_RING_CAPACITY))
 }
 
 /// The minimum severity recorded, resolved once from `COPYDET_LOG`
@@ -332,8 +303,7 @@ fn wall_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Records an event in the global ring (and the NDJSON sink, if attached),
-/// returning its sequence number — or `None` if `severity` is below the
+/// Records an event in the global ring, returning its sequence number — or `None` if `severity` is below the
 /// `COPYDET_LOG` threshold. The suppressed path is one atomic load: no
 /// allocation, no locking, no clock read.
 pub fn emit(
@@ -353,20 +323,7 @@ pub fn emit(
         name: name.to_owned(),
         fields,
     };
-    let line = sink_is_attached().then(|| event.to_ndjson());
-    let seq = event_ring().push(event);
-    if let Some(mut line) = line {
-        use std::fmt::Write as _;
-        // The seq was assigned by the push; patch it into the line.
-        let mut patched = String::with_capacity(line.len());
-        let _ = write!(patched, "{{\"seq\":{seq},");
-        if let Some(rest) = line.find(",\"wall_ms\"") {
-            patched.push_str(line.get(rest + 1..).unwrap_or_default());
-            line = patched;
-        }
-        write_sink_line(&line);
-    }
-    Some(seq)
+    Some(event_ring().push(event))
 }
 
 /// Convenience field constructors for [`emit`] call sites.
@@ -450,56 +407,6 @@ pub fn slow_op_threshold_nanos() -> Option<u64> {
 /// slow-op event. One relaxed load — safe on any hot path.
 pub fn slow_op_exceeded(nanos: u64) -> bool {
     nanos >= slow_op_cell().load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
-// NDJSON sink
-// ---------------------------------------------------------------------------
-
-/// Whether a sink is currently attached (relaxed flag so [`emit`] can skip
-/// rendering NDJSON when nobody listens).
-static SINK_ATTACHED: AtomicU64 = AtomicU64::new(0);
-
-fn sink_is_attached() -> bool {
-    SINK_ATTACHED.load(Ordering::Relaxed) != 0
-}
-
-// lock-rank: 70 (obs.event.sink)
-fn sink() -> &'static RankedMutex<Option<std::fs::File>> {
-    static SINK: OnceLock<RankedMutex<Option<std::fs::File>>> = OnceLock::new();
-    // lock-rank: 70 (obs.event.sink)
-    SINK.get_or_init(|| RankedMutex::new(SINK_RANK, "obs.event.sink", None))
-}
-
-/// Attaches `file` as the NDJSON event sink: every event recorded from now
-/// on is appended as one JSON line. Passing the result of
-/// `File::create`/`OpenOptions::append` is typical. Replaces any previous
-/// sink. Write failures silently detach the sink — the recorder never
-/// takes the recorded path down.
-pub fn set_event_sink(file: std::fs::File) {
-    *sink().lock() = Some(file);
-    SINK_ATTACHED.store(1, Ordering::Relaxed);
-}
-
-/// Detaches the NDJSON sink, if any, returning the file so the host can
-/// flush or close it.
-pub fn take_event_sink() -> Option<std::fs::File> {
-    let taken = sink().lock().take();
-    SINK_ATTACHED.store(0, Ordering::Relaxed);
-    taken
-}
-
-/// Appends one line to the sink; a failed write detaches the sink.
-fn write_sink_line(line: &str) {
-    let mut guard = sink().lock();
-    let healthy = match guard.as_mut() {
-        Some(file) => file.write_all(line.as_bytes()).and_then(|()| file.write_all(b"\n")).is_ok(),
-        None => return,
-    };
-    if !healthy {
-        *guard = None;
-        SINK_ATTACHED.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -598,26 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_receives_ndjson_lines() {
-        let path =
-            std::env::temp_dir().join(format!("copydet_event_sink_{}.ndjson", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        set_event_sink(std::fs::File::create(&path).expect("create sink"));
-        let seq =
-            emit(Severity::Error, "test", "sink.check", vec![field::u64("n", 9)]).expect("emit");
-        let file = take_event_sink().expect("sink was attached");
-        drop(file);
-        let contents = std::fs::read_to_string(&path).expect("read sink");
-        let line = contents
-            .lines()
-            .find(|l| l.contains("\"name\":\"sink.check\""))
-            .expect("sink captured the event");
-        assert!(line.starts_with(&format!("{{\"seq\":{seq},")), "ring seq patched in: {line}");
-        assert!(line.contains("\"n\":9"), "field present: {line}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn slow_op_threshold_gates_and_overrides() {
         set_slow_op_threshold(None);
         assert_eq!(slow_op_threshold_nanos(), None);
@@ -629,20 +516,6 @@ mod tests {
         set_slow_op_threshold(Some(Duration::ZERO));
         assert!(slow_op_exceeded(0), "a zero threshold promotes everything");
         set_slow_op_threshold(None);
-    }
-
-    #[test]
-    fn env_capacity_clamps_and_defaults() {
-        assert_eq!(env_ring_capacity("COPYDET_TEST_UNSET_CAPACITY", 64), 64);
-        std::env::set_var("COPYDET_TEST_CAPACITY_A", "12");
-        assert_eq!(env_ring_capacity("COPYDET_TEST_CAPACITY_A", 64), 12);
-        std::env::set_var("COPYDET_TEST_CAPACITY_A", "0");
-        assert_eq!(env_ring_capacity("COPYDET_TEST_CAPACITY_A", 64), 1, "clamped up");
-        std::env::set_var("COPYDET_TEST_CAPACITY_A", "9999999");
-        assert_eq!(env_ring_capacity("COPYDET_TEST_CAPACITY_A", 64), 65_536, "clamped down");
-        std::env::set_var("COPYDET_TEST_CAPACITY_A", "not-a-number");
-        assert_eq!(env_ring_capacity("COPYDET_TEST_CAPACITY_A", 64), 64);
-        std::env::remove_var("COPYDET_TEST_CAPACITY_A");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!
 //! * **process-wide signals** evaluated here from the observability state
 //!   the instrumented paths already feed — the WAL fsync latency histogram
-//!   (p99 over budget), the recent round traces (merge starvation: the
-//!   cross-shard merge dominating round wall time), and the frontend's
-//!   live-connection gauge (saturation against a configured limit);
+//!   (p99 over budget) and the frontend's live-connection gauge (saturation
+//!   against a configured limit);
 //! * **store stickiness** the serve layer knows directly
 //!   (`ShardedStore::io_error`), reported as
 //!   [`HealthReasonCode::StickyStoreError`].
@@ -24,7 +23,6 @@
 //! whenever `METRICS` or `HEALTH` is served.
 
 use crate::metrics::registry;
-use crate::trace::trace_ring;
 use copydet_model::sync::lock_probe_snapshots;
 
 /// What degraded a [`HealthVerdict`]; the wire carries the tag plus a
@@ -37,28 +35,23 @@ pub enum HealthReasonCode {
     /// The WAL fsync p99 exceeds the configured budget: the durable ingest
     /// path is stalling.
     WalFsyncOverBudget,
-    /// Recent detection rounds spend almost all their wall time in the
-    /// cross-shard merge: scans starve behind the fold.
-    MergeStarvation,
     /// Live connections reached the configured limit.
     ConnectionSaturation,
 }
 
 impl HealthReasonCode {
     /// Every reason code, in tag order.
-    pub const ALL: [HealthReasonCode; 4] = [
+    pub const ALL: [HealthReasonCode; 3] = [
         HealthReasonCode::StickyStoreError,
         HealthReasonCode::WalFsyncOverBudget,
-        HealthReasonCode::MergeStarvation,
         HealthReasonCode::ConnectionSaturation,
     ];
 
-    /// The stable wire tag (`1..=4`).
+    /// The stable wire tag (`1`, `2` or `4`; `3` is retired and unassigned).
     pub fn tag(self) -> u8 {
         match self {
             HealthReasonCode::StickyStoreError => 1,
             HealthReasonCode::WalFsyncOverBudget => 2,
-            HealthReasonCode::MergeStarvation => 3,
             HealthReasonCode::ConnectionSaturation => 4,
         }
     }
@@ -73,7 +66,6 @@ impl HealthReasonCode {
         match self {
             HealthReasonCode::StickyStoreError => "sticky_store_error",
             HealthReasonCode::WalFsyncOverBudget => "wal_fsync_over_budget",
-            HealthReasonCode::MergeStarvation => "merge_starvation",
             HealthReasonCode::ConnectionSaturation => "connection_saturation",
         }
     }
@@ -121,12 +113,6 @@ impl HealthVerdict {
 pub struct HealthThresholds {
     /// WAL fsync p99 budget in nanoseconds.
     pub wal_fsync_budget_nanos: u64,
-    /// Merge share of round wall time (permille) at or above which a round
-    /// counts as merge-starved.
-    pub merge_starvation_permille: u64,
-    /// Rounds shorter than this (nanoseconds) are ignored by the starvation
-    /// rule — a fast round is healthy whatever its stage mix.
-    pub merge_min_round_nanos: u64,
     /// Live-connection count at or above which the frontend is saturated.
     pub connection_limit: i64,
 }
@@ -139,8 +125,6 @@ impl Default for HealthThresholds {
         let limit = env_u64("COPYDET_CONN_LIMIT", 1024);
         Self {
             wal_fsync_budget_nanos: budget_ms.saturating_mul(1_000_000),
-            merge_starvation_permille: 900,
-            merge_min_round_nanos: 10_000_000,
             connection_limit: i64::try_from(limit).unwrap_or(i64::MAX),
         }
     }
@@ -170,36 +154,6 @@ pub fn evaluate_process_health(thresholds: &HealthThresholds) -> Vec<HealthReaso
                     ),
                 });
             }
-        }
-    }
-
-    // Merge starvation: every recent long-enough sharded round spent ≥ the
-    // threshold share of its wall time inside the merge stages.
-    let rounds: Vec<_> = trace_ring()
-        .recent(8)
-        .into_iter()
-        .filter(|t| t.label == "sharded_round" && t.total_nanos >= thresholds.merge_min_round_nanos)
-        .collect();
-    if rounds.len() >= 2 {
-        let permille = |merge: u64, total: u64| {
-            if total == 0 {
-                0
-            } else {
-                u64::try_from(u128::from(merge) * 1000 / u128::from(total)).unwrap_or(1000)
-            }
-        };
-        let shares: Vec<u64> =
-            rounds.iter().map(|t| permille(t.stage_sum_nanos("merge."), t.total_nanos)).collect();
-        if shares.iter().all(|&s| s >= thresholds.merge_starvation_permille) {
-            let worst = shares.iter().copied().max().unwrap_or(0);
-            reasons.push(HealthReason {
-                code: HealthReasonCode::MergeStarvation,
-                detail: format!(
-                    "{} recent round(s) spent ≥{}‰ of wall time merging (worst {worst}‰)",
-                    rounds.len(),
-                    thresholds.merge_starvation_permille
-                ),
-            });
         }
     }
 
@@ -243,7 +197,7 @@ pub fn publish_lock_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RoundTraceBuilder;
+    use crate::trace::trace_ring;
 
     #[test]
     fn reason_codes_roundtrip_their_tags() {
@@ -252,6 +206,7 @@ mod tests {
             assert!(!code.as_str().is_empty());
         }
         assert_eq!(HealthReasonCode::from_tag(0), None);
+        assert_eq!(HealthReasonCode::from_tag(3), None, "tag 3 is retired");
         assert_eq!(HealthReasonCode::from_tag(9), None);
     }
 
@@ -272,17 +227,11 @@ mod tests {
         let t = HealthThresholds::default();
         assert!(t.wal_fsync_budget_nanos >= 1_000_000, "budget is at least a millisecond");
         assert!(t.connection_limit >= 1);
-        assert_eq!(t.merge_starvation_permille, 900);
     }
 
     #[test]
     fn connection_saturation_trips_on_the_gauge() {
-        let thresholds = HealthThresholds {
-            wal_fsync_budget_nanos: u64::MAX,
-            merge_starvation_permille: 1001, // permille can't reach this
-            merge_min_round_nanos: u64::MAX,
-            connection_limit: 3,
-        };
+        let thresholds = HealthThresholds { wal_fsync_budget_nanos: u64::MAX, connection_limit: 3 };
         let gauge = registry().gauge("copydet_frontend_connections_live");
         let before = gauge.get();
         gauge.set(3);
@@ -297,57 +246,6 @@ mod tests {
         assert!(
             !healthy.iter().any(|r| r.code == HealthReasonCode::ConnectionSaturation),
             "an unreachable limit cannot saturate"
-        );
-    }
-
-    #[test]
-    fn merge_starvation_needs_consistent_long_rounds() {
-        let thresholds = HealthThresholds {
-            wal_fsync_budget_nanos: u64::MAX,
-            merge_starvation_permille: 900,
-            merge_min_round_nanos: u64::MAX, // ignore every real trace below
-            connection_limit: i64::MAX,
-        };
-        // Nothing qualifies: no starvation finding.
-        let reasons = evaluate_process_health(&thresholds);
-        assert!(!reasons.iter().any(|r| r.code == HealthReasonCode::MergeStarvation));
-
-        // Plant merge-dominated "rounds" far above any real trace's length
-        // (1000 s), so a minimum of 500 s qualifies exactly these.
-        for _ in 0..8 {
-            let mut b = RoundTraceBuilder::new("sharded_round");
-            b.stage("merge.fold_vote", 999_000_000_000_000);
-            let mut t = b.finish();
-            t.total_nanos = 1_000_000_000_000_000; // merge share 999‰
-            trace_ring().push(t);
-        }
-        let tripped = evaluate_process_health(&HealthThresholds {
-            merge_min_round_nanos: 500_000_000_000_000,
-            ..thresholds
-        });
-        assert!(
-            tripped.iter().any(|r| r.code == HealthReasonCode::MergeStarvation),
-            "merge-dominated rounds must degrade: {tripped:?}"
-        );
-
-        // Rounds whose `merge.` stages are wall intervals tiling most (but
-        // not all) of the round stay below the threshold.
-        for _ in 0..8 {
-            let mut b = RoundTraceBuilder::new("sharded_round");
-            b.stage("merge.collect", 50_000_000_000_000);
-            b.stage_count("merge.fold_vote", 800_000_000_000_000, 1_000);
-            let mut t = b.finish();
-            t.total_nanos = 1_000_000_000_000_000; // merge share 850‰
-            assert!(t.stage_sum_nanos("merge.") <= t.total_nanos);
-            trace_ring().push(t);
-        }
-        let reasons = evaluate_process_health(&HealthThresholds {
-            merge_min_round_nanos: 500_000_000_000_000,
-            ..thresholds
-        });
-        assert!(
-            !reasons.iter().any(|r| r.code == HealthReasonCode::MergeStarvation),
-            "wall-tiled merge stages under the threshold must not degrade: {reasons:?}"
         );
     }
 

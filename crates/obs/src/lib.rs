@@ -21,8 +21,8 @@
 //!   one trace per detection round, decomposed into named stages
 //!   (per-shard capture/scan, merge collect/fold/vote).
 //! * **[`event`] + [`health`]** — the flight recorder: a bounded ring of
-//!   structured [`Event`]s (severity-filtered via `COPYDET_LOG`, optional
-//!   NDJSON sink, slow-op promotion via `COPYDET_SLOW_OP_MS`) and the
+//!   structured [`Event`]s (severity-filtered via `COPYDET_LOG`, slow-op
+//!   promotion via `COPYDET_SLOW_OP_MS`) and the
 //!   typed [`HealthVerdict`] rules the `HEALTH` verb serves, including the
 //!   lock-contention gauges bridged from `copydet_model::sync`.
 //! * The **wire surface** lives in `copydet-serve`: `METRICS` returns the
@@ -56,8 +56,8 @@ pub mod metrics;
 pub mod trace;
 
 pub use event::{
-    emit, event_ring, min_severity, set_event_sink, set_slow_op_threshold, slow_op_exceeded,
-    slow_op_threshold_nanos, take_event_sink, trace_fields, Event, EventRing, FieldValue, Severity,
+    emit, event_ring, min_severity, set_slow_op_threshold, slow_op_exceeded,
+    slow_op_threshold_nanos, trace_fields, Event, EventRing, FieldValue, Severity,
     EVENT_RING_CAPACITY,
 };
 pub use health::{

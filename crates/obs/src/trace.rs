@@ -9,26 +9,23 @@
 //! `TRACE` wire verb serves the most recent N to operators.
 //!
 //! The ring holds the last [`TRACE_RING_CAPACITY`] traces behind a
-//! [`RankedMutex`] at rank 50 (`DESIGN.md` §8) — the highest rank in the
-//! process, so a producer may push while holding any other lock, though the
+//! [`RankedMutex`] at rank 50 (`DESIGN.md` §8) — above every store/serve
+//! lock, so a producer may push while holding any of them, though the
 //! instrumented paths all push after releasing theirs. Stage naming
 //! convention (`DESIGN.md` §9): `shard<N>.<phase>` for per-shard work,
 //! `merge.<phase>` for merge stages, bare names (`capture`, `fanout`) for
 //! whole-round sections.
 
-use crate::event::env_ring_capacity;
 use copydet_model::sync::RankedMutex;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Lock rank of the trace ring (`DESIGN.md` §8): above every store/serve
-/// lock (the event ring and sink sit higher still).
+/// lock (the event ring sits higher still).
 const RING_RANK: u32 = 50;
 
-/// Default number of traces the global ring retains; older traces are
-/// evicted. Overridable via `COPYDET_TRACE_CAPACITY` (clamped to
-/// `1..=65536`), read once at the ring's first use.
+/// Number of traces the global ring retains; older traces are evicted.
 pub const TRACE_RING_CAPACITY: usize = 64;
 
 /// A started monotonic-clock timer.
@@ -208,13 +205,11 @@ impl TraceRing {
 }
 
 /// The process-global trace ring the instrumented round producers push into
-/// and the `TRACE` wire verb reads from. Capacity resolves once, at first
-/// use: `COPYDET_TRACE_CAPACITY` over [`TRACE_RING_CAPACITY`].
+/// and the `TRACE` wire verb reads from; it retains [`TRACE_RING_CAPACITY`]
+/// traces.
 pub fn trace_ring() -> &'static TraceRing {
     static RING: OnceLock<TraceRing> = OnceLock::new();
-    RING.get_or_init(|| {
-        TraceRing::with_capacity(env_ring_capacity("COPYDET_TRACE_CAPACITY", TRACE_RING_CAPACITY))
-    })
+    RING.get_or_init(|| TraceRing::with_capacity(TRACE_RING_CAPACITY))
 }
 
 #[cfg(test)]

@@ -19,12 +19,12 @@
 //! * **[`snapshot`](ClaimStore::snapshot)** — assembles a [`Dataset`]
 //!   *identical* to one `DatasetBuilder` pass over the same claim sequence
 //!   (ids in first-seen ingest order), so every existing detector, index
-//!   builder and fusion loop runs on it unchanged. From the second snapshot
-//!   on it also carries the
-//!   [`DatasetDelta`] against the previous
-//!   snapshot. Snapshots are **zero-copy in the corpus**: name tables and
-//!   interner are shared `Arc` handles and consecutive snapshots alias every
-//!   untouched claim list and value group, so snapshot cost is O(delta).
+//!   builder and fusion loop runs on it unchanged. A snapshot is its epoch
+//!   and its dataset; the change between two snapshots is
+//!   [`DatasetDelta::between`] of their datasets. Snapshots are **zero-copy
+//!   in the corpus**: name tables and interner are shared `Arc` handles and
+//!   consecutive snapshots alias every untouched claim list and value group,
+//!   so snapshot cost is O(delta).
 //! * **[`SharedClaimStore`]** — a cloneable thread-safe handle: writers
 //!   stream claims, a background thread seals/compacts, and a reader
 //!   snapshots + detects concurrently (the detection round runs entirely
@@ -41,7 +41,7 @@
 //!   shared-item counts `l(S1, S2)` at ingest time, so the served round
 //!   cross-checks its scans against them and
 //!   [`build_index`](ClaimStore::build_index) skips the counting pass of a
-//!   cold build; the snapshot delta drives
+//!   cold build; the diff of two snapshots drives
 //!   [`InvertedIndex::apply_claim_delta`](copydet_index::InvertedIndex::apply_claim_delta)
 //!   and the delta path of `copydet-eval`'s `IncrementalDetector` and
 //!   `LiveDetector`, which re-decide only the pairs the new claims can have
@@ -51,7 +51,7 @@
 //! invariants.
 //!
 //! ```
-//! use copydet_store::ClaimStore;
+//! use copydet_store::{ClaimStore, DatasetDelta};
 //!
 //! let mut store = ClaimStore::new();
 //! for (s, d, v) in [
@@ -63,13 +63,12 @@
 //! }
 //! let first = store.snapshot();
 //! assert_eq!(first.dataset.num_claims(), 3);
-//! assert!(first.delta.is_none(), "the first snapshot has no predecessor");
 //!
-//! // New claims arrive; the next snapshot carries exactly the change.
+//! // New claims arrive; diffing the two snapshots yields exactly the change.
 //! store.ingest("dave", "NJ", "Trenton");
 //! let second = store.snapshot();
 //! assert_eq!(second.dataset.num_claims(), 4);
-//! assert_eq!(second.delta.as_ref().map(|delta| delta.len()), Some(1));
+//! assert_eq!(DatasetDelta::between(&first.dataset, &second.dataset).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -77,7 +76,6 @@
 #![warn(missing_docs)]
 
 mod concurrent;
-mod delta;
 #[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod durable;
 mod error;

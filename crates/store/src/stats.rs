@@ -26,8 +26,6 @@ pub struct StoreStats {
     pub sealed_claims: usize,
     /// Claims in the growing segment.
     pub growing_claims: usize,
-    /// `(source, item)` slots written since the last snapshot.
-    pub pending_delta_claims: usize,
     /// `true` if the store persists to disk (opened via `ClaimStore::open`).
     pub durable: bool,
     /// Complete frames currently in the write-ahead log (durable stores).
@@ -58,7 +56,6 @@ impl StoreStats {
             total.sealed_segments += s.sealed_segments;
             total.sealed_claims += s.sealed_claims;
             total.growing_claims += s.growing_claims;
-            total.pending_delta_claims += s.pending_delta_claims;
             total.durable &= s.durable;
             total.wal_frames += s.wal_frames;
             total.wal_bytes += s.wal_bytes;
@@ -72,7 +69,7 @@ impl std::fmt::Display for StoreStats {
         write!(
             f,
             "epoch {}: {} claims live ({} sealed segment(s) holding {}, {} growing), \
-             {} sources × {} items, {} ingested ({} overwrites), {} pending delta claim(s)",
+             {} sources × {} items, {} ingested ({} overwrites)",
             self.epoch,
             self.live_claims,
             self.sealed_segments,
@@ -82,7 +79,6 @@ impl std::fmt::Display for StoreStats {
             self.num_items,
             self.total_ingested,
             self.overwrites,
-            self.pending_delta_claims,
         )?;
         if self.durable {
             write!(f, ", durable ({} WAL frame(s), {} bytes)", self.wal_frames, self.wal_bytes)?;

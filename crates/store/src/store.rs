@@ -1,6 +1,5 @@
 //! The segmented live claim store.
 
-use crate::delta::DeltaTracker;
 use crate::durable::{self, Persistence, Recovered};
 use crate::error::StoreIoError;
 use crate::format::WalRecord;
@@ -61,9 +60,7 @@ pub struct StoreConfig {
 /// first-seen order), so a [`snapshot`](Self::snapshot) assembles a
 /// [`Dataset`] **identical** to building the same claim sequence through one
 /// [`DatasetBuilder`](copydet_model::DatasetBuilder) pass — every existing
-/// detector runs unchanged on it. Each snapshot (after the first) also
-/// carries the [`DatasetDelta`](copydet_model::DatasetDelta) against the
-/// previous snapshot, which feeds delta-driven incremental detection.
+/// detector runs unchanged on it.
 ///
 /// Snapshots are **zero-copy in the corpus**: the name tables and value
 /// interner are handed out as shared `Arc` handles (copy-on-write inside the
@@ -97,7 +94,11 @@ pub struct ClaimStore {
     /// for incremental shared-item counting.
     item_providers: Vec<Vec<SourceId>>,
     shared: Arc<SharedItemCounts>,
-    tracker: DeltaTracker,
+    /// Sources and items written since the previous snapshot: the patch set
+    /// of the next [`snapshot`](Self::snapshot). Bounded by the vocabulary,
+    /// not by the number of writes; empty until the first snapshot.
+    touched_sources: BTreeSet<SourceId>,
+    touched_items: BTreeSet<ItemId>,
     /// The previous snapshot's dataset (cheap handle), the base the next
     /// snapshot is patched from.
     last_snapshot: Option<Dataset>,
@@ -130,7 +131,8 @@ impl Clone for ClaimStore {
             growing: self.growing.clone(),
             item_providers: self.item_providers.clone(),
             shared: Arc::clone(&self.shared),
-            tracker: self.tracker.clone(),
+            touched_sources: self.touched_sources.clone(),
+            touched_items: self.touched_items.clone(),
             last_snapshot: self.last_snapshot.clone(),
             epoch: self.epoch,
             config: self.config,
@@ -159,7 +161,8 @@ impl ClaimStore {
             growing: GrowingSegment::new(),
             item_providers: Vec::new(),
             shared: Arc::new(SharedItemCounts::build(&empty)),
-            tracker: DeltaTracker::default(),
+            touched_sources: BTreeSet::new(),
+            touched_items: BTreeSet::new(),
             last_snapshot: None,
             epoch: 0,
             config,
@@ -369,7 +372,7 @@ impl ClaimStore {
     /// deduplicated claim lists.
     fn replay_bookkeeping(&mut self, source: SourceId, item: ItemId) {
         self.total_ingested += 1;
-        let providers = &mut self.item_providers[item.index()];
+        let Some(providers) = self.item_providers.get_mut(item.index()) else { return };
         match providers.binary_search(&source) {
             Ok(_) => self.overwrites += 1,
             Err(pos) => {
@@ -528,9 +531,11 @@ impl ClaimStore {
     ) {
         self.total_ingested += 1;
         ingest_claims_total().inc();
-        let old = self.merged_value(source, item);
-        self.tracker.note(source, item, old);
-        if old.is_none() {
+        if self.last_snapshot.is_some() {
+            self.touched_sources.insert(source);
+            self.touched_items.insert(item);
+        }
+        if self.merged_value(source, item).is_none() {
             // A brand-new (source, item) claim: update the live claim count
             // and the shared-item counts against the item's other providers.
             // Copy-on-write: an index built over the handle keeps its frozen
@@ -538,12 +543,14 @@ impl ClaimStore {
             self.num_live_claims += 1;
             let shared = Arc::make_mut(&mut self.shared);
             shared.grow(self.sources.len());
-            let providers = &mut self.item_providers[item.index()];
-            for &t in providers.iter() {
-                shared.increment(copydet_model::SourcePair::new(source, t), 1);
+            if let Some(providers) = self.item_providers.get_mut(item.index()) {
+                if let Err(pos) = providers.binary_search(&source) {
+                    for &t in providers.iter() {
+                        shared.increment(copydet_model::SourcePair::new(source, t), 1);
+                    }
+                    providers.insert(pos, source);
+                }
             }
-            let pos = providers.binary_search(&source).unwrap_err();
-            providers.insert(pos, source);
         } else {
             self.overwrites += 1;
         }
@@ -677,9 +684,10 @@ impl ClaimStore {
     }
 
     /// Takes a consistent snapshot: a [`Dataset`] over all claims ingested so
-    /// far (identical to one `DatasetBuilder` pass over the same claim
-    /// sequence) plus, from the second snapshot on, the delta against the
-    /// previous snapshot.
+    /// far, identical to one `DatasetBuilder` pass over the same claim
+    /// sequence. The change between two snapshots is
+    /// [`DatasetDelta::between`](copydet_model::DatasetDelta::between) of
+    /// their datasets.
     ///
     /// The first snapshot assembles the dataset in full; every later snapshot
     /// is **patched** from its predecessor in O(delta): only the claim lists
@@ -694,14 +702,10 @@ impl ClaimStore {
     /// exactly the claims they were taken over regardless of later ingest,
     /// sealing or compaction.
     pub fn snapshot(&mut self) -> StoreSnapshot {
+        let touched_sources = std::mem::take(&mut self.touched_sources);
+        let touched_items = std::mem::take(&mut self.touched_items);
         let dataset = match &self.last_snapshot {
             Some(prev) => {
-                let mut touched_sources: BTreeSet<SourceId> = BTreeSet::new();
-                let mut touched_items: BTreeSet<ItemId> = BTreeSet::new();
-                for (s, d) in self.tracker.touched() {
-                    touched_sources.insert(s);
-                    touched_items.insert(d);
-                }
                 let patched_sources: Vec<(SourceId, Vec<(ItemId, ValueId)>)> =
                     touched_sources.into_iter().map(|s| (s, self.merged_claims_of(s))).collect();
                 let patched_items: Vec<(ItemId, Vec<ItemValueGroup>)> =
@@ -722,7 +726,7 @@ impl ClaimStore {
                 let frozen = (!self.growing.is_empty()).then(|| self.growing.freeze_ref());
                 for seg in self.sealed.iter().chain(frozen.iter()) {
                     for (s, list) in seg.per_source() {
-                        let slot = &mut claims[s.index()];
+                        let Some(slot) = claims.get_mut(s.index()) else { continue };
                         if slot.is_empty() {
                             slot.extend_from_slice(list);
                         } else {
@@ -743,19 +747,9 @@ impl ClaimStore {
             self.num_live_claims,
             "patched snapshot must cover every live claim"
         );
-        let delta = if self.epoch == 0 {
-            self.tracker = DeltaTracker::default();
-            None
-        } else {
-            let sealed = &self.sealed;
-            let growing = &self.growing;
-            Some(self.tracker.drain_into_delta(|s, d| {
-                growing.get(s, d).or_else(|| sealed.iter().rev().find_map(|seg| seg.get(s, d)))
-            }))
-        };
         self.epoch += 1;
         self.last_snapshot = Some(dataset.clone());
-        StoreSnapshot { epoch: self.epoch, dataset, delta }
+        StoreSnapshot { epoch: self.epoch, dataset }
     }
 
     /// The merged (newest-wins) claim list of one source across all
@@ -779,13 +773,17 @@ impl ClaimStore {
     /// Rebuilds one item's value groups from the merged view, with exactly
     /// the builder normalization (groups sorted by value, providers sorted by
     /// id — `item_providers` is maintained sorted, so providers arrive in
-    /// order).
+    /// order). A listed provider without a merged claim is skipped: the
+    /// shared-item counts then disagree with the snapshot, which the served
+    /// scan reports as a typed error instead of a panic here.
     fn rebuild_groups_of(&self, d: ItemId) -> Vec<ItemValueGroup> {
         let mut by_value: std::collections::BTreeMap<ValueId, Vec<SourceId>> =
             std::collections::BTreeMap::new();
-        for &s in &self.item_providers[d.index()] {
-            let v = self.merged_value(s, d).expect("a listed provider has a claim");
-            by_value.entry(v).or_default().push(s);
+        let providers = self.item_providers.get(d.index()).map(Vec::as_slice).unwrap_or_default();
+        for &s in providers {
+            if let Some(v) = self.merged_value(s, d) {
+                by_value.entry(v).or_default().push(s);
+            }
         }
         by_value
             .into_iter()
@@ -876,7 +874,6 @@ impl ClaimStore {
             sealed_segments: self.sealed.len(),
             sealed_claims: self.sealed.iter().map(SealedSegment::num_claims).sum(),
             growing_claims: self.growing.num_claims(),
-            pending_delta_claims: self.tracker.len(),
             durable: self.persist.is_some(),
             wal_frames: self.persist.as_ref().map_or(0, Persistence::wal_frames),
             wal_bytes: self.persist.as_ref().map_or(0, Persistence::wal_bytes),
@@ -923,36 +920,7 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.dataset, builder_dataset(CLAIMS));
         assert_eq!(snap.epoch, 1);
-        assert!(snap.delta.is_none(), "first snapshot has no predecessor");
         assert_eq!(store.num_claims(), snap.dataset.num_claims());
-    }
-
-    #[test]
-    fn second_snapshot_carries_the_delta() {
-        let mut store = ClaimStore::new();
-        for (s, d, v) in &CLAIMS[..5] {
-            store.ingest(s, d, v);
-        }
-        let snap1 = store.snapshot();
-        store.seal();
-        for (s, d, v) in &CLAIMS[5..] {
-            store.ingest(s, d, v);
-        }
-        store.ingest("S3", "NJ", "Trenton");
-        let snap2 = store.snapshot();
-        let delta = snap2.delta.as_ref().expect("second snapshot has a delta");
-        assert_eq!(
-            delta,
-            &copydet_model::DatasetDelta::between(&snap1.dataset, &snap2.dataset),
-            "tracked delta must equal the snapshot diff"
-        );
-        assert_eq!(delta.len(), 3);
-        assert_eq!(snap2.epoch, 2);
-        // Nothing ingested since: the next snapshot carries an empty delta
-        // and still advances the epoch.
-        let snap3 = store.snapshot();
-        assert!(snap3.delta.as_ref().is_some_and(|delta| delta.is_empty()));
-        assert_eq!(snap3.epoch, 3);
     }
 
     #[test]
@@ -1011,13 +979,33 @@ mod tests {
         assert_eq!(stats.num_values, 2);
         assert_eq!(stats.growing_claims, 2);
         assert_eq!(stats.sealed_claims, 0);
-        assert_eq!(stats.pending_delta_claims, 2);
         let _ = store.snapshot();
-        assert_eq!(store.stats().pending_delta_claims, 0);
         store.seal();
         let stats = store.stats();
         assert_eq!(stats.growing_claims, 0);
         assert_eq!(stats.sealed_claims, 2);
+    }
+
+    #[test]
+    fn a_listed_provider_without_a_claim_is_skipped() {
+        let mut store = ClaimStore::new();
+        store.ingest("S0", "D0", "x");
+        let _ = store.snapshot();
+        // Bookkeeping drift: S1 is listed as a provider of D0 but has no claim.
+        let ghost = store.source("S1");
+        store.item_providers[0].push(ghost);
+        store.ingest("S2", "D0", "x");
+        let snap = store.snapshot();
+        let d0 = ItemId::new(0);
+        let providers: Vec<SourceId> =
+            snap.dataset.shared_groups_of(d0).iter().flat_map(|g| g.providers.clone()).collect();
+        assert_eq!(providers, [SourceId::new(0), SourceId::new(2)], "the ghost is skipped");
+        // The counts still carry the ghost pair: the served scan's count
+        // check sees the disagreement and reports it as a typed error.
+        let cold = SharedItemCounts::build(&snap.dataset);
+        let ghost_pair = copydet_model::SourcePair::new(SourceId::new(2), ghost);
+        assert_eq!(store.shared_item_counts().get(ghost_pair), 1);
+        assert_eq!(cold.get(ghost_pair), 0);
     }
 
     #[test]

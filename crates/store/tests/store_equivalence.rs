@@ -166,22 +166,4 @@ proptest! {
             );
         }
     }
-
-    /// Consecutive snapshots carry a delta equal to the snapshot diff.
-    #[test]
-    fn tracked_delta_equals_snapshot_diff(claims in workload_strategy()) {
-        if claims.len() < 2 {
-            return Ok(());
-        }
-        let (first, rest) = claims.split_at(claims.len() / 2);
-        let mut store = streamed_store(first);
-        let snap1 = store.snapshot();
-        for (s, d, v, _) in rest {
-            store.ingest(&format!("S{s}"), &format!("D{d}"), &format!("v{v}"));
-        }
-        let snap2 = store.snapshot();
-        let delta = snap2.delta.as_ref().expect("second snapshot carries a delta");
-        let expected = copydet_model::DatasetDelta::between(&snap1.dataset, &snap2.dataset);
-        prop_assert_eq!(delta, &expected);
-    }
 }

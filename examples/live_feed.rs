@@ -1,7 +1,8 @@
 //! A live claim feed over a **durable** store: claims stream into the
-//! segmented claim store in batches; after every batch a snapshot + delta
-//! drives incremental copy detection, so only the pairs affected by the new
-//! claims are re-decided.
+//! segmented claim store in batches; after every batch the detector diffs a
+//! fresh snapshot against the one it observed last and feeds that delta to
+//! incremental copy detection, so only the pairs affected by the new claims
+//! are re-decided.
 //!
 //! The store is driven through its concurrent handle: batches are ingested
 //! by writer threads while a background maintenance thread seals, compacts

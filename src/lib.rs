@@ -25,7 +25,7 @@
 //! | [`fusion`] | `copydet-fusion` | the accuracy-weighted vote with copy discounting |
 //! | [`nra`] | `copydet-nra` | Fagin's NRA top-k aggregation |
 //! | [`synth`] | `copydet-synth` | synthetic workloads with planted copying |
-//! | [`store`] | `copydet-store` | segmented live claim store, snapshots, deltas |
+//! | [`store`] | `copydet-store` | segmented live claim store, snapshots, durability |
 //! | [`obs`] | `copydet-obs` | metrics registry, round tracing, text exposition |
 //! | [`serve`] | `copydet-serve` | sharded serving engine: item-partitioned stores, fan-out rounds, TCP frontend |
 //! | [`eval`] | `copydet-eval` | the paper's detectors, ACCUCOPY, LiveDetector, FAGININPUT and the drivers |

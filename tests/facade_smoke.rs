@@ -87,7 +87,7 @@ fn prelude_reexports_are_usable() {
     assert_eq!(live_result.algorithm, "INCREMENTAL");
     store.ingest("dave", "capital/NJ", "Trenton");
     let snapshot2 = store.snapshot();
-    let delta: &DatasetDelta = snapshot2.delta.as_ref().expect("delta after first snapshot");
+    let delta = DatasetDelta::between(&snapshot.dataset, &snapshot2.dataset);
     assert_eq!(delta.len(), 1);
     let _ = live.observe(&snapshot2);
 }
