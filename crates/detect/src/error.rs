@@ -1,7 +1,6 @@
 //! Error type for the detection layer.
 
 use copydet_bayes::BayesError;
-use copydet_model::SourcePair;
 use std::fmt;
 
 /// Errors from configuring or running detection algorithms.
@@ -9,34 +8,16 @@ use std::fmt;
 pub enum DetectError {
     /// A sampling strategy was configured with an invalid rate.
     InvalidSamplingRate(f64),
-    /// A shard's incrementally-maintained shared-item counts disagree with
-    /// the snapshot they were handed to
-    /// [`collect_shard_partials_for`](crate::collect_shard_partials_for) or
-    /// [`collect_shard_evidence`](crate::collect_shard_evidence) with: a
-    /// pair's counted shared items differ from the items the scan found. The
-    /// two are only consistent when captured together under one store lock;
-    /// a mismatch means the caller raced a capture, and the round should be
-    /// failed and retried, not the thread killed.
-    ShardEvidenceMismatch {
-        /// The global source pair whose evidence disagreed.
-        pair: SourcePair,
-        /// Shared items the counts index claims for the pair.
-        counted: usize,
-        /// Shared items actually observed in the snapshot.
-        observed: usize,
-    },
-    /// A shard scan emitted a different number of pairs than the shard's
-    /// shared-item counts list as sharing an item (all of them, or the
-    /// target's in a top-k scan): the counts name a pair the snapshot does
-    /// not share. Like [`DetectError::ShardEvidenceMismatch`], a sign that
-    /// counts and snapshot were not captured together. A scan that stops at
-    /// a claim its item's provider list lacks (a snapshot whose claim lists
-    /// and value groups disagree) reports the pairs it had emitted so far.
-    ShardPairCountMismatch {
-        /// Sharing pairs the counts list.
-        counted: usize,
-        /// Pairs the scan found sharing an item.
-        scanned: usize,
+    /// A shard scan met a claim whose item's provider list has no entry
+    /// for it: the snapshot handed to
+    /// [`collect_shard_partials_for`](crate::collect_shard_partials_for) has
+    /// claim lists and value groups that disagree. The round fails instead
+    /// of scoring another source's entry or killing the scan thread.
+    ShardClaimUnlisted {
+        /// The claim's shard-local source id.
+        source: usize,
+        /// The claim's shard-local item id.
+        item: usize,
     },
     /// A top-k query named a source the fleet has never seen. Surfaced as a
     /// typed error so the serving layer can answer with an ERR frame rather
@@ -76,15 +57,10 @@ impl fmt::Display for DetectError {
             DetectError::InvalidSamplingRate(r) => {
                 write!(f, "sampling rate {r} is not in (0, 1]")
             }
-            DetectError::ShardEvidenceMismatch { pair, counted, observed } => write!(
+            DetectError::ShardClaimUnlisted { source, item } => write!(
                 f,
-                "shard evidence for pair {pair} observed {observed} shared items but the \
-                 counts index claims {counted}; counts and snapshot were not captured together"
-            ),
-            DetectError::ShardPairCountMismatch { counted, scanned } => write!(
-                f,
-                "shard scan found {scanned} sharing pairs but the counts index lists \
-                 {counted}; counts and snapshot were not captured together"
+                "shard snapshot lists no provider entry for the claim of local source \
+                 {source} on local item {item}; its claim lists and value groups disagree"
             ),
             DetectError::UnknownSourceName { name } => {
                 write!(f, "unknown source name {name:?}")
@@ -111,15 +87,8 @@ mod tests {
     #[test]
     fn display() {
         assert!(DetectError::InvalidSamplingRate(1.5).to_string().contains("1.5"));
-        let e = DetectError::ShardEvidenceMismatch {
-            pair: SourcePair::new(copydet_model::SourceId::new(0), copydet_model::SourceId::new(1)),
-            counted: 3,
-            observed: 2,
-        };
-        let text = e.to_string();
-        assert!(text.contains("(S0, S1)") && text.contains('3') && text.contains('2'));
-        let e = DetectError::ShardPairCountMismatch { counted: 5, scanned: 4 };
-        assert!(e.to_string().contains("found 4") && e.to_string().contains("lists 5"));
+        let text = DetectError::ShardClaimUnlisted { source: 3, item: 7 }.to_string();
+        assert!(text.contains("source 3") && text.contains("item 7"));
         let e = DetectError::UnknownSourceName { name: "ghost".into() };
         assert!(e.to_string().contains("ghost"));
         let e = DetectError::from(BayesError::InvalidProbability { what: "x", value: 1.5 });

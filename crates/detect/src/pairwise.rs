@@ -20,8 +20,10 @@ pub fn pairwise_detection(input: &RoundInput<'_>) -> DetectionResult {
     let ctx = input.scoring_context();
     let mut result = DetectionResult::new("PAIRWISE");
     let sources: Vec<_> = input.dataset.sources().collect();
-    for (i, &s1) in sources.iter().enumerate() {
-        for &s2 in &sources[i + 1..] {
+    let mut rest = sources.as_slice();
+    while let Some((&s1, later)) = rest.split_first() {
+        rest = later;
+        for &s2 in later {
             let evidence = ctx.score_pair(s1, s2);
             let shared_items = evidence.shared_items();
             if shared_items == 0 {

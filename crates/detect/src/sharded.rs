@@ -16,10 +16,10 @@
 //! The scan runs at the round's one accuracy — the paper's bootstrap, the
 //! only round the server runs — so a value group's shared-value score
 //! (Eq. 6) is computed once for every pair in it, and `C→ = C←`: a partial
-//! reads the same in either orientation. The scan
-//! cross-checks every pair and the number of pairs against the shard's
-//! [`SharedItemCounts`]. [`PairEvidence`] sums are exact fixed-point
-//! integers, so adding the partials in any order
+//! reads the same in either orientation. The scan checks the snapshot it
+//! is handed: a claim whose item lists no entry for it is a typed error.
+//! [`PairEvidence`] sums are exact fixed-point integers, so adding the
+//! partials in any order
 //! ([`merge_shard_partials`]) gives the bits one pass of
 //! `ScoringContext::score_pair` over a single store gives at that accuracy.
 //! The merge is **bit-identical** to `pairwise_detection` without replaying
@@ -121,23 +121,16 @@ pub type ShardPartials = Vec<(SourcePair, PairEvidence)>;
 /// every source at `accuracy`.
 ///
 /// `probabilities` are the shard-local truth probabilities. `partials` is
-/// reserved at its expected length, the count of sharing pairs
-/// [`SharedItemCounts`] lists (O(1) for the full round). The provider lists
-/// are freed before this returns.
+/// reserved at the bound the provider lists' lengths k_d give, in O(items):
+/// min(C(n, 2), Σ C(k_d, 2)) over n sources in the full round, and
+/// min(n − 1, Σ (k_d − 1)) in a top-k row, so it never grows. The provider
+/// lists are freed before this returns.
 ///
 /// # Errors
-/// The scan cross-checks `counts`, which are only consistent with
-/// `dataset` when captured together under one store lock; on the serving
-/// path a mismatch is a recoverable request failure, not a dead round
-/// thread.
-/// [`DetectError::ShardEvidenceMismatch`] if a scanned pair's shared-item
-/// count differs from its count in `counts` — including a pair the snapshot
-/// shares but `counts` lacks or does not cover.
-/// [`DetectError::ShardPairCountMismatch`] if the scan emits a different
-/// number of pairs than `counts` lists (all sharing pairs, or the target's
-/// in a top-k row) — a counted pair the snapshot does not share — or stops
-/// at a claim whose item lists no entry for it (a snapshot whose claim
-/// lists and value groups disagree).
+/// On the serving path each is a recoverable request failure, not a dead
+/// round thread.
+/// [`DetectError::ShardClaimUnlisted`] if a claim's item lists no entry
+/// for it (a snapshot whose claim lists and value groups disagree).
 /// [`DetectError::ShardIdMapMismatch`] if `map` does not cover a scanned
 /// source.
 pub fn collect_shard_partials_for(
@@ -145,30 +138,25 @@ pub fn collect_shard_partials_for(
     probabilities: &ValueProbabilities,
     accuracy: f64,
     params: CopyParams,
-    counts: &SharedItemCounts,
     map: &ShardIdMap,
     target: Option<SourceId>,
 ) -> Result<ShardPartials, DetectError> {
-    let (row, counted) = match target {
-        None => (None, counts.num_sharing_pairs()),
+    let row = match target {
+        None => None,
         Some(target) => {
             let Some(row) =
                 dataset.sources().find(|&s| map.sources.get(s.index()) == Some(&target))
             else {
                 return Ok(Vec::new());
             };
-            (Some(row), sharing_pairs_of(counts, row))
+            Some(row)
         }
     };
     let lists = ProviderLists::build(dataset, row);
-    let mut out = Emitter { counts, map, params, counted, partials: Vec::with_capacity(counted) };
+    let reserved = lists.max_pairs(dataset.num_sources(), row);
+    let mut out = Emitter { map, params, partials: Vec::with_capacity(reserved) };
     lists.walk(dataset, probabilities, accuracy, row, &mut out)?;
-    let scanned = out.partials.len();
-    if scanned == counted {
-        Ok(out.partials)
-    } else {
-        Err(DetectError::ShardPairCountMismatch { counted, scanned })
-    }
+    Ok(out.partials)
 }
 
 /// One provider of an item in [`ProviderLists`].
@@ -197,7 +185,8 @@ impl<'a> ProviderLists<'a> {
     ///
     /// Entries carry a `u32` group index; should a shard ever hold more
     /// groups than that indexes, listing stops, and the scan fails on the
-    /// first claim whose item went unlisted.
+    /// first claim whose item went unlisted
+    /// ([`DetectError::ShardClaimUnlisted`]).
     fn build(dataset: &'a Dataset, row: Option<SourceId>) -> Self {
         let items: Box<dyn Iterator<Item = ItemId> + '_> = match row {
             None => Box::new(dataset.items()),
@@ -230,6 +219,25 @@ impl<'a> ProviderLists<'a> {
         self.entries.get(start..end)
     }
 
+    /// The most pairs a scan of these lists over `sources` sources can
+    /// emit, from the list lengths k_d alone: min(C(sources, 2),
+    /// Σ C(k_d, 2)) for the full round, and min(sources − 1, Σ (k_d − 1))
+    /// for the top-k `row`, whose lists each hold its own entry. O(items).
+    fn max_pairs(&self, sources: usize, row: Option<SourceId>) -> usize {
+        let lengths = self.starts.windows(2).map(|bounds| match *bounds {
+            [start, end] => end.saturating_sub(start),
+            _ => 0,
+        });
+        let pairs_of = |k: usize| k.saturating_mul(k.saturating_sub(1)) / 2;
+        match row {
+            None => lengths.map(pairs_of).fold(0, usize::saturating_add).min(pairs_of(sources)),
+            Some(_) => lengths
+                .map(|k| k.saturating_sub(1))
+                .fold(0, usize::saturating_add)
+                .min(sources.saturating_sub(1)),
+        }
+    }
+
     /// Walks the rows — every source in ascending order, or `row` alone —
     /// feeding each claim's neighbours to a [`Scratch`] that scores at
     /// `accuracy`, and emitting after each row.
@@ -243,16 +251,16 @@ impl<'a> ProviderLists<'a> {
     ) -> Result<(), DetectError> {
         let sources = dataset.num_sources();
         let scratch = &mut Scratch::new(self, row, probabilities, accuracy, &out.params, sources);
-        let unlisted = |out: &Emitter<'_>| DetectError::ShardPairCountMismatch {
-            counted: out.counted,
-            scanned: out.partials.len(),
+        let unlisted = |s: SourceId, d: ItemId| DetectError::ShardClaimUnlisted {
+            source: s.index(),
+            item: d.index(),
         };
         if let Some(s) = row {
-            for i in 0..dataset.claims_of(s).len() {
+            for (i, &(d, _)) in dataset.claims_of(s).iter().enumerate() {
                 let list = self.list(i).unwrap_or_default();
                 let own = list.binary_search_by_key(&s, |entry| entry.source);
                 let split = own.ok().and_then(|own| list.split_at_checked(own));
-                let Some((below, [mine, above @ ..])) = split else { return Err(unlisted(out)) };
+                let Some((below, [mine, above @ ..])) = split else { return Err(unlisted(s, d)) };
                 scratch.claim(mine.group);
                 scratch.visit(below);
                 scratch.visit(above);
@@ -267,13 +275,13 @@ impl<'a> ProviderLists<'a> {
                 let i = d.index();
                 let (Some(cursor), Some(&end)) = (cursors.get_mut(i), self.starts.get(i + 1))
                 else {
-                    return Err(unlisted(out));
+                    return Err(unlisted(s, d));
                 };
                 let Some([mine, above @ ..]) = self.entries.get(*cursor..end) else {
-                    return Err(unlisted(out));
+                    return Err(unlisted(s, d));
                 };
                 if mine.source != s {
-                    return Err(unlisted(out));
+                    return Err(unlisted(s, d));
                 }
                 *cursor += 1;
                 scratch.claim(mine.group);
@@ -390,54 +398,26 @@ impl Scratch {
             let different = u32_to_usize(shared.saturating_sub(same));
             let evidence =
                 PairEvidence::from_uniform_sum(sum, u32_to_usize(same), different, &out.params);
-            out.push(SourcePair::new(s, t), shared, evidence)?;
+            out.push(SourcePair::new(s, t), evidence)?;
         }
         Ok(())
     }
 }
 
-/// Where rows emit: each local pair checked against the counts and keyed by
-/// its global pair.
+/// Where rows emit: each local pair keyed by its global pair.
 struct Emitter<'a> {
-    counts: &'a SharedItemCounts,
     map: &'a ShardIdMap,
     params: CopyParams,
-    /// The pairs `counts` lists for the scan.
-    counted: usize,
     partials: ShardPartials,
 }
 
 impl Emitter<'_> {
-    /// The partial of the local pair `local` over `shared` items, keyed by
-    /// its global pair. `C→ = C←`, so the global ids' order does not
-    /// matter.
-    fn push(
-        &mut self,
-        local: SourcePair,
-        shared: u32,
-        evidence: PairEvidence,
-    ) -> Result<(), DetectError> {
+    /// The partial of the local pair `local`, keyed by its global pair.
+    /// `C→ = C←`, so the global ids' order does not matter.
+    fn push(&mut self, local: SourcePair, evidence: PairEvidence) -> Result<(), DetectError> {
         let global = self.map.pair(local)?;
-        check_count(global, self.counts.get(local), u32_to_usize(shared))?;
         self.partials.push((global, evidence));
         Ok(())
-    }
-}
-
-/// Number of pairs containing `s` that `counts` lists as sharing an item.
-fn sharing_pairs_of(counts: &SharedItemCounts, s: SourceId) -> usize {
-    (0..counts.num_sources())
-        .map(SourceId::from_index)
-        .filter(|&t| t != s && counts.get(SourcePair::new(s, t)) > 0)
-        .count()
-}
-
-fn check_count(pair: SourcePair, counted: u32, observed: usize) -> Result<(), DetectError> {
-    let counted = u32_to_usize(counted);
-    if observed == counted {
-        Ok(())
-    } else {
-        Err(DetectError::ShardEvidenceMismatch { pair, counted, observed })
     }
 }
 
@@ -468,13 +448,15 @@ impl ShardRoundEvidence {
     }
 }
 
-/// Collects one shard's overlap evidence as observations: the pairs
-/// [`collect_shard_partials_for`] visits, with each shared item left
-/// unscored as a [`SharedItemObservation`] carrying the truth probability of
-/// the agreed value, keyed by the global pair `map` translates.
+/// Collects one shard's overlap evidence as observations: for each pair
+/// `counts` names, every item the two sources share in `input`'s snapshot,
+/// left unscored as a [`SharedItemObservation`] carrying the truth
+/// probability of the agreed value, keyed by the global pair `map`
+/// translates.
 ///
 /// # Errors
-/// As [`collect_shard_partials_for`].
+/// [`DetectError::ShardIdMapMismatch`] if `map` does not cover a named
+/// source.
 pub fn collect_shard_evidence(
     input: &RoundInput<'_>,
     counts: &SharedItemCounts,
@@ -489,7 +471,6 @@ pub fn collect_shard_evidence(
                 same_value_probability: (v1 == v2).then(|| input.probabilities.get(d, v1)),
             });
         }
-        check_count(global, count, observations.len())?;
         evidence.pairs.insert(global, observations);
     }
     Ok(evidence)
@@ -731,12 +712,11 @@ mod tests {
     /// The shard scan of `input`'s snapshot at [`ACCURACY`].
     fn scan(
         input: &RoundInput<'_>,
-        counts: &SharedItemCounts,
         map: &ShardIdMap,
         target: Option<SourceId>,
     ) -> Result<ShardPartials, DetectError> {
         let RoundInput { dataset, probabilities, params, .. } = *input;
-        collect_shard_partials_for(dataset, probabilities, ACCURACY, params, counts, map, target)
+        collect_shard_partials_for(dataset, probabilities, ACCURACY, params, map, target)
     }
 
     /// One shard of `CLAIMS`: the items of the given id parity, rebuilt with
@@ -785,13 +765,12 @@ mod tests {
         }
 
         fn partials(&self) -> ShardPartials {
-            let counts = SharedItemCounts::build(&self.dataset);
-            scan(&self.input(), &counts, &self.map, None).expect("consistent counts")
+            scan(&self.input(), &self.map, None).expect("consistent snapshot")
         }
 
         fn observations(&self) -> ShardRoundEvidence {
             let counts = SharedItemCounts::build(&self.dataset);
-            collect_shard_evidence(&self.input(), &counts, &self.map).expect("consistent counts")
+            collect_shard_evidence(&self.input(), &counts, &self.map).expect("a covering map")
         }
     }
 
@@ -872,8 +851,7 @@ mod tests {
         let input = RoundInput::new(&global, &accuracies, &probabilities, params);
         let baseline = pairwise_detection(&input);
         let map = ShardIdMap { sources: global.sources().collect() };
-        let counts = SharedItemCounts::build(&global);
-        let partials = scan(&input, &counts, &map, None).expect("consistent counts");
+        let partials = scan(&input, &map, None).expect("consistent snapshot");
         let (merged, _) = merge_shard_partials(vec![partials], params);
         assert_eq!(merged.outcomes, baseline.outcomes);
     }
@@ -896,34 +874,6 @@ mod tests {
         assert_eq!(timings.pruned_pairs, 1);
     }
 
-    /// Counts that disagree with the snapshot are a typed error, not a dead
-    /// round thread.
-    #[test]
-    fn mismatched_counts_are_a_typed_error() {
-        let global = dataset(CLAIMS);
-        let params = CopyParams::paper_defaults();
-        let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
-        let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
-        let input = RoundInput::new(&global, &accuracies, &probabilities, params);
-        let map = ShardIdMap { sources: global.sources().collect() };
-        // Counts captured from a *smaller* snapshot: S0/S1 share one item
-        // fewer than the dataset in `input` says.
-        let stale = dataset(&CLAIMS[..CLAIMS.len() - 4]);
-        let counts = SharedItemCounts::build(&stale);
-        let errors = [
-            scan(&input, &counts, &map, None).map(|_| ()),
-            collect_shard_evidence(&input, &counts, &map).map(|_| ()),
-        ];
-        for err in errors {
-            match err {
-                Err(DetectError::ShardEvidenceMismatch { counted, observed, .. }) => {
-                    assert_ne!(counted, observed);
-                }
-                other => panic!("expected ShardEvidenceMismatch, got {other:?}"),
-            }
-        }
-    }
-
     /// A map too short for the snapshot's ids is a typed error, not an
     /// out-of-bounds panic on the scan thread.
     #[test]
@@ -933,10 +883,9 @@ mod tests {
         let accuracies = SourceAccuracies::uniform(global.num_sources(), 0.8).unwrap();
         let probabilities = ValueProbabilities::uniform_over_dataset(&global, 0.4).unwrap();
         let input = RoundInput::new(&global, &accuracies, &probabilities, params);
-        let counts = SharedItemCounts::build(&global);
         let short_sources = ShardIdMap { sources: global.sources().take(1).collect() };
-        let err = scan(&input, &counts, &short_sources, None)
-            .expect_err("a short source map must fail the scan");
+        let err =
+            scan(&input, &short_sources, None).expect_err("a short source map must fail the scan");
         assert_eq!(err, DetectError::ShardIdMapMismatch { local: 1, mapped: 1 });
     }
 
@@ -947,81 +896,6 @@ mod tests {
         let probabilities = ValueProbabilities::uniform_over_dataset(global, 0.4).unwrap();
         let map = ShardIdMap { sources: global.sources().collect() };
         (accuracies, probabilities, map)
-    }
-
-    /// A pair the snapshot shares but the counts lack is a typed error, not
-    /// a pair silently left out of the round.
-    #[test]
-    fn a_shared_pair_the_counts_lack_is_a_typed_error() {
-        let claims = [("A", "D0", "x"), ("B", "D0", "x"), ("C", "D1", "y"), ("A", "D1", "y")];
-        let snapshot = dataset(&claims);
-        let (accuracies, probabilities, map) = whole(&snapshot);
-        let params = CopyParams::paper_defaults();
-        let input = RoundInput::new(&snapshot, &accuracies, &probabilities, params);
-        // Captured before A claimed D1: same sources, but (A, C) shares nothing.
-        let counts = SharedItemCounts::build(&dataset(&claims[..3]));
-        let a_c = SourcePair::new(SourceId::new(0), SourceId::new(2));
-        assert_eq!(counts.get(a_c), 0);
-        for target in [None, Some(SourceId::new(0)), Some(SourceId::new(2))] {
-            let err = scan(&input, &counts, &map, target)
-                .expect_err("an uncounted shared pair must fail the scan");
-            assert_eq!(
-                err,
-                DetectError::ShardEvidenceMismatch { pair: a_c, counted: 0, observed: 1 },
-                "target {target:?}"
-            );
-        }
-        // The pair of B and C shares nothing either way: a top-k row of B
-        // only meets its counted pair.
-        assert!(scan(&input, &counts, &map, Some(SourceId::new(1))).is_ok());
-    }
-
-    /// A pair the counts list but the snapshot does not share is a typed
-    /// error, in the full round and in the row of either of its sources.
-    #[test]
-    fn a_counted_pair_the_snapshot_lacks_is_a_typed_error() {
-        let mut claims = CLAIMS.to_vec();
-        claims.push(("S3", "D9", "k"));
-        let snapshot = dataset(&claims);
-        let (accuracies, probabilities, map) = whole(&snapshot);
-        let input =
-            RoundInput::new(&snapshot, &accuracies, &probabilities, CopyParams::paper_defaults());
-        let mut counts = SharedItemCounts::build(&snapshot);
-        let consistent = scan(&input, &counts, &map, None).unwrap();
-        assert_eq!(consistent.len(), 3);
-        counts.increment(SourcePair::new(SourceId::new(1), SourceId::new(3)), 1);
-        let err = scan(&input, &counts, &map, None).unwrap_err();
-        assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 4, scanned: 3 });
-        let err = scan(&input, &counts, &map, Some(SourceId::new(3))).unwrap_err();
-        assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 1, scanned: 0 });
-        let err = scan(&input, &counts, &map, Some(SourceId::new(1))).unwrap_err();
-        assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 3, scanned: 2 });
-    }
-
-    /// Counts covering fewer sources than the snapshot are a typed error,
-    /// never an index past the counts table.
-    #[test]
-    fn counts_over_fewer_sources_are_a_typed_error() {
-        let snapshot = dataset(CLAIMS);
-        let (accuracies, probabilities, map) = whole(&snapshot);
-        let input =
-            RoundInput::new(&snapshot, &accuracies, &probabilities, CopyParams::paper_defaults());
-        // Two sources only: S2 is beyond the table.
-        let counts = SharedItemCounts::build(&dataset(&CLAIMS[..2]));
-        assert_eq!(counts.num_sources(), 2);
-        for target in [None, Some(SourceId::new(2))] {
-            let err = scan(&input, &counts, &map, target).unwrap_err();
-            assert!(
-                matches!(err, DetectError::ShardEvidenceMismatch { .. }),
-                "target {target:?}: {err:?}"
-            );
-        }
-        let err = scan(&input, &counts, &map, Some(SourceId::new(2))).unwrap_err();
-        let s0_s2 = SourcePair::new(SourceId::new(0), SourceId::new(2));
-        assert_eq!(
-            err,
-            DetectError::ShardEvidenceMismatch { pair: s0_s2, counted: 0, observed: 2 }
-        );
     }
 
     /// A shard that never saw the target contributes no partials; one that
@@ -1037,16 +911,14 @@ mod tests {
         let without = shard_of(&global, &|d| d == "D1" || d == "D2", true);
         assert!(!without.map.sources.contains(&s2));
         let with = shard_of(&global, &|d| d == "D0" || d == "D3", true);
-        let counts = SharedItemCounts::build(&without.dataset);
-        let partials = scan(&without.input(), &counts, &without.map, Some(s2)).unwrap();
+        let partials = scan(&without.input(), &without.map, Some(s2)).unwrap();
         assert!(partials.is_empty());
         // A global id beyond every shard's map is absent too.
         let ghost = Some(SourceId::new(7));
-        assert!(scan(&without.input(), &counts, &without.map, ghost).unwrap().is_empty());
+        assert!(scan(&without.input(), &without.map, ghost).unwrap().is_empty());
         for sh in [&without, &with] {
-            let counts = SharedItemCounts::build(&sh.dataset);
             for target in global.sources() {
-                let mut rows = scan(&sh.input(), &counts, &sh.map, Some(target)).unwrap();
+                let mut rows = scan(&sh.input(), &sh.map, Some(target)).unwrap();
                 let mut full: ShardPartials =
                     sh.partials().into_iter().filter(|(pair, _)| pair.contains(target)).collect();
                 rows.sort_unstable_by_key(|(pair, _)| *pair);
@@ -1069,7 +941,6 @@ mod tests {
         let (accuracies, probabilities, map) = whole(&global);
         let input =
             RoundInput::new(&global, &accuracies, &probabilities, CopyParams::paper_defaults());
-        let counts = SharedItemCounts::build(&global);
         let s0 = global.source_by_name("S0").unwrap();
         for row in [None, Some(s0)] {
             let mut lists = ProviderLists::build(&global, row);
@@ -1079,15 +950,34 @@ mod tests {
             for start in lists.starts.iter_mut().skip(1) {
                 *start -= 1;
             }
-            let mut out = Emitter {
-                counts: &counts,
-                map: &map,
-                params: input.params,
-                counted: 3,
-                partials: Vec::new(),
-            };
+            let mut out = Emitter { map: &map, params: input.params, partials: Vec::new() };
             let err = lists.walk(&global, &probabilities, ACCURACY, row, &mut out).unwrap_err();
-            assert_eq!(err, DetectError::ShardPairCountMismatch { counted: 3, scanned: 0 });
+            assert_eq!(err, DetectError::ShardClaimUnlisted { source: 0, item: 0 });
+        }
+    }
+
+    /// The reservation bound is never below what a scan emits: in the full
+    /// round and in every top-k row of both `CLAIMS` shards. On all of
+    /// `CLAIMS`, where every pair of sources shares an item, it is exact.
+    #[test]
+    fn max_pairs_bounds_the_emitted_partials() {
+        let global = dataset(CLAIMS);
+        let bound = |sh: &Shard, row: Option<SourceId>| {
+            ProviderLists::build(&sh.dataset, row).max_pairs(sh.dataset.num_sources(), row)
+        };
+        let scanned = |sh: &Shard, row: Option<SourceId>| {
+            let target = row.map(|s| sh.map.sources[s.index()]);
+            scan(&sh.input(), &sh.map, target).unwrap().len()
+        };
+        for parity in 0..2 {
+            let sh = shard(&global, parity, parity == 1);
+            for row in std::iter::once(None).chain(sh.dataset.sources().map(Some)) {
+                assert!(scanned(&sh, row) <= bound(&sh, row), "parity {parity}, row {row:?}");
+            }
+        }
+        let everything = shard_of(&global, &|_| true, false);
+        for row in std::iter::once(None).chain(everything.dataset.sources().map(Some)) {
+            assert_eq!(scanned(&everything, row), bound(&everything, row), "row {row:?}");
         }
     }
 

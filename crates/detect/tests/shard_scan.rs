@@ -13,7 +13,6 @@ use copydet_detect::{
     collect_shard_partials_for, merge_shard_partials, pairwise_detection, DetectionResult,
     RoundInput, ShardIdMap, ShardPartials,
 };
-use copydet_index::SharedItemCounts;
 use copydet_model::{Dataset, DatasetBuilder, SourceId};
 use proptest::prelude::*;
 
@@ -72,10 +71,9 @@ fn scan(shards: &[Shard], accuracy: f64, target: Option<SourceId>) -> Vec<ShardP
     shards
         .iter()
         .map(|sh| {
-            let counts = SharedItemCounts::build(&sh.dataset);
             let (ds, p) = (&sh.dataset, &sh.probabilities);
-            collect_shard_partials_for(ds, p, accuracy, params, &counts, &sh.map, target)
-                .expect("consistent counts")
+            collect_shard_partials_for(ds, p, accuracy, params, &sh.map, target)
+                .expect("consistent snapshot")
         })
         .collect()
 }

@@ -16,11 +16,10 @@ use std::sync::Arc;
 /// decreasing contribution-score order, together with the per-pair
 /// shared-item counts `l(S1, S2)` gathered at build time.
 ///
-/// The counts table sits behind a shared [`Arc`] handle: an ingest-time
-/// maintainer (`copydet-store`) hands its live table to
-/// [`build_from_groups`](InvertedIndex::build_from_groups) without copying the
-/// `O(|S|²)` matrix, and [`apply_claim_delta`](InvertedIndex::apply_claim_delta)
-/// updates it copy-on-write so the maintainer's handle stays frozen.
+/// The counts table sits behind a shared [`Arc`] handle: a cloned index
+/// aliases the `O(|S|²)` matrix instead of copying it, and
+/// [`apply_claim_delta`](InvertedIndex::apply_claim_delta) updates it
+/// copy-on-write so every other holder's handle stays frozen.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     entries: Vec<IndexEntry>,
@@ -48,12 +47,9 @@ impl InvertedIndex {
     /// Builds the index from an explicit stream of `(item, value)` groups and
     /// pre-computed shared-item counts.
     ///
-    /// This is the construction path for segmented claim stores
-    /// (`copydet-store`): the store merges its sealed segments into value
-    /// groups and maintains the shared-item counts incrementally at ingest
-    /// time, so index construction skips the `O(Σ providers²)` counting pass
-    /// that dominates [`InvertedIndex::build`] on provider-dense datasets.
-    /// The counts arrive as a shared handle — the maintainer's live table is
+    /// A caller that already holds the counts skips the `O(Σ providers²)`
+    /// counting pass that dominates [`InvertedIndex::build`] on
+    /// provider-dense datasets. The counts arrive as a shared handle —
     /// aliased, not copied; a later mutation on either side detaches
     /// copy-on-write. Groups with fewer than two providers are skipped,
     /// exactly as in `build`.
@@ -166,8 +162,8 @@ impl InvertedIndex {
 
         // Shared-item counts: every *added* claim (source, item) shares its
         // item with every other provider of that item in the grown dataset.
-        // Copy-on-write: a maintainer still holding the handle passed to
-        // `build_from_groups` keeps its frozen table.
+        // Copy-on-write: every other holder of the handle (a clone of this
+        // index) keeps its frozen table.
         let shared = Arc::make_mut(&mut self.shared);
         shared.grow(dataset.num_sources());
         let mut added_by_item: BTreeMap<ItemId, BTreeSet<SourceId>> = BTreeMap::new();

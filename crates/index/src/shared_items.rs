@@ -39,13 +39,7 @@ enum Repr {
 impl SharedItemCounts {
     /// Counts shared items for every pair of sources in `ds`.
     pub fn build(ds: &Dataset) -> Self {
-        let n = ds.num_sources();
-        let repr = if n <= DENSE_LIMIT {
-            Repr::Dense(vec![0u32; n * n.saturating_sub(1) / 2])
-        } else {
-            Repr::Sparse(HashMap::new())
-        };
-        let mut counts = Self { repr, num_sources: n, sharing_pairs: 0 };
+        let mut counts = Self::empty(ds.num_sources());
         // One provider list per item, merged across that item's value groups.
         let mut providers: Vec<SourceId> = Vec::new();
         for d in ds.items() {
@@ -54,15 +48,42 @@ impl SharedItemCounts {
                 providers.extend_from_slice(&group.providers);
             }
             providers.sort_unstable();
-            let mut rest = providers.as_slice();
-            while let Some((&s, later)) = rest.split_first() {
-                for &t in later {
-                    counts.increment(SourcePair::new(s, t), 1);
-                }
-                rest = later;
-            }
+            counts.count_item(&providers);
         }
         counts
+    }
+
+    /// Counts shared items over `num_sources` sources from one provider list
+    /// per item, each listing the item's providers once (any value) — the
+    /// per-item lists a claim store already keeps. Equal to
+    /// [`SharedItemCounts::build`] over the dataset the lists describe.
+    pub fn from_provider_lists(num_sources: usize, lists: &[Vec<SourceId>]) -> Self {
+        let mut counts = Self::empty(num_sources);
+        for providers in lists {
+            counts.count_item(providers);
+        }
+        counts
+    }
+
+    /// An all-zero table over `n` sources.
+    fn empty(n: usize) -> Self {
+        let repr = if n <= DENSE_LIMIT {
+            Repr::Dense(vec![0u32; n * n.saturating_sub(1) / 2])
+        } else {
+            Repr::Sparse(HashMap::new())
+        };
+        Self { repr, num_sources: n, sharing_pairs: 0 }
+    }
+
+    /// One increment for every pair of one item's distinct `providers`.
+    fn count_item(&mut self, providers: &[SourceId]) {
+        let mut rest = providers;
+        while let Some((&s, later)) = rest.split_first() {
+            for &t in later {
+                self.increment(SourcePair::new(s, t), 1);
+            }
+            rest = later;
+        }
     }
 
     /// Grows the table to cover `num_sources` sources (keeping all existing
@@ -96,12 +117,13 @@ impl SharedItemCounts {
 
     /// Adds `by` to the count of `pair`.
     ///
-    /// This is the maintenance hook for append-oriented stores: when a new
-    /// claim for item `d` arrives from source `s`, the count of `(s, t)` is
-    /// incremented for every other provider `t` of `d` — keeping the table
-    /// consistent with a from-scratch [`SharedItemCounts::build`] over the
-    /// grown dataset without rescanning unchanged items. A pair beyond the
-    /// covered sources first grows the table to cover it
+    /// This is the maintenance hook of an index patched from a delta
+    /// ([`InvertedIndex::apply_claim_delta`](crate::InvertedIndex::apply_claim_delta)):
+    /// when a new claim for item `d` arrives from source `s`, the count of
+    /// `(s, t)` is incremented for every other provider `t` of `d` — keeping
+    /// the table consistent with a from-scratch [`SharedItemCounts::build`]
+    /// over the grown dataset without rescanning unchanged items. A pair
+    /// beyond the covered sources first grows the table to cover it
     /// ([`SharedItemCounts::grow`]).
     #[inline]
     pub fn increment(&mut self, pair: SourcePair, by: u32) {

@@ -3,8 +3,8 @@
 //! argument) must hold for arbitrary datasets.
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_index::{EntryOrdering, InvertedIndex};
-use copydet_model::{DatasetBuilder, SourcePair};
+use copydet_index::{EntryOrdering, InvertedIndex, SharedItemCounts};
+use copydet_model::{DatasetBuilder, SourceId, SourcePair};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -97,20 +97,35 @@ proptest! {
         }
     }
 
-    /// Shared-item counts attached to the index agree with direct pairwise
-    /// merging of claim lists.
+    /// Shared-item counts attached to the index, and counts from one sorted
+    /// provider list per item (a claim store's shape), agree with direct
+    /// pairwise merging of claim lists.
     #[test]
     fn shared_item_counts_agree_with_dataset(claims in claims_strategy()) {
         let (ds, index, _) = build_index(&claims);
+        let lists: Vec<Vec<SourceId>> = ds
+            .items()
+            .map(|d| {
+                let mut providers: Vec<SourceId> =
+                    ds.values_of_item(d).iter().flat_map(|g| g.providers.clone()).collect();
+                providers.sort_unstable();
+                providers
+            })
+            .collect();
+        let from_lists = SharedItemCounts::from_provider_lists(ds.num_sources(), &lists);
         let sources: Vec<_> = ds.sources().collect();
         for (i, &a) in sources.iter().enumerate() {
             for &b in &sources[i + 1..] {
-                prop_assert_eq!(
-                    index.shared_items(SourcePair::new(a, b)) as usize,
-                    ds.shared_item_count(a, b)
-                );
+                let pair = SourcePair::new(a, b);
+                prop_assert_eq!(index.shared_items(pair) as usize, ds.shared_item_count(a, b));
+                prop_assert_eq!(from_lists.get(pair) as usize, ds.shared_item_count(a, b));
             }
         }
+        prop_assert_eq!(
+            from_lists.num_sharing_pairs(),
+            index.shared_item_counts().num_sharing_pairs()
+        );
+        prop_assert_eq!(from_lists.num_sources(), ds.num_sources());
     }
 
     /// Processing orders are permutations that keep Ē entries last, and

@@ -12,7 +12,6 @@ use copydet_detect::{
     ShardPartials, TopKResult,
 };
 use copydet_fusion::{value_probabilities, VoteConfig};
-use copydet_index::SharedItemCounts;
 use copydet_model::codec::usize_to_u64;
 use copydet_model::SourceId;
 use copydet_obs::event::field;
@@ -22,10 +21,6 @@ use copydet_obs::{
 };
 use copydet_store::StoreSnapshot;
 use std::sync::{Arc, OnceLock};
-
-/// One shard's frozen state: its snapshot and the shared-item counts
-/// captured with it under the same lock.
-type Capture = (StoreSnapshot, Arc<SharedItemCounts>);
 
 /// The accuracy every source starts a round with, before the vote
 /// bootstraps value probabilities from it (the paper's implementations
@@ -67,10 +62,10 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///
 /// Each round:
 ///
-/// 1. **Capture** — every shard's snapshot and shared-item counts are taken
-///    together under that shard's lock
-///    ([`ShardedStore::capture_shards`]); everything after runs without any
-///    store lock, so writers keep streaming while the round computes.
+/// 1. **Capture** — every shard's snapshot is taken under that shard's lock
+///    ([`ShardedStore::capture_shards_traced`]); everything after runs
+///    without any store lock, so writers keep streaming while the round
+///    computes.
 /// 2. **Fan-out** — per shard, in a [`std::thread::scope`] (the calling
 ///    thread scans the last shard itself): the shard's local→global source
 ///    map is built ([`ShardedStore::maps_for`], traced as `shard<i>.maps`
@@ -86,9 +81,8 @@ fn topk_pairs_evaluated() -> &'static Arc<Counter> {
 ///    accuracy, so `C→ = C←`); each source's row, in ascending order, walks
 ///    the providers after its own entry of each item it claims and yields
 ///    one exact [`PairEvidence`](copydet_bayes::PairEvidence) partial per
-///    neighbour, keyed by the global pair and checked against the shard's
-///    counts. The lists are freed before the merge, and no per-item
-///    observation leaves the scan thread.
+///    neighbour, keyed by the global pair. The lists are freed before the
+///    merge, and no per-item observation leaves the scan thread.
 /// 3. **Merge** — on the calling thread, each pair's per-shard partials
 ///    are added and the posterior of Eq. 2 decides
 ///    ([`merge_shard_partials`]).
@@ -122,34 +116,29 @@ impl ShardedDetector {
     /// merge run entirely unlocked.
     ///
     /// # Errors
-    /// [`DetectError::ShardEvidenceMismatch`] or
-    /// [`DetectError::ShardPairCountMismatch`] if a shard's counts disagree
-    /// with its snapshot — impossible for captures taken by this method
-    /// (each shard's pair is captured under one lock), so an error here
-    /// indicates store corruption; [`DetectError::ShardScanPanicked`] if a
-    /// shard's scan thread dies. The round fails instead of panicking the
-    /// serving thread.
+    /// [`DetectError::ShardClaimUnlisted`] if a shard's snapshot lists a
+    /// claim its value groups lack, which indicates store corruption;
+    /// [`DetectError::ShardScanPanicked`] if a shard's scan thread dies. The
+    /// round fails instead of panicking the serving thread.
     pub fn detect_round(&self, store: &ShardedStore) -> Result<DetectionResult, DetectError> {
         let mut trace = RoundTraceBuilder::new("sharded_round");
         let captures = capture_traced(store, &mut trace);
         self.detect_traced(store, &captures, trace)
     }
 
-    /// One detection round over an explicit capture (from
-    /// [`ShardedStore::capture_shards`]). Exposed so equivalence and stress
-    /// tests can run the round and an independent baseline over the *same*
-    /// frozen state while writers keep mutating the store. The round's trace
-    /// has no `capture` stages (the capture happened outside this call).
+    /// One detection round over explicit snapshots, one per shard (from
+    /// [`ShardedStore::capture_shards_traced`]). Exposed so equivalence and
+    /// stress tests can run the round and an independent baseline over the
+    /// *same* frozen state while writers keep mutating the store. The
+    /// round's trace has no `capture` stages (the capture happened outside
+    /// this call).
     ///
     /// # Errors
-    /// [`DetectError::ShardEvidenceMismatch`] or
-    /// [`DetectError::ShardPairCountMismatch`] if a capture's counts
-    /// disagree with its snapshot — e.g. a counts handle captured at a
-    /// different time than the snapshot it is paired with.
+    /// As [`detect_round`](Self::detect_round).
     pub fn detect_captured(
         &self,
         store: &ShardedStore,
-        captures: &[Capture],
+        captures: &[StoreSnapshot],
     ) -> Result<DetectionResult, DetectError> {
         self.detect_traced(store, captures, RoundTraceBuilder::new("sharded_round"))
     }
@@ -233,7 +222,7 @@ impl ShardedDetector {
     fn detect_traced(
         &self,
         store: &ShardedStore,
-        captures: &[Capture],
+        captures: &[StoreSnapshot],
         mut trace: RoundTraceBuilder,
     ) -> Result<DetectionResult, DetectError> {
         let result = self.scan_and_merge(store, captures, None, &mut trace)?;
@@ -262,7 +251,7 @@ impl ShardedDetector {
     fn scan_and_merge(
         &self,
         store: &ShardedStore,
-        captures: &[Capture],
+        captures: &[StoreSnapshot],
         target: Option<SourceId>,
         trace: &mut RoundTraceBuilder,
     ) -> Result<DetectionResult, DetectError> {
@@ -273,7 +262,7 @@ impl ShardedDetector {
         /// its `scan` stage time.
         type ScanResult = Result<(ShardPartials, (u64, usize), u64), DetectError>;
         let vote_config = &vote_config;
-        let scan_shard = move |(snapshot, counts): &Capture| -> ScanResult {
+        let scan_shard = move |snapshot: &StoreSnapshot| -> ScanResult {
             let maps_span = Span::start();
             let map = store.maps_for(snapshot);
             let maps = (maps_span.elapsed_nanos(), map.ids.sources.len());
@@ -287,7 +276,6 @@ impl ShardedDetector {
                 &probabilities,
                 INITIAL_ACCURACY,
                 params,
-                counts,
                 &map.ids,
                 target,
             )?;
@@ -340,7 +328,7 @@ impl ShardedDetector {
 
 /// Captures every shard ([`ShardedStore::capture_shards_traced`]) and
 /// records the whole capture and each shard's share into `trace`.
-fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<Capture> {
+fn capture_traced(store: &ShardedStore, trace: &mut RoundTraceBuilder) -> Vec<StoreSnapshot> {
     let capture_span = Span::start();
     let (captures, per_shard) = store.capture_shards_traced();
     trace.stage("capture", capture_span.elapsed_nanos());
@@ -422,7 +410,7 @@ mod tests {
                 .scan_and_merge(&store, &captures, target, &mut trace)
                 .expect("consistent capture");
             let trace = trace.finish();
-            for (i, (snapshot, _)) in captures.iter().enumerate() {
+            for (i, snapshot) in captures.iter().enumerate() {
                 let name = format!("shard{i}.maps");
                 let stage = trace.stages.iter().find(|stage| stage.name == name);
                 assert_eq!(
@@ -488,33 +476,6 @@ mod tests {
             .expect_err("unknown source must not return an empty result");
         assert!(
             matches!(&err, DetectError::UnknownSourceName { name } if name == "nobody"),
-            "unexpected error: {err:?}"
-        );
-    }
-
-    /// A counts handle captured at a different time than the snapshot it is
-    /// paired with fails the round with a typed error instead of killing the
-    /// round thread ([`DetectError::ShardEvidenceMismatch`]).
-    #[test]
-    fn stale_counts_fail_the_round_with_a_typed_error() {
-        let claims = stream();
-        let store = ShardedStore::new(1);
-        store.ingest_batch(claims.iter().map(|(s, d, v)| (s.as_str(), d.as_str(), v.as_str())));
-        let stale = store.capture_shards();
-        // More overlapping claims: the shared-item counts move, the stale
-        // counts handle does not.
-        store.ingest_batch([("S0", "D100", "w"), ("S1", "D100", "w")]);
-        let fresh = store.capture_shards();
-        let mixed: Vec<_> = fresh
-            .iter()
-            .zip(&stale)
-            .map(|((snapshot, _), (_, counts))| (snapshot.clone(), counts.clone()))
-            .collect();
-        let err = ShardedDetector::new()
-            .detect_captured(&store, &mixed)
-            .expect_err("stale counts must surface as a typed error");
-        assert!(
-            matches!(err, copydet_detect::DetectError::ShardEvidenceMismatch { .. }),
             "unexpected error: {err:?}"
         );
     }

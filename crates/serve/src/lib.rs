@@ -19,9 +19,9 @@
 //!   and applies each shard's slice under a single shard-lock acquisition,
 //!   so concurrent writers amortize lock traffic instead of convoying.
 //! * **[`ShardedDetector`]** — fans a detection round out across shards in
-//!   a `std::thread::scope` (snapshot + evidence scan per shard, candidate
-//!   pairs taken from each shard's incrementally-maintained shared-item
-//!   counts) and merges the per-shard overlap evidence into global pairwise
+//!   a `std::thread::scope` (snapshot + row scan per shard, which meets
+//!   every pair that shares an item in the shard and nothing else) and
+//!   merges the per-shard overlap evidence into global pairwise
 //!   decisions. Item-disjointness makes the merge *exact*: results are
 //!   **bit-identical** to the PAIRWISE baseline on a single store fed the
 //!   same stream (property-tested in `tests/shard_equivalence.rs`). A top-k

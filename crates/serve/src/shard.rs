@@ -5,7 +5,7 @@ use crate::registry_log::RegistryLog;
 use copydet_index::SharedItemCounts;
 use copydet_model::codec::usize_to_u64;
 use copydet_model::sync::RankedRwLock;
-use copydet_model::{NameTable, SourceId, SourcePair};
+use copydet_model::{NameTable, SourceId};
 use copydet_obs::event::field;
 use copydet_obs::{emit, Severity, Span};
 use copydet_store::{
@@ -144,8 +144,8 @@ pub struct ShardMaps {
 ///
 /// Every claim for one item lands on the same shard (items are routed by a
 /// stable FNV-1a hash of the item name), so shards are item-disjoint: each
-/// shard's inverted index, shared-item counts and per-pair evidence cover a
-/// disjoint slice of the item space, and cross-shard detection is an exact
+/// shard's shared-item counts and per-pair evidence cover a disjoint slice
+/// of the item space, and cross-shard detection is an exact
 /// merge (see `copydet_detect::merge_shard_partials`). Sources are
 /// *not* partitioned — one source's claims spread over many shards — which
 /// is what the global source registry reconciles.
@@ -485,38 +485,45 @@ impl ShardedStore {
         self.ingest_error.get()
     }
 
-    /// Captures every shard's current state for a detection round: the
-    /// snapshot and the incrementally-maintained shared-item counts, taken
-    /// together under each shard's lock so they are mutually consistent.
+    /// Every shard's snapshot ([`capture_shards_traced`](Self::capture_shards_traced)),
+    /// each paired with its shared-item counts, counted cold
+    /// ([`SharedItemCounts::build`]) after the shard lock is released. The
+    /// served round captures snapshots only; this pairing serves callers
+    /// that still read per-shard counts, such as a benchmark replay.
+    pub fn capture_shards(&self) -> Vec<(StoreSnapshot, Arc<SharedItemCounts>)> {
+        self.capture_shards_traced()
+            .0
+            .into_iter()
+            .map(|snapshot| {
+                let counts = Arc::new(SharedItemCounts::build(&snapshot.dataset));
+                (snapshot, counts)
+            })
+            .collect()
+    }
+
+    /// Captures every shard's current state for a detection round: its
+    /// snapshot, taken under that shard's lock, plus the wall time each
+    /// shard's capture took (lock wait + snapshot), in nanoseconds, indexed
+    /// like the snapshots. Feeds the `shard<i>.capture` stages of the round
+    /// trace.
     ///
     /// Shards are captured one after another, so the fleet-wide view is a
     /// union of per-shard-consistent snapshots (not a global atomic cut);
     /// because shards are item-disjoint, that union is itself a dataset
     /// some valid interleaving of the ingest stream produces.
-    pub fn capture_shards(&self) -> Vec<(StoreSnapshot, Arc<SharedItemCounts>)> {
-        self.capture_shards_traced().0
-    }
-
-    /// [`capture_shards`](Self::capture_shards) plus the wall time each
-    /// shard's capture took (lock wait + snapshot + counts handle clone), in
-    /// nanoseconds, indexed like the captures. Feeds the `shard<i>.capture`
-    /// stages of the round trace.
-    pub fn capture_shards_traced(&self) -> (Vec<(StoreSnapshot, Arc<SharedItemCounts>)>, Vec<u64>) {
+    pub fn capture_shards_traced(&self) -> (Vec<StoreSnapshot>, Vec<u64>) {
         let mut nanos = Vec::with_capacity(self.shards.len());
-        let captures = self
+        let snapshots = self
             .shards
             .iter()
             .map(|shard| {
                 let span = Span::start();
-                let mut guard = shard.lock();
-                let snapshot = guard.snapshot();
-                let counts = Arc::clone(guard.shared_item_counts_handle());
-                drop(guard);
+                let snapshot = shard.snapshot();
                 nanos.push(span.elapsed_nanos());
-                (snapshot, counts)
+                snapshot
             })
             .collect();
-        (captures, nanos)
+        (snapshots, nanos)
     }
 
     /// Builds the local→global source map for a shard snapshot: one
@@ -546,30 +553,6 @@ impl ShardedStore {
             sources
         });
         ShardMaps { ids: copydet_detect::ShardIdMap { sources } }
-    }
-
-    /// Merges every shard's incrementally-maintained shared-item counts into
-    /// one table over the **global** source id space. Shards are
-    /// item-disjoint, so the per-pair sums equal a from-scratch
-    /// [`SharedItemCounts::build`] over the union dataset — property-tested
-    /// in `tests/shard_equivalence.rs`.
-    pub fn merged_shared_item_counts(&self) -> SharedItemCounts {
-        let captures = self.capture_shards();
-        let maps: Vec<ShardMaps> = captures.iter().map(|(snap, _)| self.maps_for(snap)).collect();
-        let empty = copydet_model::DatasetBuilder::new().build();
-        let mut merged = SharedItemCounts::build(&empty);
-        merged.grow(self.num_sources());
-        for ((_, counts), map) in captures.iter().zip(&maps) {
-            for (pair, n) in counts.iter_nonzero() {
-                // The map covers every source of the snapshot it was built
-                // from, which is the snapshot these counts describe.
-                let global = |local: SourceId| map.ids.sources.get(local.index()).copied();
-                if let (Some(first), Some(second)) = (global(pair.first()), global(pair.second())) {
-                    merged.increment(SourcePair::new(first, second), n);
-                }
-            }
-        }
-        merged
     }
 
     /// One background-maintenance step across the fleet: every shard gets a
@@ -669,29 +652,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_is_rejected() {
         let _ = ShardedStore::new(0);
-    }
-
-    #[test]
-    fn merged_counts_match_a_cold_build_over_the_union() {
-        let store = ShardedStore::new(3);
-        let claims = [
-            ("S0", "D0", "x"),
-            ("S1", "D0", "x"),
-            ("S0", "D1", "y"),
-            ("S1", "D1", "z"),
-            ("S2", "D2", "q"),
-            ("S0", "D2", "q"),
-        ];
-        store.ingest_batch(claims);
-        let mut b = copydet_model::DatasetBuilder::new();
-        for (s, d, v) in claims {
-            b.add_claim(s, d, v);
-        }
-        let cold = SharedItemCounts::build(&b.build());
-        let merged = store.merged_shared_item_counts();
-        assert_eq!(merged.num_sharing_pairs(), cold.num_sharing_pairs());
-        for (pair, n) in cold.iter_nonzero() {
-            assert_eq!(merged.get(pair), n, "pair {pair}");
-        }
     }
 }

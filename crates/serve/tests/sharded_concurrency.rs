@@ -5,7 +5,7 @@
 //! pair per writer) through [`ShardedStore::ingest_batch`] while a detector
 //! loops fan-out rounds on the live fleet and a maintenance thread seals
 //! and compacts every shard. Each round runs over an explicit capture
-//! ([`ShardedStore::capture_shards`]) so the exact PAIRWISE baseline can be
+//! ([`ShardedStore::capture_shards_traced`]) so the exact PAIRWISE baseline can be
 //! computed over a `DatasetBuilder` rebuild of the *same* frozen state —
 //! the item-disjoint union of per-shard consistent snapshots is itself a
 //! dataset some valid interleaving of the stream produces, so the baseline
@@ -15,13 +15,11 @@
 use copydet_bayes::CopyParams;
 use copydet_detect::{pairwise_detection, RoundInput};
 use copydet_fusion::{value_probabilities, VoteConfig};
-use copydet_index::SharedItemCounts;
 use copydet_model::{DatasetBuilder, SourceId};
 use copydet_serve::{ShardedDetector, ShardedStore};
 use copydet_store::StoreSnapshot;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 const SHARDS: usize = 4;
 const WRITERS: usize = 4;
@@ -30,7 +28,6 @@ const ITEMS: usize = 40;
 const CLAIMS_PER_WRITER: usize = 600;
 const BATCH: usize = 32;
 
-type Capture = (StoreSnapshot, Arc<SharedItemCounts>);
 type NamePairs = BTreeSet<(String, String)>;
 
 /// Writer `w`'s deterministic claim stream (same layout as the single-store
@@ -60,10 +57,10 @@ fn ordered(a: String, b: String) -> (String, String) {
 }
 
 /// The exact from-scratch baseline over a capture's union dataset.
-fn baseline_decisions(captures: &[Capture]) -> (NamePairs, usize) {
+fn baseline_decisions(captures: &[StoreSnapshot]) -> (NamePairs, usize) {
     let mut b = DatasetBuilder::new();
     let mut claims = 0usize;
-    for (snapshot, _) in captures {
+    for snapshot in captures {
         for c in snapshot.dataset.claim_refs() {
             b.add_claim(c.source, c.item, c.value);
             claims += 1;
@@ -84,9 +81,9 @@ fn baseline_decisions(captures: &[Capture]) -> (NamePairs, usize) {
 }
 
 /// Global-id → source-name resolution for a capture.
-fn source_names(store: &ShardedStore, captures: &[Capture]) -> Vec<String> {
+fn source_names(store: &ShardedStore, captures: &[StoreSnapshot]) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
-    for (snapshot, _) in captures {
+    for snapshot in captures {
         let maps = store.maps_for(snapshot);
         for (local, global) in maps.ids.sources.iter().enumerate() {
             let idx = global.index();
@@ -105,7 +102,7 @@ fn source_names(store: &ShardedStore, captures: &[Capture]) -> Vec<String> {
 fn ingest_while_detecting_matches_from_scratch_baselines() {
     let store = ShardedStore::new(SHARDS);
     let stop_maintenance = AtomicBool::new(false);
-    let mut observed: Vec<(Vec<Capture>, NamePairs)> = Vec::new();
+    let mut observed: Vec<(Vec<StoreSnapshot>, NamePairs)> = Vec::new();
 
     std::thread::scope(|scope| {
         let writers: Vec<_> = (0..WRITERS)
@@ -136,7 +133,7 @@ fn ingest_while_detecting_matches_from_scratch_baselines() {
         let detector = ShardedDetector::new();
         loop {
             let writers_done = writers.iter().all(|h| h.is_finished());
-            let captures = store.capture_shards();
+            let (captures, _) = store.capture_shards_traced();
             let result = detector.detect_captured(&store, &captures).expect("consistent capture");
             assert_eq!(result.algorithm, "SHARDED");
             let names = source_names(&store, &captures);
@@ -156,7 +153,7 @@ fn ingest_while_detecting_matches_from_scratch_baselines() {
 
     // The final capture covers every distinct (source, item) slot.
     let (last_captures, final_pairs) = observed.last().expect("at least one round ran");
-    let total: usize = last_captures.iter().map(|(s, _)| s.dataset.num_claims()).sum();
+    let total: usize = last_captures.iter().map(|s| s.dataset.num_claims()).sum();
     assert_eq!(total, WRITERS * SOURCES_PER_WRITER * ITEMS);
 
     // Every round's decisions equal the exact from-scratch baseline over

@@ -100,7 +100,8 @@ impl SharedClaimStore {
     }
 
     /// Locks the store for a sequence of operations that must be atomic
-    /// (e.g. snapshot + `build_index` against the same epoch).
+    /// (e.g. snapshot + `build_index` against the same epoch; the index
+    /// build counts cold, so writers wait for all of it).
     ///
     /// # Panics
     /// Panics if a previous holder panicked while holding the lock, or (in

@@ -37,15 +37,14 @@
 //!   Torn log tails are dropped cleanly; damaged committed files surface as
 //!   a typed [`StoreIoError`] (corruption vs truncation vs version
 //!   mismatch), never a panic. See `DESIGN.md` §6 for the on-disk format.
-//! * **Incremental index maintenance** — the store maintains the pairwise
-//!   shared-item counts `l(S1, S2)` at ingest time, so the served round
-//!   cross-checks its scans against them and
-//!   [`build_index`](ClaimStore::build_index) skips the counting pass of a
-//!   cold build; the diff of two snapshots drives
+//! * **Incremental index maintenance** — the diff of two snapshots drives
 //!   [`InvertedIndex::apply_claim_delta`](copydet_index::InvertedIndex::apply_claim_delta)
 //!   and the delta path of `copydet-eval`'s `IncrementalDetector` and
 //!   `LiveDetector`, which re-decide only the pairs the new claims can have
-//!   affected.
+//!   affected. The store itself keeps no per-pair state, so a write costs
+//!   the same at any source count; the shared-item counts `l(S1, S2)` are
+//!   counted cold when an index is built
+//!   ([`build_index`](ClaimStore::build_index)).
 //!
 //! See `DESIGN.md` §5 for the segment lifecycle and the delta-propagation
 //! invariants.

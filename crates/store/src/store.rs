@@ -70,12 +70,10 @@ pub struct StoreConfig {
 /// are rebuilt, everything else aliases the previous snapshot's storage.
 /// Snapshot cost is therefore O(delta), not O(corpus).
 ///
-/// The store additionally maintains the pairwise shared-item counts
-/// `l(S1, S2)` *incrementally at ingest time* behind a shared handle, so
-/// building an inverted index over a snapshot
-/// ([`build_index`](Self::build_index)) skips both the counting pass and the
-/// `O(|S|²)` table copy that dominate index construction on provider-dense
-/// datasets.
+/// A write costs the same whatever the number of sources: the store keeps
+/// no per-pair state. The pairwise shared-item counts `l(S1, S2)` are
+/// counted cold when asked for ([`shared_item_counts`](Self::shared_item_counts),
+/// [`build_index`](Self::build_index)).
 ///
 /// A store is either **in-memory** ([`new`](Self::new) — state dies with the
 /// process) or **durable** ([`open`](Self::open) — every ingest is logged to
@@ -90,10 +88,9 @@ pub struct ClaimStore {
     values: Interner,
     sealed: Vec<SealedSegment>,
     growing: GrowingSegment,
-    /// Sources providing each item (any value), kept sorted — the substrate
-    /// for incremental shared-item counting.
+    /// Sources providing each item (any value), kept sorted: the providers
+    /// a snapshot regroups by value for each touched item.
     item_providers: Vec<Vec<SourceId>>,
-    shared: Arc<SharedItemCounts>,
     /// Sources and items written since the previous snapshot: the patch set
     /// of the next [`snapshot`](Self::snapshot). Bounded by the vocabulary,
     /// not by the number of writes; empty until the first snapshot.
@@ -130,7 +127,6 @@ impl Clone for ClaimStore {
             sealed: self.sealed.clone(),
             growing: self.growing.clone(),
             item_providers: self.item_providers.clone(),
-            shared: Arc::clone(&self.shared),
             touched_sources: self.touched_sources.clone(),
             touched_items: self.touched_items.clone(),
             last_snapshot: self.last_snapshot.clone(),
@@ -152,7 +148,6 @@ impl ClaimStore {
 
     /// Creates an empty store with the given configuration.
     pub fn with_config(config: StoreConfig) -> Self {
-        let empty = copydet_model::DatasetBuilder::new().build();
         Self {
             sources: NameTable::new(),
             items: NameTable::new(),
@@ -160,7 +155,6 @@ impl ClaimStore {
             sealed: Vec::new(),
             growing: GrowingSegment::new(),
             item_providers: Vec::new(),
-            shared: Arc::new(SharedItemCounts::build(&empty)),
             touched_sources: BTreeSet::new(),
             touched_items: BTreeSet::new(),
             last_snapshot: None,
@@ -276,10 +270,9 @@ impl ClaimStore {
 
         // 2. Committed segments are adopted as-is (the exact pre-crash
         //    segmentation), with the ingest-time bookkeeping — live-claim
-        //    count, per-item providers, shared-item counts — replayed
-        //    oldest→newest under the same newest-wins rules.
+        //    count, per-item providers — replayed oldest→newest under the
+        //    same newest-wins rules.
         store.sealed = recovered.segments;
-        Arc::make_mut(&mut store.shared).grow(store.sources.len());
         let segments = std::mem::take(&mut store.sealed);
         for segment in &segments {
             for (source, list) in segment.per_source() {
@@ -363,8 +356,8 @@ impl ClaimStore {
     /// Ingest-time bookkeeping replayed for one committed claim during
     /// recovery: reproduces the *correctness-bearing* state of
     /// [`apply_claim`](Self::apply_claim) — live-claim count, per-item
-    /// providers, shared-item counts — using provider membership (instead
-    /// of segment lookups) to decide new-vs-overwrite.
+    /// providers — using provider membership (instead of segment lookups)
+    /// to decide new-vs-overwrite.
     ///
     /// The diagnostic counters `total_ingested` / `overwrites` become
     /// **lower bounds** across a recovery: overwrites that collapsed inside
@@ -377,10 +370,6 @@ impl ClaimStore {
             Ok(_) => self.overwrites += 1,
             Err(pos) => {
                 self.num_live_claims += 1;
-                let shared = Arc::make_mut(&mut self.shared);
-                for &t in providers.iter() {
-                    shared.increment(copydet_model::SourcePair::new(source, t), 1);
-                }
                 providers.insert(pos, source);
             }
         }
@@ -536,18 +525,11 @@ impl ClaimStore {
             self.touched_items.insert(item);
         }
         if self.merged_value(source, item).is_none() {
-            // A brand-new (source, item) claim: update the live claim count
-            // and the shared-item counts against the item's other providers.
-            // Copy-on-write: an index built over the handle keeps its frozen
-            // counts.
+            // A brand-new (source, item) claim: count it and list its
+            // source among the item's providers.
             self.num_live_claims += 1;
-            let shared = Arc::make_mut(&mut self.shared);
-            shared.grow(self.sources.len());
             if let Some(providers) = self.item_providers.get_mut(item.index()) {
                 if let Err(pos) = providers.binary_search(&source) {
-                    for &t in providers.iter() {
-                        shared.increment(copydet_model::SourcePair::new(source, t), 1);
-                    }
                     providers.insert(pos, source);
                 }
             }
@@ -773,9 +755,8 @@ impl ClaimStore {
     /// Rebuilds one item's value groups from the merged view, with exactly
     /// the builder normalization (groups sorted by value, providers sorted by
     /// id — `item_providers` is maintained sorted, so providers arrive in
-    /// order). A listed provider without a merged claim is skipped: the
-    /// shared-item counts then disagree with the snapshot, which the served
-    /// scan reports as a typed error instead of a panic here.
+    /// order). A listed provider without a merged claim is skipped, so a
+    /// group never names a claim the snapshot's claim lists lack.
     fn rebuild_groups_of(&self, d: ItemId) -> Vec<ItemValueGroup> {
         let mut by_value: std::collections::BTreeMap<ValueId, Vec<SourceId>> =
             std::collections::BTreeMap::new();
@@ -791,16 +772,13 @@ impl ClaimStore {
             .collect()
     }
 
-    /// Builds the inverted index for the *latest* snapshot using the store's
-    /// incrementally-maintained shared-item counts, skipping the
-    /// `O(Σ providers²)` counting pass of a cold
-    /// [`InvertedIndex::build`]. The counts are passed as a shared handle —
-    /// the `O(|S|²)` table is aliased, not copied (later ingest detaches the
-    /// store's handle copy-on-write).
+    /// Builds the inverted index for the *latest* snapshot: a cold
+    /// [`InvertedIndex::build`] over its dataset, counting the shared items
+    /// as it goes.
     ///
     /// # Panics
     /// Panics if `snapshot` is not the store's latest snapshot or claims were
-    /// ingested after it was taken (the shared counts would not match).
+    /// ingested after it was taken.
     pub fn build_index(
         &self,
         snapshot: &StoreSnapshot,
@@ -814,26 +792,14 @@ impl ClaimStore {
             self.num_live_claims,
             "claims were ingested after the snapshot was taken"
         );
-        InvertedIndex::build_from_groups(
-            snapshot.dataset.groups(),
-            Arc::clone(&self.shared),
-            accuracies,
-            probabilities,
-            params,
-        )
+        InvertedIndex::build(&snapshot.dataset, accuracies, probabilities, params)
     }
 
-    /// The incrementally-maintained shared-item counts `l(S1, S2)` over the
-    /// current merged view.
-    pub fn shared_item_counts(&self) -> &SharedItemCounts {
-        &self.shared
-    }
-
-    /// The shared handle to the incrementally-maintained counts table.
-    /// Exposed so zero-copy behaviour can be asserted via
-    /// [`Arc::strong_count`] / [`Arc::ptr_eq`].
-    pub fn shared_item_counts_handle(&self) -> &Arc<SharedItemCounts> {
-        &self.shared
+    /// The shared-item counts `l(S1, S2)` over the current merged view,
+    /// counted cold from the store's per-item provider lists: O(Σ providers²)
+    /// per call, and nothing kept between calls.
+    pub fn shared_item_counts(&self) -> SharedItemCounts {
+        SharedItemCounts::from_provider_lists(self.sources.len(), &self.item_providers)
     }
 
     /// Number of distinct live `(source, item)` claims in the merged view.
@@ -933,10 +899,11 @@ mod tests {
         store.ingest("S3", "AZ", "Phoenix");
         let snap = store.snapshot();
         let cold = SharedItemCounts::build(&snap.dataset);
+        let counts = store.shared_item_counts();
         for (pair, n) in cold.iter_nonzero() {
-            assert_eq!(store.shared_item_counts().get(pair), n, "pair {pair}");
+            assert_eq!(counts.get(pair), n, "pair {pair}");
         }
-        assert_eq!(store.shared_item_counts().num_sharing_pairs(), cold.num_sharing_pairs());
+        assert_eq!(counts.num_sharing_pairs(), cold.num_sharing_pairs());
 
         let params = CopyParams::paper_defaults();
         let accuracies = SourceAccuracies::uniform(snap.dataset.num_sources(), 0.8).unwrap();
@@ -1000,12 +967,6 @@ mod tests {
         let providers: Vec<SourceId> =
             snap.dataset.shared_groups_of(d0).iter().flat_map(|g| g.providers.clone()).collect();
         assert_eq!(providers, [SourceId::new(0), SourceId::new(2)], "the ghost is skipped");
-        // The counts still carry the ghost pair: the served scan's count
-        // check sees the disagreement and reports it as a typed error.
-        let cold = SharedItemCounts::build(&snap.dataset);
-        let ghost_pair = copydet_model::SourcePair::new(SourceId::new(2), ghost);
-        assert_eq!(store.shared_item_counts().get(ghost_pair), 1);
-        assert_eq!(cold.get(ghost_pair), 0);
     }
 
     #[test]

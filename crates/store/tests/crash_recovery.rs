@@ -157,7 +157,8 @@ fn assert_recovery_at_every_boundary(ops: &[Op], config: StoreConfig) -> usize {
 
         // The recovered bookkeeping must be ingest-equivalent, not just the
         // dataset: finish the stream on the recovered store and re-check
-        // against the full one-pass build (shared counts included).
+        // against the full one-pass build (and the counts over its recovered
+        // providers).
         for op in &ops[durable_claims..] {
             let (s, d, v) = claim_strings(op);
             recovered.ingest(&s, &d, &v);
@@ -169,13 +170,14 @@ fn assert_recovery_at_every_boundary(ops: &[Op], config: StoreConfig) -> usize {
             "crash at event {at}: continuing after recovery diverged"
         );
         let cold = SharedItemCounts::build(&final_snapshot.dataset);
+        let counts = recovered.shared_item_counts();
         assert_eq!(
-            recovered.shared_item_counts().num_sharing_pairs(),
+            counts.num_sharing_pairs(),
             cold.num_sharing_pairs(),
-            "crash at event {at}: recovered shared-item counts diverged"
+            "crash at event {at}: counts over the recovered providers diverged"
         );
         for (pair, n) in cold.iter_nonzero() {
-            assert_eq!(recovered.shared_item_counts().get(pair), n, "event {at}, pair {pair}");
+            assert_eq!(counts.get(pair), n, "event {at}, pair {pair}");
         }
     }
     events.len()

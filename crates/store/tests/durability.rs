@@ -83,8 +83,9 @@ fn reopen_recovers_the_identical_dataset() {
     assert_eq!(recovered.num_claims(), 7);
     assert_eq!(recovered.stats().sealed_segments, 1, "compacted state was recovered as-is");
 
-    // The recovered bookkeeping (providers, shared-item counts) must be the
-    // ingest-time one: continue ingesting and compare against a cold build.
+    // The recovered bookkeeping (providers) must be the ingest-time one:
+    // continue ingesting and compare the counts over the recovered providers
+    // against a cold build over the snapshot.
     recovered.ingest("S3", "NJ", "Trenton");
     recovered.ingest("S4", "AZ", "Phoenix");
     let snap = recovered.snapshot();
@@ -92,9 +93,10 @@ fn reopen_recovers_the_identical_dataset() {
     all.extend([("S3", "NJ", "Trenton"), ("S4", "AZ", "Phoenix")]);
     assert_eq!(snap.dataset, builder_dataset(&all));
     let cold = SharedItemCounts::build(&snap.dataset);
-    assert_eq!(recovered.shared_item_counts().num_sharing_pairs(), cold.num_sharing_pairs());
+    let counts = recovered.shared_item_counts();
+    assert_eq!(counts.num_sharing_pairs(), cold.num_sharing_pairs());
     for (pair, n) in cold.iter_nonzero() {
-        assert_eq!(recovered.shared_item_counts().get(pair), n, "pair {pair}");
+        assert_eq!(counts.get(pair), n, "pair {pair}");
     }
 }
 
@@ -592,9 +594,10 @@ proptest! {
         let snap = store.snapshot();
         prop_assert_eq!(&snap.dataset, &batch_dataset(&claims));
         let cold = SharedItemCounts::build(&snap.dataset);
-        prop_assert_eq!(store.shared_item_counts().num_sharing_pairs(), cold.num_sharing_pairs());
+        let counts = store.shared_item_counts();
+        prop_assert_eq!(counts.num_sharing_pairs(), cold.num_sharing_pairs());
         for (pair, n) in cold.iter_nonzero() {
-            prop_assert_eq!(store.shared_item_counts().get(pair), n);
+            prop_assert_eq!(counts.get(pair), n);
         }
     }
 }

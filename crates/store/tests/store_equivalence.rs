@@ -55,8 +55,8 @@ proptest! {
         prop_assert_eq!(store.num_claims(), batch.num_claims());
     }
 
-    /// The incrementally-maintained shared-item counts and the store-built
-    /// index match a cold build over the batch dataset.
+    /// The shared-item counts over the store's provider lists and the
+    /// store-built index match a cold build over the batch dataset.
     #[test]
     fn snapshot_index_equals_batch_index(claims in workload_strategy()) {
         let batch = batch_dataset(&claims);
@@ -64,13 +64,11 @@ proptest! {
         let snap = store.snapshot();
 
         let cold_counts = SharedItemCounts::build(&batch);
+        let counts = store.shared_item_counts();
         for (pair, n) in cold_counts.iter_nonzero() {
-            prop_assert_eq!(store.shared_item_counts().get(pair), n);
+            prop_assert_eq!(counts.get(pair), n);
         }
-        prop_assert_eq!(
-            store.shared_item_counts().num_sharing_pairs(),
-            cold_counts.num_sharing_pairs()
-        );
+        prop_assert_eq!(counts.num_sharing_pairs(), cold_counts.num_sharing_pairs());
 
         let params = CopyParams::paper_defaults();
         let accuracies = SourceAccuracies::uniform(batch.num_sources(), 0.8).unwrap();

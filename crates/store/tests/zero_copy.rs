@@ -7,7 +7,6 @@
 //! regressed to cloning the name tables, the interner or untouched claim
 //! lists, these pointer identities would break immediately.
 
-use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
 use copydet_store::ClaimStore;
 use std::sync::Arc;
 
@@ -93,34 +92,4 @@ fn snapshot_allocates_no_per_name_copies() {
         "no new item was interned, so the item table still aliases"
     );
     assert_eq!(snap3.dataset.num_sources() + 1, snap4.dataset.num_sources());
-}
-
-#[test]
-fn build_index_shares_the_counts_table() {
-    let mut store = ClaimStore::new();
-    for j in 0..50 {
-        for s in 0..6 {
-            store.ingest(&format!("S{s}"), &format!("D{j}"), &format!("v{}", j % 7));
-        }
-    }
-    let snap = store.snapshot();
-    let params = CopyParams::paper_defaults();
-    let accuracies = SourceAccuracies::uniform(snap.dataset.num_sources(), 0.8).unwrap();
-    let probabilities = ValueProbabilities::uniform_over_dataset(&snap.dataset, 0.3).unwrap();
-
-    let before = Arc::strong_count(store.shared_item_counts_handle());
-    let index = store.build_index(&snap, &accuracies, &probabilities, &params);
-    assert_eq!(
-        Arc::strong_count(store.shared_item_counts_handle()),
-        before + 1,
-        "the index must alias the store's counts table, not copy it"
-    );
-    // Ingest after the build detaches the store copy-on-write; the index
-    // keeps its frozen counts.
-    let frozen: Vec<_> = index.shared_item_counts().iter_nonzero().collect();
-    store.ingest("S0", "D-new", "x");
-    store.ingest("S1", "D-new", "x");
-    let after: Vec<_> = index.shared_item_counts().iter_nonzero().collect();
-    assert_eq!(frozen, after, "an index built before later ingest keeps its counts");
-    assert_eq!(Arc::strong_count(store.shared_item_counts_handle()), 1, "detached");
 }
