@@ -22,6 +22,8 @@
 //! that is 2¹²⁶ units, so no `u32` item count can overflow the accumulator;
 //! sums saturate rather than wrap beyond that.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::ops::{Add, AddAssign};
 
 /// Fractional bits of a [`FixedScore`]: one unit is 2⁻⁶⁰.
@@ -96,6 +98,7 @@ impl FixedScore {
     /// The nearest `f64` to this sum: one rounding of the integer, then an
     /// exact scaling by 2⁻⁶⁰.
     #[inline]
+    #[expect(clippy::as_conversions, reason = "i128 to f64 has no `From`; it rounds, never wraps")]
     pub(crate) fn to_f64(self) -> f64 {
         // Integer-to-float conversion rounds to nearest, ties to even.
         self.0 as f64 * UNIT

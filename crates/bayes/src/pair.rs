@@ -1,5 +1,9 @@
 //! Per-pair evidence accumulation and the posterior of Eq. 2.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use crate::accuracy::SourceAccuracies;
 use crate::contribution::{different_value_score, same_value_score, same_value_scores_both};
 use crate::fixed::FixedScore;

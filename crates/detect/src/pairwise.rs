@@ -7,6 +7,7 @@
 use crate::api::RoundInput;
 use crate::result::{DetectionResult, PairOutcome};
 use copydet_bayes::CopyDecision;
+use copydet_model::codec::usize_to_u64;
 use copydet_model::SourcePair;
 use std::time::Instant;
 
@@ -31,8 +32,8 @@ pub fn pairwise_detection(input: &RoundInput<'_>) -> DetectionResult {
             }
             // Two directional score evaluations per shared item (the paper's
             // "183 × 2" accounting for the motivating example).
-            result.counter.score_updates += 2 * shared_items as u64;
-            result.shared_values_examined += evidence.shared_values as u64;
+            result.counter.score_updates += 2 * usize_to_u64(shared_items);
+            result.shared_values_examined += usize_to_u64(evidence.shared_values);
             let posterior = evidence.posterior_independence(&input.params);
             result.counter.pair_finalizations += 1;
             result.pairs_considered += 1;

@@ -22,9 +22,8 @@ pub fn accuracy_from_probabilities(
             sum / claims.len() as f64
         })
         .collect();
-    // audit: allow(no-panic) — every stored probability and the table's
-    // default are validated into [0, 1], and a rounded mean of such values
-    // stays in [0, 1].
+    // Every stored probability and the table's default are validated into
+    // [0, 1], and a rounded mean of such values stays in [0, 1].
     SourceAccuracies::from_vec(accs).expect("mean probabilities are in [0, 1]")
 }
 

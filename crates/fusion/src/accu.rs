@@ -80,7 +80,7 @@ pub fn value_probabilities(
         for (group, p) in groups.iter().zip(probs) {
             // `p` is clamped into [1e-9, 1 − 1e-9] and is never NaN (see
             // `vote_group_probabilities`), and `dataset` sized the table.
-            // audit: allow(no-panic) — the probability is always in range
+            #[expect(clippy::expect_used, reason = "the probability is always in range")]
             probabilities
                 .set(group.item, group.value, p)
                 .expect("probability is clamped into range");
@@ -128,6 +128,7 @@ fn vote_group_probabilities(
     }
     // Normalize: provided values have weight e^vote, the remaining
     // (n + 1 − k) candidate values have weight e^0 = 1.
+    #[expect(clippy::as_conversions, reason = "usize to f64 has no `From`; it rounds, never wraps")]
     let unseen = (config.params.n() + 1.0 - groups.len() as f64).max(0.0);
     let floor = if unseen > 0.0 { 0.0 } else { f64::NEG_INFINITY };
     let max_vote = votes.iter().copied().fold(floor, f64::max);

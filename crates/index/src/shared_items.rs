@@ -10,6 +10,10 @@
 //! [`SourcePair`] keeps memory proportional to the number of pairs that
 //! actually share something.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use copydet_model::{Dataset, SourceId, SourcePair};
 use std::collections::HashMap;
 

@@ -18,8 +18,8 @@
 //!
 //! Decoding is total: any byte slice either decodes or returns a typed
 //! [`CodecError`] — never a panic — which is what lets the store treat
-//! arbitrary on-disk bytes as untrusted input. This module is on the
-//! `copydet-audit` **no-panic** and **lossy-cast** lists: every length
+//! arbitrary on-disk bytes as untrusted input. This module denies clippy's
+//! panic, indexing and `as`-cast lints outside tests: every length
 //! conversion is a checked `try_from` (see [`u32_to_usize`] /
 //! [`usize_to_u64`]) and every slice access is a total `get`-style read.
 //!
@@ -33,6 +33,11 @@
 //! allocations.
 //!
 //! [`Interner`]: crate::Interner
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use crate::ids::{ItemId, SourceId, ValueId};
 use crate::observation::Claim;
@@ -281,20 +286,22 @@ pub fn decode_wire_frame(bytes: &[u8]) -> Result<(u8, &[u8]), CodecError> {
     decode_wire_parts(header, body)
 }
 
-#[allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
+#[expect(
+    clippy::as_conversions,
+    clippy::indexing_slicing,
+    reason = "const-eval has no `try_from`; `i` stays in 0..256, so the cast and index are in range"
+)]
 const WIRE_CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        // Const-eval has no `try_from`; `i` stays in 0..256, so both the
-        // cast and the index are in range by construction.
-        let mut crc = i as u32; // audit: allow(lossy-cast) — const loop var in 0..256
+        let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc; // audit: allow(no-panic) — const index in 0..256 of a [u32; 256]
+        table[i] = crc;
         i += 1;
     }
     table
@@ -425,7 +432,6 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
 

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-#[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 pub mod codec;
 mod dataset;
 mod delta;

@@ -7,10 +7,10 @@
 //! are taken in. This module turns that order from a convention into a
 //! machine-checked invariant, twice over:
 //!
-//! * **statically** — `copydet-audit` requires every `Mutex`/`RwLock`
-//!   declaration in the workspace to carry a `// lock-rank: N (name)`
-//!   annotation and cross-checks the declared ranks against the table in
-//!   `DESIGN.md` (§8);
+//! * **statically** — the workspace test `tests/static_rules.rs` requires
+//!   every `Mutex`/`RwLock` declaration in the serving stack to carry a
+//!   `// lock-rank: N (name)` annotation and cross-checks the declared ranks
+//!   against the table in `DESIGN.md` (§8);
 //! * **dynamically** — these wrappers keep a thread-local stack of held
 //!   ranks and `debug_assert` on every acquisition that the new lock's rank
 //!   is **strictly greater** than every rank the thread already holds.
@@ -28,8 +28,8 @@
 //!
 //! Lock poisoning is handled inside the wrappers: a panic while holding a
 //! lock poisons it, and any later acquisition panics with the lock's
-//! registered name. That keeps `unwrap`/`expect` chains out of the audited
-//! server paths while preserving fail-fast semantics.
+//! registered name. That keeps `unwrap`/`expect` chains out of the server
+//! paths, whose crates deny them, while preserving fail-fast semantics.
 //!
 //! ## Contention probes
 //!

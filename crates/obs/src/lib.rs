@@ -29,9 +29,10 @@
 //!   text exposition, `TRACE` the most recent N round traces, `EVENTS`
 //!   recent events and `HEALTH` the verdict, codec-framed.
 //!
-//! Instrumentation is panic-free (this crate is on the `copydet-audit`
-//! no-panic and lossy-cast lists) and near-zero-cost when nothing reads it:
-//! a counter bump is one relaxed `fetch_add`, a histogram record is two.
+//! Instrumentation is panic-free (this crate denies clippy's panic,
+//! indexing and `as`-cast lints outside tests) and near-zero-cost when
+//! nothing reads it: a counter bump is one relaxed `fetch_add`, a histogram
+//! record is two.
 //! See `DESIGN.md` §9 for the metric naming scheme, the ring-buffer
 //! semantics and the overhead budget.
 //!
@@ -49,6 +50,10 @@
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod event;
 pub mod health;

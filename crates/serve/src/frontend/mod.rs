@@ -38,8 +38,8 @@
 //! Frame payloads are **attacker-controlled bytes**: every decode in this
 //! module is total — typed [`ProtocolError`]s become `0x81` responses and
 //! the connection keeps serving; nothing on the request path may panic.
-//! `copydet-audit` enforces this (its no-panic and lossy-cast lints cover
-//! all of `crates/serve/src`).
+//! The crate root denies clippy's panic, indexing and `as`-cast lints
+//! outside tests, which enforces this.
 //!
 //! ## Threading
 //!
@@ -608,8 +608,8 @@ fn handle_events(
                 }
                 FieldValue::I64(v) => {
                     out.u8(1);
-                    // Bit-transport, not a cast: the lossy-cast audit covers
-                    // this module.
+                    // Bit-transport, not a cast: the crate denies `as`
+                    // casts.
                     out.u64(u64::from_le_bytes(v.to_le_bytes()));
                 }
                 FieldValue::F64(v) => {

@@ -349,7 +349,7 @@ impl Response {
 /// Per-shard statistics as reported over the wire.
 ///
 /// Counts are `u64` on the wire: the server's in-memory counts are `usize`
-/// and the protocol must not narrow them (lossy-cast audit).
+/// and the protocol must not narrow them (the crate denies `as` casts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireShardStats {
     /// Snapshots taken by the shard.

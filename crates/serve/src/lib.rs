@@ -57,9 +57,10 @@
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
 #![warn(missing_docs)]
-// Clippy's side of copydet-audit's no-panic and lossy-cast scope, which
-// takes in this whole crate.
-#![warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 mod detector;
 pub mod frontend;

@@ -161,10 +161,6 @@ impl RegistryLog {
 
 #[cfg(test)]
 mod tests {
-    // Tests build corrupt byte images by hand; a panic here is a test
-    // failure, not a serving-path hazard.
-    #![allow(clippy::indexing_slicing)]
-
     use super::*;
 
     fn scratch(label: &str) -> PathBuf {

@@ -349,10 +349,8 @@ impl ShardedStore {
     fn rebuild_global_registry(&self) -> Result<(), StoreIoError> {
         let mut global = self.global.write();
         for shard in self.shards.iter() {
-            let snapshot = shard.snapshot();
-            let ds = &snapshot.dataset;
-            for s in ds.sources() {
-                global.intern_logged(ds.source_name(s));
+            for name in shard.lock().source_names() {
+                global.intern_logged(name);
             }
         }
         global.flush_log();

@@ -61,6 +61,9 @@ fn restart_recovers_every_shard_and_detection_agrees() {
 
     let recovered = ShardedStore::open(&scratch.0, 3).expect("reopen");
     assert_eq!(recovered.num_claims(), before.0);
+    // Reopening reads the shards' name tables; the first DETECT takes the
+    // first snapshot.
+    assert!(recovered.shards().iter().all(|shard| shard.stats().epoch == 0));
     let result = ShardedDetector::new().detect_round(&recovered).expect("consistent capture");
     assert_eq!(
         result.num_copying_pairs(),

@@ -599,7 +599,6 @@ pub(crate) fn read_wal(bytes: &[u8]) -> Result<WalContents, FormatError> {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::segment::GrowingSegment;

@@ -73,19 +73,20 @@
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 mod concurrent;
-#[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod durable;
 mod error;
-#[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod format;
 mod ioutil;
 mod segment;
 mod snapshot;
 mod stats;
 mod store;
-#[warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod wal;
 
 pub use concurrent::SharedClaimStore;

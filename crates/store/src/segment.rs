@@ -8,6 +8,11 @@
 //! per-source claim lists; compaction merges sealed segments newest-wins.
 //! Claims are never deleted — re-claiming an item overwrites the value.
 
+// A panic-free `merge_sorted` measured 15–20% slower on equal-size lists, so
+// the sorted-list merges and per-source lookups keep their bounds-checked
+// indexing until that rewrite is a change of its own.
+#![expect(clippy::indexing_slicing, reason = "sorted-list merges index within checked bounds")]
+
 use copydet_model::{ItemId, SourceId, ValueId};
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -270,14 +270,17 @@ impl ClaimStore {
 
         // 2. Committed segments are adopted as-is (the exact pre-crash
         //    segmentation), with the ingest-time bookkeeping — live-claim
-        //    count, per-item providers — replayed oldest→newest under the
-        //    same newest-wins rules.
+        //    count, per-item providers — replayed oldest→newest. The
+        //    diagnostic counters `total_ingested` / `overwrites` become
+        //    lower bounds: overwrites that collapsed inside a segment
+        //    before it was sealed are not re-observable from its
+        //    deduplicated claim lists.
         store.sealed = recovered.segments;
         let segments = std::mem::take(&mut store.sealed);
         for segment in &segments {
             for (source, list) in segment.per_source() {
                 for &(item, _) in list {
-                    store.replay_bookkeeping(source, item);
+                    store.count_claim(source, item);
                 }
             }
         }
@@ -353,17 +356,11 @@ impl ClaimStore {
         Ok(store)
     }
 
-    /// Ingest-time bookkeeping replayed for one committed claim during
-    /// recovery: reproduces the *correctness-bearing* state of
-    /// [`apply_claim`](Self::apply_claim) — live-claim count, per-item
-    /// providers — using provider membership (instead of segment lookups)
-    /// to decide new-vs-overwrite.
-    ///
-    /// The diagnostic counters `total_ingested` / `overwrites` become
-    /// **lower bounds** across a recovery: overwrites that collapsed inside
-    /// a segment before it was sealed are not re-observable from its
-    /// deduplicated claim lists.
-    fn replay_bookkeeping(&mut self, source: SourceId, item: ItemId) {
+    /// Counts one claim: a new `(source, item)` claim joins the live count
+    /// and the item's sorted providers, a repeat is an overwrite. A source
+    /// is listed for an item exactly when it holds a claim there (claims
+    /// are never deleted), so one search of the list decides.
+    fn count_claim(&mut self, source: SourceId, item: ItemId) {
         self.total_ingested += 1;
         let Some(providers) = self.item_providers.get_mut(item.index()) else { return };
         match providers.binary_search(&source) {
@@ -518,24 +515,12 @@ impl ClaimStore {
         value: ValueId,
         allow_autoseal: bool,
     ) {
-        self.total_ingested += 1;
         ingest_claims_total().inc();
         if self.last_snapshot.is_some() {
             self.touched_sources.insert(source);
             self.touched_items.insert(item);
         }
-        if self.merged_value(source, item).is_none() {
-            // A brand-new (source, item) claim: count it and list its
-            // source among the item's providers.
-            self.num_live_claims += 1;
-            if let Some(providers) = self.item_providers.get_mut(item.index()) {
-                if let Err(pos) = providers.binary_search(&source) {
-                    providers.insert(pos, source);
-                }
-            }
-        } else {
-            self.overwrites += 1;
-        }
+        self.count_claim(source, item);
         self.growing.insert(source, item, value);
         if allow_autoseal {
             if let Some(limit) = self.config.seal_threshold {
@@ -671,12 +656,12 @@ impl ClaimStore {
     /// [`DatasetDelta::between`](copydet_model::DatasetDelta::between) of
     /// their datasets.
     ///
-    /// The first snapshot assembles the dataset in full; every later snapshot
-    /// is **patched** from its predecessor in O(delta): only the claim lists
-    /// of sources and the value groups of items written since the previous
-    /// snapshot are rebuilt, while the name tables, the value interner and
-    /// every untouched list alias the shared storage (no string or claim is
-    /// copied — pointer-provable via
+    /// Every snapshot is **patched** from its predecessor in O(delta), the
+    /// first from an empty dataset with every source and item patched: only
+    /// the claim lists of sources and the value groups of items written since
+    /// the previous snapshot are rebuilt, while the name tables, the value
+    /// interner and every untouched list alias the shared storage (no string
+    /// or claim is copied — pointer-provable via
     /// [`Dataset::shared_source_names`] and friends).
     ///
     /// Snapshotting does not seal or otherwise disturb the segments; ingest
@@ -684,46 +669,29 @@ impl ClaimStore {
     /// exactly the claims they were taken over regardless of later ingest,
     /// sealing or compaction.
     pub fn snapshot(&mut self) -> StoreSnapshot {
-        let touched_sources = std::mem::take(&mut self.touched_sources);
-        let touched_items = std::mem::take(&mut self.touched_items);
-        let dataset = match &self.last_snapshot {
-            Some(prev) => {
-                let patched_sources: Vec<(SourceId, Vec<(ItemId, ValueId)>)> =
-                    touched_sources.into_iter().map(|s| (s, self.merged_claims_of(s))).collect();
-                let patched_items: Vec<(ItemId, Vec<ItemValueGroup>)> =
-                    touched_items.into_iter().map(|d| (d, self.rebuild_groups_of(d))).collect();
-                prev.with_patches(
-                    self.sources.shared_names(),
-                    self.items.shared_names(),
-                    self.values.clone(),
-                    patched_sources,
-                    patched_items,
-                )
-            }
+        let mut touched_sources = std::mem::take(&mut self.touched_sources);
+        let mut touched_items = std::mem::take(&mut self.touched_items);
+        let base = match &self.last_snapshot {
+            Some(prev) => prev.clone(),
             None => {
-                // First snapshot: merge per-source claim lists across
-                // segments, oldest to newest (the growing segment, frozen
-                // into a view, is simply the newest).
-                let mut claims: Vec<Vec<(ItemId, ValueId)>> = vec![Vec::new(); self.sources.len()];
-                let frozen = (!self.growing.is_empty()).then(|| self.growing.freeze_ref());
-                for seg in self.sealed.iter().chain(frozen.iter()) {
-                    for (s, list) in seg.per_source() {
-                        let Some(slot) = claims.get_mut(s.index()) else { continue };
-                        if slot.is_empty() {
-                            slot.extend_from_slice(list);
-                        } else {
-                            *slot = merge_sorted(slot, list);
-                        }
-                    }
-                }
-                Dataset::from_shared_claims(
-                    self.sources.shared_names(),
-                    self.items.shared_names(),
-                    self.values.clone(),
-                    claims,
-                )
+                // The first snapshot patches every source and item into an
+                // empty base.
+                touched_sources.extend((0..self.sources.len()).map(SourceId::from_index));
+                touched_items.extend((0..self.items.len()).map(ItemId::from_index));
+                Dataset::from_sorted_claims(Vec::new(), Vec::new(), Interner::new(), Vec::new())
             }
         };
+        let patched_sources: Vec<(SourceId, Vec<(ItemId, ValueId)>)> =
+            touched_sources.into_iter().map(|s| (s, self.merged_claims_of(s))).collect();
+        let patched_items: Vec<(ItemId, Vec<ItemValueGroup>)> =
+            touched_items.into_iter().map(|d| (d, self.rebuild_groups_of(d))).collect();
+        let dataset = base.with_patches(
+            self.sources.shared_names(),
+            self.items.shared_names(),
+            self.values.clone(),
+            patched_sources,
+            patched_items,
+        );
         debug_assert_eq!(
             dataset.num_claims(),
             self.num_live_claims,
@@ -810,6 +778,11 @@ impl ClaimStore {
     /// Number of sources seen so far.
     pub fn num_sources(&self) -> usize {
         self.sources.len()
+    }
+
+    /// Source names in id order (index `i` names source `i`).
+    pub fn source_names(&self) -> &[String] {
+        self.sources.names()
     }
 
     /// Number of items seen so far.
@@ -951,6 +924,13 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.growing_claims, 0);
         assert_eq!(stats.sealed_claims, 2);
+        // An overwrite of a sealed claim, then a new claim after the seal.
+        store.ingest("S0", "D0", "y");
+        store.ingest("S2", "D0", "x");
+        let stats = store.stats();
+        assert_eq!(stats.live_claims, 3);
+        assert_eq!(stats.overwrites, 1);
+        assert_eq!(stats.total_ingested, 4);
     }
 
     #[test]

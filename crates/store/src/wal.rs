@@ -393,7 +393,6 @@ impl WalWriter {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::format::read_wal;
