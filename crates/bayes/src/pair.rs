@@ -304,9 +304,9 @@ pub fn pairwise_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
-    fn context_fixture() -> (copydet_model::MotivatingExample, SourceAccuracies, ValueProbabilities)
+    fn context_fixture() -> (copydet_synth::MotivatingExample, SourceAccuracies, ValueProbabilities)
     {
         let ex = motivating_example();
         let accuracies = SourceAccuracies::from_vec(ex.accuracies.clone()).unwrap();

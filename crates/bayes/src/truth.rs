@@ -30,7 +30,7 @@ impl ValueProbabilities {
     }
 
     /// Builds a table from a dense per-item list of `(value, probability)`
-    /// pairs (e.g. [`copydet_model::MotivatingExample::probability_table`]).
+    /// pairs (e.g. `copydet_synth::MotivatingExample::probability_table`).
     pub fn from_table(table: Vec<Vec<(ValueId, f64)>>) -> Result<Self, BayesError> {
         let mut probs = Self::new(table.len());
         for (d, row) in table.into_iter().enumerate() {

@@ -96,7 +96,7 @@ impl OwnedRoundInput {
 mod tests {
     use super::*;
     use copydet_bayes::CopyDecision;
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn round_input_exposes_scoring_context() {

@@ -12,7 +12,10 @@
 //!   ([`collect_shard_partials_for`]), and the merge that adds their exact
 //!   partials into global decisions ([`merge_shard_partials`]),
 //!   bit-identical to PAIRWISE at that accuracy;
-//! * the top-k ranking of a filtered round ([`topk`]).
+//! * the top-k ranking of a filtered round ([`topk`]);
+//! * the accuracy-weighted vote with copy discounting
+//!   ([`value_probabilities`], Section II-A) every round is scored
+//!   against: each shard votes its own snapshot with no copy result.
 //!
 //! Every detector reports a [`DetectionResult`] with
 //! [`ComputationCounter`] statistics under one consistent accounting. The
@@ -35,6 +38,7 @@ mod pairwise;
 mod result;
 mod sharded;
 pub mod topk;
+mod vote;
 
 pub use api::{OwnedRoundInput, RoundInput};
 pub use counters::ComputationCounter;
@@ -47,3 +51,4 @@ pub use sharded::{
     SharedItemObservation,
 };
 pub use topk::TopKResult;
+pub use vote::{value_probabilities, VoteConfig};

@@ -56,9 +56,10 @@ pub fn pairwise_detection(input: &RoundInput<'_>) -> DetectionResult {
 mod tests {
     use super::*;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_model::{motivating_example, SourceId};
+    use copydet_model::SourceId;
+    use copydet_synth::motivating_example;
 
-    fn run() -> (copydet_model::MotivatingExample, DetectionResult) {
+    fn run() -> (copydet_synth::MotivatingExample, DetectionResult) {
         let ex = motivating_example();
         let acc = SourceAccuracies::from_vec(ex.accuracies.clone()).unwrap();
         let probs = ValueProbabilities::from_table(ex.probability_table()).unwrap();

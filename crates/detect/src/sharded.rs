@@ -37,9 +37,10 @@
 //! item, but hand-assembled input can carry them).
 //!
 //! The per-value truth probabilities the scan reads are order-free too:
-//! `copydet_fusion::value_probabilities` depends on each item's set of value
-//! groups, not on their (shard-local) order, so a shard driver votes its own
-//! snapshot and gets the bits a single store would — see `copydet-serve`.
+//! [`value_probabilities`](crate::value_probabilities) depends on each
+//! item's set of value groups, not on their (shard-local) order, so a shard
+//! driver votes its own snapshot and gets the bits a single store would —
+//! see `copydet-serve`.
 //!
 //! [`collect_shard_evidence`] and [`merge_shard_rounds_parallel`] keep the
 //! older observation-shipping shape — one [`SharedItemObservation`] per

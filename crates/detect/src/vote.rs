@@ -1,9 +1,14 @@
 //! Accuracy-weighted voting with copy discounting: the "value truthfulness"
 //! computation of the iterative loop (Section II-A, following the ACCU /
 //! ACCUCOPY formulation of Dong et al. VLDB'09).
+//!
+//! The served round calls [`value_probabilities`] once per shard with no
+//! copy result (the bootstrap vote); the iterative loop that alternates it
+//! with copy detection and accuracy recomputation (ACCUCOPY) lives in
+//! `copydet-eval`.
 
+use crate::result::DetectionResult;
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_detect::DetectionResult;
 use copydet_model::{Dataset, ItemValueGroup, SourceId, SourcePair};
 
 /// Configuration of the voting step.
@@ -34,12 +39,7 @@ impl VoteConfig {
 /// detector's result can tell: `1 − posterior` when the posterior is known,
 /// the configured default for pairs decided early, and 0 for pairs judged
 /// independent (or never materialized).
-fn copy_probability(
-    result: Option<&DetectionResult>,
-    pair: SourcePair,
-    config: &VoteConfig,
-) -> f64 {
-    let Some(result) = result else { return 0.0 };
+fn copy_probability(result: &DetectionResult, pair: SourcePair, config: &VoteConfig) -> f64 {
     match result.outcomes.get(&pair) {
         Some(outcome) if outcome.decision.is_copying() => {
             outcome.posterior.map(|p| 1.0 - p).unwrap_or(config.default_copy_probability)
@@ -54,10 +54,11 @@ fn copy_probability(
 /// For each value of each item, providers are counted in decreasing accuracy
 /// order; provider `S`'s vote weight is multiplied by
 /// `Π (1 − s·Pr(copying))` over the already-counted providers `S'` that the
-/// copy-detection result links to `S`. Probabilities are normalized over the
-/// provided values plus the `n + 1 − k` unprovided candidate values of the
-/// item's domain (each carrying vote weight 0), using a log-sum-exp so large
-/// vote counts cannot overflow.
+/// copy-detection result links to `S`; without a copy result every factor
+/// is exactly 1, so the product is skipped. Probabilities are normalized
+/// over the provided values plus the `n + 1 − k` unprovided candidate
+/// values of the item's domain (each carrying vote weight 0), using a
+/// log-sum-exp so large vote counts cannot overflow.
 ///
 /// The result depends on each item's *set* of value groups, not on their
 /// order: two datasets built from the same claims in different arrival
@@ -117,12 +118,17 @@ fn vote_group_probabilities(
         providers.sort_by(|&a, &b| accuracies.get(b).total_cmp(&accuracies.get(a)));
         let mut vote = 0.0;
         for (idx, &s) in providers.iter().enumerate() {
+            let weight = config.vote_weight(accuracies.get(s));
+            let Some(result) = copy_result else {
+                vote += weight;
+                continue;
+            };
             let mut independence = 1.0;
             for &earlier in providers.iter().take(idx) {
-                let p_copy = copy_probability(copy_result, SourcePair::new(s, earlier), config);
+                let p_copy = copy_probability(result, SourcePair::new(s, earlier), config);
                 independence *= 1.0 - config.params.selectivity * p_copy;
             }
-            vote += config.vote_weight(accuracies.get(s)) * independence;
+            vote += weight * independence;
         }
         votes.push(vote);
     }
@@ -141,8 +147,8 @@ fn vote_group_probabilities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_detect::{pairwise_detection, RoundInput};
-    use copydet_model::motivating_example;
+    use crate::{pairwise_detection, RoundInput};
+    use copydet_synth::motivating_example;
 
     fn config() -> VoteConfig {
         VoteConfig::new(CopyParams::paper_defaults())

@@ -30,7 +30,7 @@ pub fn accuracy_from_probabilities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn accuracy_recomputation_matches_mean_probability() {

@@ -7,8 +7,8 @@ use crate::error::FusionError;
 use crate::pairwise::PairwiseDetector;
 use crate::round::{FusionRoundStats, RoundTimings};
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
+use copydet_detect::{value_probabilities, VoteConfig};
 use copydet_detect::{DetectionResult, RoundInput};
-use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_model::{Dataset, ItemId, ValueId};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -247,7 +247,8 @@ pub fn accu_fusion(
 mod tests {
     use super::*;
     use crate::{HybridDetector, IncrementalDetector, IndexDetector};
-    use copydet_model::{motivating_example, SourceId};
+    use copydet_model::SourceId;
+    use copydet_synth::motivating_example;
 
     fn run_with<D: CopyDetector>(detector: D) -> FusionOutcome {
         let ex = motivating_example();

@@ -25,7 +25,7 @@ pub trait CopyDetector {
 mod tests {
     use super::*;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
     struct TrivialDetector;
     impl CopyDetector for TrivialDetector {

@@ -8,7 +8,7 @@ use crate::{
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
 use copydet_detect::{pairwise_detection, RoundInput};
 use copydet_index::InvertedIndex;
-use copydet_model::motivating_example;
+use copydet_synth::motivating_example;
 
 /// Reproduces Table III: the inverted index of the motivating example with
 /// its probabilities, contribution scores and providers.

@@ -3,9 +3,9 @@
 
 use crate::experiments::workloads;
 use crate::runner::run_single_round;
+use crate::EntryOrdering;
 use crate::{BoundDetector, ExperimentConfig, HybridDetector, TextTable};
 use copydet_bayes::CopyParams;
-use copydet_index::EntryOrdering;
 
 /// The orderings compared in Figure 3.
 fn orderings(seed: u64) -> [(&'static str, EntryOrdering); 3] {

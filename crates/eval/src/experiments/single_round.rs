@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn index_evidence_is_pairwise_evidence_bit_for_bit() {
         let params = CopyParams::paper_defaults();
-        let example = copydet_model::motivating_example();
+        let example = copydet_synth::motivating_example();
         let accuracies = SourceAccuracies::from_vec(example.accuracies.clone()).unwrap();
         let probabilities = ValueProbabilities::from_table(example.probability_table()).unwrap();
         let input = RoundInput::new(&example.dataset, &accuracies, &probabilities, params);

@@ -188,9 +188,10 @@ mod tests {
     use super::*;
     use crate::index_detection;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_model::{motivating_example, SourceId};
+    use copydet_model::SourceId;
+    use copydet_synth::motivating_example;
 
-    fn fixture() -> (copydet_model::MotivatingExample, SourceAccuracies, ValueProbabilities) {
+    fn fixture() -> (copydet_synth::MotivatingExample, SourceAccuracies, ValueProbabilities) {
         let ex = motivating_example();
         let acc = SourceAccuracies::from_vec(ex.accuracies.clone()).unwrap();
         let probs = ValueProbabilities::from_table(ex.probability_table()).unwrap();

@@ -526,10 +526,11 @@ mod tests {
     use super::*;
     use copydet_bayes::CopyParams;
     use copydet_detect::pairwise_detection;
-    use copydet_model::{motivating_example, ItemId, SourceId, ValueId};
+    use copydet_model::{ItemId, SourceId, ValueId};
+    use copydet_synth::motivating_example;
 
     struct Fixture {
-        ex: copydet_model::MotivatingExample,
+        ex: copydet_synth::MotivatingExample,
         accuracies: SourceAccuracies,
         probabilities: ValueProbabilities,
         params: CopyParams,

@@ -28,7 +28,7 @@
 //! ## Truth finding
 //!
 //! [`AccuCopy`] is the iterative loop of Section II-A: copy detection →
-//! value probabilities (`copydet_fusion::value_probabilities`) → source
+//! value probabilities (`copydet_detect::value_probabilities`) → source
 //! accuracies ([`accuracy_from_probabilities`]), repeated until the
 //! accuracies stabilize. [`naive_vote`] (VOTE) and [`accu_fusion`] (ACCU,
 //! the loop without copy detection) are the fusion-quality baselines.
@@ -66,6 +66,7 @@ mod incremental;
 mod live;
 mod methods;
 pub mod metrics;
+mod ordering;
 mod pairwise;
 mod round;
 mod runner;
@@ -83,6 +84,7 @@ pub use fagin::{FaginInput, FaginInputDetector};
 pub use incremental::{IncrementalConfig, IncrementalDetector, IncrementalRoundStats};
 pub use live::{LiveConfig, LiveDetector};
 pub use methods::Method;
+pub use ordering::EntryOrdering;
 pub use pairwise::PairwiseDetector;
 pub use round::{FusionRoundStats, RoundTimings};
 pub use runner::{run_fusion, run_single_round, FusionRun};

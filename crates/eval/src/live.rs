@@ -3,8 +3,8 @@
 use crate::api::CopyDetector;
 use crate::incremental::{IncrementalConfig, IncrementalDetector, IncrementalRoundStats};
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
+use copydet_detect::{value_probabilities, VoteConfig};
 use copydet_detect::{DetectionResult, OwnedRoundInput, RoundInput};
-use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_model::{Dataset, DatasetDelta};
 use copydet_store::{SharedClaimStore, StoreSnapshot};
 

@@ -1,6 +1,6 @@
-//! Entry processing orders (the paper's Figure 3 comparison).
+//! Index-entry processing orders (the paper's Figure 3 comparison).
 
-use crate::entry::IndexEntry;
+use copydet_index::IndexEntry;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 

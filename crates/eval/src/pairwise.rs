@@ -29,7 +29,7 @@ impl CopyDetector for PairwiseDetector {
 mod tests {
     use super::*;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn detector_trait_roundtrip() {

@@ -70,11 +70,11 @@ pub fn bootstrap_probabilities(
     accuracies: &SourceAccuracies,
     params: CopyParams,
 ) -> ValueProbabilities {
-    copydet_fusion::value_probabilities(
+    copydet_detect::value_probabilities(
         &synth.dataset,
         accuracies,
         None,
-        &copydet_fusion::VoteConfig::new(params),
+        &copydet_detect::VoteConfig::new(params),
     )
 }
 

@@ -183,7 +183,7 @@ mod tests {
     use crate::pairwise::PairwiseDetector;
     use crate::scan::IndexDetector;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn by_item_respects_rate() {

@@ -19,9 +19,10 @@
 //! for later rounds ([`ScanRecords`]).
 
 use crate::api::CopyDetector;
+use crate::ordering::EntryOrdering;
 use copydet_bayes::{CopyDecision, PairEvidence, SameValueScore};
 use copydet_detect::{DetectionResult, PairOutcome, RoundInput};
-use copydet_index::{EntryOrdering, InvertedIndex};
+use copydet_index::InvertedIndex;
 use copydet_model::{ItemId, SourcePair, ValueId};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -186,7 +187,7 @@ pub fn index_scan(
     let dataset = input.dataset;
     let accuracies = input.accuracies;
 
-    let order = index.processing_order(config.ordering);
+    let order = config.ordering.permutation(index.entries(), index.ebar_start());
     let suffix_max = index.suffix_max_scores(&order);
     let coverage: Vec<u32> = dataset.sources().map(|s| dataset.coverage(s) as u32).collect();
     let mut n_seen: Vec<u32> = vec![0; dataset.num_sources()];
@@ -579,10 +580,11 @@ mod tests {
     use super::*;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
     use copydet_detect::pairwise_detection;
-    use copydet_model::{motivating_example, SourceId};
+    use copydet_model::SourceId;
+    use copydet_synth::motivating_example;
 
     struct Fixture {
-        ex: copydet_model::MotivatingExample,
+        ex: copydet_synth::MotivatingExample,
         accuracies: SourceAccuracies,
         probabilities: ValueProbabilities,
         params: CopyParams,

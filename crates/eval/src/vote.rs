@@ -44,7 +44,8 @@ pub fn naive_vote(dataset: &Dataset) -> VoteResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_model::{motivating_example, DatasetBuilder};
+    use copydet_model::DatasetBuilder;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn majority_wins() {

@@ -4,7 +4,8 @@
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
 use copydet_detect::{pairwise_detection, RoundInput};
-use copydet_eval::{bound_detection, hybrid_detection, index_detection};
+use copydet_eval::{bound_detection, hybrid_detection, index_detection, EntryOrdering};
+use copydet_index::InvertedIndex;
 use copydet_model::{Dataset, DatasetBuilder, SourcePair};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -119,6 +120,46 @@ proptest! {
         for r in [&pairwise, &index, &hybrid] {
             prop_assert!(r.num_copying_pairs() <= r.outcomes.len());
             prop_assert!(r.pairs_considered >= r.outcomes.len());
+        }
+    }
+}
+
+/// An index over the claims with accuracies spread over `[0.05, 0.95)` and
+/// every value at probability 0.3.
+fn build_index(claims: &[(u8, u8, u8)]) -> InvertedIndex {
+    let ds = build(claims);
+    let n = ds.num_sources();
+    let accs = (0..n).map(|i| 0.05 + 0.9 * (i as f64 / n.max(1) as f64)).collect();
+    let acc = SourceAccuracies::from_vec(accs).unwrap();
+    let probs = ValueProbabilities::uniform_over_dataset(&ds, 0.3).unwrap();
+    InvertedIndex::build(&ds, &acc, &probs, &CopyParams::paper_defaults())
+}
+
+proptest! {
+    /// Processing orders are permutations that keep Ē entries last, and
+    /// suffix maxima really bound the remaining entries' scores.
+    #[test]
+    fn processing_orders_and_suffix_maxima(
+        claims in prop::collection::vec((0u8..10, 0u8..12, 0u8..5), 1..150),
+        seed in 0u64..1000,
+    ) {
+        let index = build_index(&claims);
+        for ordering in [
+            EntryOrdering::ByContribution,
+            EntryOrdering::ByProvider,
+            EntryOrdering::Random { seed },
+        ] {
+            let order = ordering.permutation(index.entries(), index.ebar_start());
+            prop_assert_eq!(order.len(), index.len());
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..index.len() as u32).collect::<Vec<_>>());
+            let boundary = index.ebar_start();
+            prop_assert!(order[..boundary].iter().all(|&i| (i as usize) < boundary));
+            let suffix = index.suffix_max_scores(&order);
+            for (i, &oi) in order.iter().enumerate() {
+                prop_assert!(index.entries()[oi as usize].score <= suffix[i] + 1e-12);
+            }
         }
     }
 }

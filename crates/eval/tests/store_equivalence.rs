@@ -60,11 +60,11 @@ proptest! {
 
         let params = CopyParams::paper_defaults();
         let accuracies = SourceAccuracies::uniform(batch.num_sources(), 0.8).unwrap();
-        let probabilities = copydet_fusion::value_probabilities(
+        let probabilities = copydet_detect::value_probabilities(
             &batch,
             &accuracies,
             None,
-            &copydet_fusion::VoteConfig::new(params),
+            &copydet_detect::VoteConfig::new(params),
         );
         let mut hybrid = HybridDetector::new();
         let on_batch = hybrid.detect_round(

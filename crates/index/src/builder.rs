@@ -3,7 +3,6 @@
 
 use crate::ebar::ebar_start;
 use crate::entry::IndexEntry;
-use crate::ordering::EntryOrdering;
 use crate::shared_items::SharedItemCounts;
 use crate::stats::IndexStats;
 use copydet_bayes::max_contribution::max_contribution;
@@ -225,12 +224,6 @@ impl InvertedIndex {
         &self.shared
     }
 
-    /// The processing permutation for `ordering` (see
-    /// [`EntryOrdering::permutation`]).
-    pub fn processing_order(&self, ordering: EntryOrdering) -> Vec<u32> {
-        ordering.permutation(&self.entries, self.ebar_start)
-    }
-
     /// For a processing order, the maximum entry score among positions
     /// `i..` for every `i` (plus a trailing 0.0 for "nothing left"). Used by
     /// the bound-maintaining algorithms as `M`, the best score any unscanned
@@ -269,9 +262,9 @@ fn sort_entries(entries: &mut [IndexEntry]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
-    fn build_motivating() -> (copydet_model::MotivatingExample, InvertedIndex) {
+    fn build_motivating() -> (copydet_synth::MotivatingExample, InvertedIndex) {
         let ex = motivating_example();
         let accuracies = SourceAccuracies::from_vec(ex.accuracies.clone()).unwrap();
         let probabilities = ValueProbabilities::from_table(ex.probability_table()).unwrap();
@@ -418,7 +411,7 @@ mod tests {
     #[test]
     fn suffix_max_by_contribution() {
         let (_, index) = build_motivating();
-        let order = index.processing_order(EntryOrdering::ByContribution);
+        let order: Vec<u32> = (0..index.len() as u32).collect();
         let suffix = index.suffix_max_scores(&order);
         assert_eq!(suffix.len(), index.len() + 1);
         for (i, &oi) in order.iter().enumerate() {
@@ -427,11 +420,13 @@ mod tests {
         assert_eq!(suffix[index.len()], 0.0);
     }
 
-    /// Suffix maxima for an arbitrary order really are suffix maxima.
+    /// Suffix maxima for an arbitrary order (here the odd positions, then
+    /// the even ones) really are suffix maxima.
     #[test]
     fn suffix_max_random_order() {
         let (_, index) = build_motivating();
-        let order = index.processing_order(EntryOrdering::Random { seed: 3 });
+        let n = index.len() as u32;
+        let order: Vec<u32> = (1..n).step_by(2).chain((0..n).step_by(2)).collect();
         let suffix = index.suffix_max_scores(&order);
         for i in 0..order.len() {
             let expected = order[i..]
@@ -565,6 +560,6 @@ mod tests {
         let index = InvertedIndex::build(&ds, &acc, &probs, &CopyParams::paper_defaults());
         assert!(index.is_empty());
         assert_eq!(index.ebar_start(), 0);
-        assert_eq!(index.processing_order(EntryOrdering::ByContribution).len(), 0);
+        assert_eq!(index.suffix_max_scores(&[]), vec![0.0]);
     }
 }

@@ -26,10 +26,6 @@
 //! pair of sources that shares at least one item — `l(S1, S2)` in the paper —
 //! computed at build time by a set-similarity-join style counting pass
 //! ([`SharedItemCounts`]).
-//!
-//! [`EntryOrdering`] provides the alternative processing orders
-//! (by-provider-count and random) that the paper's Figure 3 compares against
-//! the by-contribution order.
 
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
@@ -38,12 +34,10 @@
 mod builder;
 mod ebar;
 mod entry;
-mod ordering;
 mod shared_items;
 mod stats;
 
 pub use builder::InvertedIndex;
 pub use entry::IndexEntry;
-pub use ordering::EntryOrdering;
 pub use shared_items::SharedItemCounts;
 pub use stats::IndexStats;

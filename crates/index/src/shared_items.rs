@@ -211,7 +211,8 @@ fn dense_unslot(slot: usize) -> SourcePair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copydet_model::{motivating_example, DatasetBuilder};
+    use copydet_model::DatasetBuilder;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn dense_slot_roundtrip() {

@@ -72,7 +72,7 @@ impl std::fmt::Display for IndexStats {
 mod tests {
     use super::*;
     use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-    use copydet_model::motivating_example;
+    use copydet_synth::motivating_example;
 
     #[test]
     fn stats_on_motivating_example() {

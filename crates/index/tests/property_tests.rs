@@ -3,7 +3,7 @@
 //! argument) must hold for arbitrary datasets.
 
 use copydet_bayes::{CopyParams, SourceAccuracies, ValueProbabilities};
-use copydet_index::{EntryOrdering, InvertedIndex, SharedItemCounts};
+use copydet_index::{InvertedIndex, SharedItemCounts};
 use copydet_model::{DatasetBuilder, SourceId, SourcePair};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -126,29 +126,5 @@ proptest! {
             index.shared_item_counts().num_sharing_pairs()
         );
         prop_assert_eq!(from_lists.num_sources(), ds.num_sources());
-    }
-
-    /// Processing orders are permutations that keep Ē entries last, and
-    /// suffix maxima really bound the remaining entries' scores.
-    #[test]
-    fn processing_orders_and_suffix_maxima(claims in claims_strategy(), seed in 0u64..1000) {
-        let (_, index, _) = build_index(&claims);
-        for ordering in [
-            EntryOrdering::ByContribution,
-            EntryOrdering::ByProvider,
-            EntryOrdering::Random { seed },
-        ] {
-            let order = index.processing_order(ordering);
-            prop_assert_eq!(order.len(), index.len());
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..index.len() as u32).collect::<Vec<_>>());
-            let boundary = index.ebar_start();
-            prop_assert!(order[..boundary].iter().all(|&i| (i as usize) < boundary));
-            let suffix = index.suffix_max_scores(&order);
-            for (i, &oi) in order.iter().enumerate() {
-                prop_assert!(index.entries()[oi as usize].score <= suffix[i] + 1e-12);
-            }
-        }
     }
 }

@@ -73,8 +73,10 @@ impl Dataset {
     /// Assembles a snapshot directly from id-space claim lists, bypassing
     /// string interning.
     ///
-    /// This is the owned-tables convenience over
-    /// [`Dataset::from_shared_claims`]; see there for the contract.
+    /// The per-item value groups are derived here with exactly the same
+    /// normalization as [`DatasetBuilder::build`](crate::DatasetBuilder::build),
+    /// so a snapshot assembled this way is indistinguishable from one built
+    /// by a single builder pass over the same claims.
     ///
     /// # Panics
     /// Panics if a claim list is not strictly sorted by item, or if any id is
@@ -82,30 +84,6 @@ impl Dataset {
     pub fn from_sorted_claims(
         source_names: Vec<String>,
         item_names: Vec<String>,
-        values: Interner,
-        claims: Vec<Vec<(ItemId, ValueId)>>,
-    ) -> Dataset {
-        Self::from_shared_claims(Arc::new(source_names), Arc::new(item_names), values, claims)
-    }
-
-    /// Assembles a snapshot from *shared* name tables and id-space claim
-    /// lists.
-    ///
-    /// This is the construction hook used by segmented claim stores
-    /// (`copydet-store`): the caller holds the name tables behind `Arc`
-    /// handles (e.g. [`NameTable::shared_names`](crate::NameTable::shared_names))
-    /// and the snapshot aliases them without copying a string; the per-item
-    /// value groups are derived here with exactly the same normalization as
-    /// [`DatasetBuilder::build`](crate::DatasetBuilder::build), so a snapshot
-    /// assembled this way is indistinguishable from one built by a single
-    /// builder pass over the same claims.
-    ///
-    /// # Panics
-    /// Panics if a claim list is not strictly sorted by item, or if any id is
-    /// out of range for the provided name tables.
-    pub fn from_shared_claims(
-        source_names: Arc<Vec<String>>,
-        item_names: Arc<Vec<String>>,
         values: Interner,
         claims: Vec<Vec<(ItemId, ValueId)>>,
     ) -> Dataset {
@@ -124,7 +102,14 @@ impl Dataset {
             group_claims(&claims, item_names.len()).into_iter().map(Arc::new).collect();
         let num_claims = claims.iter().map(Vec::len).sum();
         let claims = claims.into_iter().map(Arc::new).collect();
-        Dataset { source_names, item_names, values, claims, item_groups, num_claims }
+        Dataset {
+            source_names: Arc::new(source_names),
+            item_names: Arc::new(item_names),
+            values,
+            claims,
+            item_groups,
+            num_claims,
+        }
     }
 
     /// Derives the next snapshot from this one by replacing the claim lists
@@ -433,7 +418,7 @@ impl Dataset {
 
 /// Derives the per-item value groups from per-source sorted claim lists —
 /// the normalization shared by [`DatasetBuilder::build`](crate::DatasetBuilder)
-/// and [`Dataset::from_shared_claims`]: providers sorted by id within each
+/// and [`Dataset::from_sorted_claims`]: providers sorted by id within each
 /// group, groups sorted by value within each item.
 pub(crate) fn group_claims(
     claims: &[Vec<(ItemId, ValueId)>],
@@ -603,17 +588,13 @@ mod tests {
         let ds = sample();
         let claims: Vec<Vec<(ItemId, ValueId)>> =
             ds.sources().map(|s| ds.claims_of(s).to_vec()).collect();
-        let assembled = Dataset::from_shared_claims(
-            Arc::clone(&ds.source_names),
-            Arc::clone(&ds.item_names),
+        let assembled = Dataset::from_sorted_claims(
+            (*ds.source_names).clone(),
+            (*ds.item_names).clone(),
             ds.values.clone(),
             claims,
         );
         assert_eq!(assembled, ds, "assembled snapshot must equal the builder-built one");
-        assert!(
-            Arc::ptr_eq(assembled.shared_source_names(), ds.shared_source_names()),
-            "shared tables are aliased, not copied"
-        );
     }
 
     #[test]

@@ -46,7 +46,6 @@ mod dataset;
 mod delta;
 mod ids;
 mod interner;
-mod motivating;
 mod names;
 mod observation;
 mod stats;
@@ -57,7 +56,6 @@ pub use dataset::{Dataset, ItemValueGroup};
 pub use delta::{ClaimChange, DatasetDelta};
 pub use ids::{ItemId, SourceId, SourcePair, ValueId};
 pub use interner::Interner;
-pub use motivating::{motivating_example, MotivatingExample};
 pub use names::NameTable;
 pub use observation::{Claim, ClaimRef};
 pub use stats::DatasetStats;

@@ -20,8 +20,7 @@
 //! outcome events sit on the serve path at `Debug` severity.
 //!
 //! **Capacity.** The global ring retains the last [`EVENT_RING_CAPACITY`]
-//! events. [`Event::to_ndjson`] renders one event as an NDJSON line for
-//! clients that forward what `EVENTS` returns to a log collector.
+//! events.
 
 use crate::trace::RoundTrace;
 use copydet_model::sync::RankedMutex;
@@ -141,54 +140,6 @@ impl Event {
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
-
-    /// Renders the event as one NDJSON line (no trailing newline).
-    pub fn to_ndjson(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"wall_ms\":{},\"severity\":\"{}\",\"component\":\"{}\",\"name\":\"{}\"",
-            self.seq,
-            self.wall_ms,
-            self.severity,
-            escape_json(&self.component),
-            escape_json(&self.name),
-        );
-        for (key, value) in &self.fields {
-            let _ = match value {
-                FieldValue::U64(v) => write!(out, ",\"{}\":{v}", escape_json(key)),
-                FieldValue::I64(v) => write!(out, ",\"{}\":{v}", escape_json(key)),
-                FieldValue::F64(v) if v.is_finite() => write!(out, ",\"{}\":{v}", escape_json(key)),
-                FieldValue::F64(v) => write!(out, ",\"{}\":\"{v}\"", escape_json(key)),
-                FieldValue::Str(v) => {
-                    write!(out, ",\"{}\":\"{}\"", escape_json(key), escape_json(v))
-                }
-            };
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct EventRingState {
@@ -473,35 +424,6 @@ mod tests {
             .into_iter()
             .any(|e| e.seq == seq && e.name == "emit.check");
         assert!(found, "the emitted event is retrievable");
-    }
-
-    #[test]
-    fn ndjson_escapes_and_patches() {
-        let event = Event {
-            seq: 7,
-            wall_ms: 1234,
-            severity: Severity::Error,
-            component: "store".to_owned(),
-            name: "io\"err\n".to_owned(),
-            fields: vec![
-                field::u64("count", 3),
-                field::i64("delta", -1),
-                field::f64("ratio", 0.5),
-                field::str("detail", "a\\b"),
-            ],
-        };
-        let line = event.to_ndjson();
-        assert!(line.starts_with("{\"seq\":7,\"wall_ms\":1234,"));
-        assert!(line.contains("\"severity\":\"error\""));
-        assert!(line.contains("\"name\":\"io\\\"err\\n\""));
-        assert!(line.contains("\"count\":3"));
-        assert!(line.contains("\"delta\":-1"));
-        assert!(line.contains("\"ratio\":0.5"));
-        assert!(line.contains("\"detail\":\"a\\\\b\""));
-        assert!(line.ends_with('}'));
-        // Non-finite floats are quoted, keeping the line valid JSON.
-        let nan = Event { fields: vec![field::f64("bad", f64::NAN)], ..event };
-        assert!(nan.to_ndjson().contains("\"bad\":\"NaN\""));
     }
 
     #[test]

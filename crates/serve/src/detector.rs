@@ -1,17 +1,17 @@
 //! Fan-out detection rounds over a [`ShardedStore`]: every shard builds its
-//! source map and scores its own pairs into exact evidence partials on its own
-//! thread — one row scan per source over one provider list per item, each
-//! value group scored once at the bootstrap's one accuracy, 0.8 for every
-//! source — and the cross-shard merge adds the partials into global copy
-//! decisions. The server runs only this bootstrap round.
+//! source map, votes its own snapshot at the bootstrap's one accuracy (0.8
+//! for every source, no copy result) with `copydet_detect`'s vote, and
+//! scores its own pairs into exact evidence partials on its own thread —
+//! one row scan per source over one provider list per item, each value
+//! group scored once — and the cross-shard merge adds the partials into
+//! global copy decisions. The server runs only this bootstrap round.
 
 use crate::shard::ShardedStore;
 use copydet_bayes::{CopyParams, SourceAccuracies};
 use copydet_detect::{
-    collect_shard_partials_for, merge_shard_partials, topk, DetectError, DetectionResult,
-    ShardPartials, TopKResult,
+    collect_shard_partials_for, merge_shard_partials, topk, value_probabilities, DetectError,
+    DetectionResult, ShardPartials, TopKResult, VoteConfig,
 };
-use copydet_fusion::{value_probabilities, VoteConfig};
 use copydet_model::codec::usize_to_u64;
 use copydet_model::SourceId;
 use copydet_obs::event::field;

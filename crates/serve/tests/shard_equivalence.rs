@@ -13,7 +13,7 @@ use copydet_detect::{
     collect_shard_partials_for, merge_shard_partials, pairwise_detection, DetectionResult,
     RoundInput, ShardPartials,
 };
-use copydet_fusion::{value_probabilities, VoteConfig};
+use copydet_detect::{value_probabilities, VoteConfig};
 use copydet_model::{Dataset, DatasetBuilder, SourceId, SourcePair};
 use copydet_serve::{ShardedDetector, ShardedStore};
 use proptest::prelude::*;

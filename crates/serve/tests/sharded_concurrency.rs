@@ -14,7 +14,7 @@
 
 use copydet_bayes::CopyParams;
 use copydet_detect::{pairwise_detection, RoundInput};
-use copydet_fusion::{value_probabilities, VoteConfig};
+use copydet_detect::{value_probabilities, VoteConfig};
 use copydet_model::{DatasetBuilder, SourceId};
 use copydet_serve::{ShardedDetector, ShardedStore};
 use copydet_store::StoreSnapshot;

@@ -82,16 +82,6 @@ impl GrowingSegment {
 
     /// Freezes the segment into an immutable [`SealedSegment`].
     pub fn freeze(self) -> SealedSegment {
-        self.freeze_ref()
-    }
-
-    /// A sealed view of the segment's current contents, without consuming
-    /// (or cloning the hash maps of) the segment.
-    ///
-    /// This keeps the first (full-assembly) `snapshot()` cheap: the claim
-    /// pairs are copied directly into sorted lists, while the growing segment
-    /// stays open for further ingest.
-    pub fn freeze_ref(&self) -> SealedSegment {
         let claims: Vec<(SourceId, Vec<(ItemId, ValueId)>)> = self
             .claims
             .iter()
@@ -104,8 +94,7 @@ impl GrowingSegment {
 }
 
 /// The single map → item-sorted-claim-list normalization shared by
-/// [`GrowingSegment::freeze`], [`GrowingSegment::freeze_ref`] and
-/// [`GrowingSegment::sorted_claims_of`].
+/// [`GrowingSegment::freeze`] and [`GrowingSegment::sorted_claims_of`].
 fn sorted_list(map: &HashMap<ItemId, ValueId>) -> Vec<(ItemId, ValueId)> {
     let mut list: Vec<(ItemId, ValueId)> = map.iter().map(|(&d, &v)| (d, v)).collect();
     list.sort_unstable_by_key(|&(d, _)| d);
@@ -271,24 +260,6 @@ mod tests {
         assert_eq!(sealed.get(s(3), d(1)), Some(v(1)));
         assert_eq!(sealed.get(s(0), d(0)), None);
         assert_eq!(sealed.get(s(1), d(1)), None);
-    }
-
-    #[test]
-    fn freeze_ref_matches_freeze_and_keeps_segment_open() {
-        let mut g = GrowingSegment::new();
-        g.insert(s(2), d(1), v(0));
-        g.insert(s(0), d(3), v(1));
-        g.insert(s(0), d(0), v(2));
-        let view = g.freeze_ref();
-        // The segment stays usable after the view is taken.
-        g.insert(s(1), d(0), v(3));
-        assert_eq!(g.num_claims(), 4);
-        let frozen = g.freeze();
-        assert_eq!(view.num_claims(), 3);
-        assert_eq!(view.claims_of(s(0)), &[(d(0), v(2)), (d(3), v(1))]);
-        assert_eq!(view.get(s(2), d(1)), Some(v(0)));
-        assert_eq!(view.get(s(1), d(0)), None, "taken before s1's claim");
-        assert_eq!(frozen.get(s(1), d(0)), Some(v(3)));
     }
 
     #[test]

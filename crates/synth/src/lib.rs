@@ -18,7 +18,9 @@
 //! * every source's planted accuracy.
 //!
 //! [`presets`] mirrors the published statistics of the paper's four datasets
-//! (Table V / Section VI-A) at configurable scale factors.
+//! (Table V / Section VI-A) at configurable scale factors, and
+//! [`motivating_example`] is the paper's worked example (Table I) that the
+//! unit tests of the other crates check their numbers against.
 
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
@@ -27,10 +29,12 @@
 mod config;
 mod generator;
 mod gold;
+mod motivating;
 pub mod presets;
 mod zipf;
 
 pub use config::{AccuracyModel, CopyingConfig, CoverageModel, SynthConfig};
 pub use generator::generate;
 pub use gold::{GoldStandard, PlantedCopy, SyntheticDataset};
+pub use motivating::{motivating_example, MotivatingExample};
 pub use zipf::ZipfSampler;

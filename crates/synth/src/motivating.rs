@@ -8,9 +8,7 @@
 //! 5.1/5.2). We reproduce the same data here so the corresponding unit tests
 //! in the other crates can check the worked numbers.
 
-use crate::builder::DatasetBuilder;
-use crate::dataset::Dataset;
-use crate::ids::{ItemId, SourceId, SourcePair, ValueId};
+use copydet_model::{Dataset, DatasetBuilder, ItemId, SourceId, SourcePair, ValueId};
 use std::collections::HashMap;
 
 /// The motivating example of the paper: the dataset of Table I together with

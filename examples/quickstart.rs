@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use copydetect::model::motivating_example;
 use copydetect::prelude::*;
+use copydetect::synth::motivating_example;
 
 fn main() {
     let example = motivating_example();

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example stock_quotes`
 
 use copydetect::detect::pairwise_detection;
+use copydetect::detect::value_probabilities;
 use copydetect::eval::{bound_detection, hybrid_detection, index_detection};
-use copydetect::fusion::value_probabilities;
 use copydetect::prelude::*;
 use copydetect::synth;
 
@@ -31,7 +31,7 @@ fn main() {
         dataset,
         &accuracies,
         None,
-        &copydetect::fusion::VoteConfig::new(params),
+        &copydetect::detect::VoteConfig::new(params),
     );
     let input = RoundInput::new(dataset, &accuracies, &probabilities, params);
 

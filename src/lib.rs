@@ -20,15 +20,14 @@
 //! |-----------|-------|----------|
 //! | [`model`] | `copydet-model` | datasets, sources, items, values, claims |
 //! | [`bayes`] | `copydet-bayes` | contribution scores, posteriors, thresholds |
-//! | [`index`] | `copydet-index` | the inverted index and entry orderings |
-//! | [`detect`] | `copydet-detect` | the served round, top-k and the PAIRWISE oracle |
-//! | [`fusion`] | `copydet-fusion` | the accuracy-weighted vote with copy discounting |
+//! | [`index`] | `copydet-index` | the score-ordered inverted index |
+//! | [`detect`] | `copydet-detect` | the served round, top-k, the PAIRWISE oracle and the vote |
 //! | [`nra`] | `copydet-nra` | Fagin's NRA top-k aggregation |
-//! | [`synth`] | `copydet-synth` | synthetic workloads with planted copying |
+//! | [`synth`] | `copydet-synth` | synthetic workloads with planted copying, and the paper's Table I |
 //! | [`store`] | `copydet-store` | segmented live claim store, snapshots, durability |
 //! | [`obs`] | `copydet-obs` | metrics registry, round tracing, text exposition |
 //! | [`serve`] | `copydet-serve` | sharded serving engine: item-partitioned stores, fan-out rounds, TCP frontend |
-//! | [`eval`] | `copydet-eval` | the paper's detectors, ACCUCOPY, LiveDetector, FAGININPUT and the drivers |
+//! | [`eval`] | `copydet-eval` | the paper's detectors, entry orderings, ACCUCOPY, LiveDetector, FAGININPUT and the drivers |
 //!
 //! ## Quick start
 //!
@@ -67,7 +66,6 @@
 pub use copydet_bayes as bayes;
 pub use copydet_detect as detect;
 pub use copydet_eval as eval;
-pub use copydet_fusion as fusion;
 pub use copydet_index as index;
 pub use copydet_model as model;
 pub use copydet_nra as nra;
@@ -85,11 +83,11 @@ pub mod prelude {
     };
     pub use copydet_detect::{DetectionResult, OwnedRoundInput, RoundInput};
     pub use copydet_eval::{
-        accu_fusion, naive_vote, AccuCopy, BoundDetector, CopyDetector, FusionConfig,
-        FusionOutcome, HybridDetector, IncrementalDetector, IndexDetector, LiveDetector,
-        PairwiseDetector, SampledDetector, SamplingStrategy,
+        accu_fusion, naive_vote, AccuCopy, BoundDetector, CopyDetector, EntryOrdering,
+        FusionConfig, FusionOutcome, HybridDetector, IncrementalDetector, IndexDetector,
+        LiveDetector, PairwiseDetector, SampledDetector, SamplingStrategy,
     };
-    pub use copydet_index::{EntryOrdering, InvertedIndex};
+    pub use copydet_index::InvertedIndex;
     pub use copydet_model::{
         Dataset, DatasetBuilder, DatasetDelta, ItemId, SourceId, SourcePair, ValueId,
     };

@@ -10,7 +10,7 @@
 //! produced.
 
 use copydetect::detect::pairwise_detection;
-use copydetect::fusion::{value_probabilities, VoteConfig};
+use copydetect::detect::{value_probabilities, VoteConfig};
 use copydetect::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -142,11 +142,11 @@ fn fagin_input_and_nra_interoperate() {
     let ds = &workload.dataset;
     let params = CopyParams::paper_defaults();
     let accuracies = SourceAccuracies::uniform(ds.num_sources(), 0.8).unwrap();
-    let probabilities = copydetect::fusion::value_probabilities(
+    let probabilities = copydetect::detect::value_probabilities(
         ds,
         &accuracies,
         None,
-        &copydetect::fusion::VoteConfig::new(params),
+        &copydetect::detect::VoteConfig::new(params),
     );
     let input = RoundInput::new(ds, &accuracies, &probabilities, params);
     let index = InvertedIndex::build(ds, &accuracies, &probabilities, &params);

@@ -2,8 +2,8 @@
 //! must be usable as flat names, and the quickstart path (the same flow as
 //! `examples/quickstart.rs`) must run end to end through the facade alone.
 
-use copydetect::model::motivating_example;
 use copydetect::prelude::*;
+use copydetect::synth::motivating_example;
 
 /// Every name the prelude promises is nameable and usable without reaching
 /// into the per-crate modules.
